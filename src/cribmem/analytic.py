@@ -22,7 +22,8 @@ import numpy as np
 import scipy.interpolate
 
 from cribmem.laplace import talbot_contour
-from cribmem.model import PhysicalParams, gaussian_pdf
+from cribmem.model import PhysicalParams, build_detuning_grid, gaussian_pdf
+from cribmem.propagators import Stage, block_reversal_permutation, stage_eigen
 from cribmem.quadrature import TimeGrid, tanh_sinh_grid
 
 _DEFAULT_Z_LEVEL = 5
@@ -131,6 +132,16 @@ def perturbative_efficiency(p1: Profile, gamma_rel: float,
                               tau_d=tau_d, profile=p1)
 
 
+def _min_safe_classes(gamma_rel: float, tau_d: float, extent_sigmas: float) -> int:
+    """Smallest odd class count whose comb rephases after 2*max(tau_d, 1).
+
+    A comb of n classes over +-extent_sigmas*gamma_rel has step
+    2*extent_sigmas*gamma_rel/(n - 1) and rephases after 2*pi/step.
+    """
+    need = math.ceil(2.0 * extent_sigmas * gamma_rel * max(tau_d, 1.0) / math.pi)
+    return need + 1 + need % 2
+
+
 def broadening_stage_efficiency_numeric(
     p1: Profile,
     gamma_rel: float,
@@ -142,26 +153,32 @@ def broadening_stage_efficiency_numeric(
     """Non-perturbative efficiency of the two broadening stages.
 
     Evolves the polarization through exp(M2 tau_d) then exp(M4 tau_d) in the
-    spatial Laplace domain with the intrinsic broadening collapsed to the
-    single resonant class, inverts onto the profile's z-grid (one Talbot
-    contour per node) and integrates |P(z)|^2.
+    spatial Laplace domain on a K = 1 detuning grid (the intrinsic
+    broadening collapsed to the single resonant class), inverts onto the
+    profile's z-grid (one Talbot contour per node) and integrates |P(z)|^2.
 
     When ``n_classes`` is omitted it is chosen so the discrete-comb
     rephasing time 2*pi/step stays at least twice the stage duration;
-    otherwise long stages alias against the finite class comb.
+    otherwise long stages alias against the finite class comb.  An explicit
+    count below that floor raises ValueError.
     """
     if not gamma_rel > 0.0:
         raise ValueError(f"gamma_rel must be positive, got {gamma_rel!r}")
+    floor = _min_safe_classes(gamma_rel, tau_d, extent_sigmas)
     if n_classes is None:
-        need = math.ceil(2.0 * extent_sigmas * gamma_rel * max(tau_d, 1.0) / math.pi)
-        n_classes = max(_DEFAULT_CLASSES, need + 1 + (need % 2))
+        n_classes = max(_DEFAULT_CLASSES, floor)
     if n_classes < 1 or n_classes % 2 == 0:
         raise ValueError("n_classes must be odd and positive")
-    half = n_classes // 2
-    step = extent_sigmas * gamma_rel / max(half, 1)
-    nodes = step * np.arange(-half, half + 1, dtype=float)
-    gw = step * gaussian_pdf(nodes, gamma_rel) if n_classes > 1 else np.array([1.0])
+    if n_classes < floor:
+        raise ValueError(
+            f"n_classes={n_classes} lets the class comb rephase inside the "
+            f"2*tau_d window; use at least {floor}")
+    # With K = 1 the intrinsic width does not enter; any positive value does.
+    grid = build_detuning_grid(1.0, gamma_rel, k=1, n=n_classes,
+                               extent_sigmas=extent_sigmas)
+    gw = grid.joint_weights
     ones = np.ones(n_classes)
+    perm = block_reversal_permutation(grid)
 
     zg = p1.grid
     p4 = np.zeros(zg.size, dtype=complex)
@@ -170,13 +187,11 @@ def broadening_stage_efficiency_numeric(
         samples = np.empty(contour.size, dtype=complex)
         pbar = p1.laplace(contour.nodes)
         for j, u in enumerate(contour.nodes):
-            coupling = np.outer(ones, gw) / u
-            m2 = -1j * np.diag(nodes) - coupling
-            m4 = +1j * np.diag(nodes) - coupling
-            w2, v2 = np.linalg.eig(m2)
-            w4, v4 = np.linalg.eig(m4)
-            sig = v2 @ (np.exp(w2 * tau_d) * np.linalg.solve(v2, ones))
-            sig = v4 @ (np.exp(w4 * tau_d) * np.linalg.solve(v4, sig))
+            e2 = stage_eigen(Stage.S2, complex(u), grid)
+            decay = np.exp(e2.values * tau_d)
+            sig = e2.vectors @ (decay * (e2.inverse @ ones))
+            # exp(M4 t) = P exp(M2 t) P with P the comb reflection.
+            sig = (e2.vectors @ (decay * (e2.inverse @ sig[perm])))[perm]
             samples[j] = (gw @ sig) * pbar[j]
         p4[i] = np.dot(contour.derivative_weights, samples)
     return float(np.sum(zg.weights * np.abs(p4) ** 2))

@@ -10,8 +10,8 @@ Commands
 
 Output is CSV (default) or JSON; a leading comment line records every
 resolved setting so runs are reproducible.  Standard output is reserved for
-data when the output path is "-"; progress goes to standard error.  Exit
-codes: 0 success, 2 configuration error, 3 numerical failure.
+data when the output path is "-"; errors go to standard error.  Exit codes:
+0 success, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--extent", type=float)
     parser.add_argument("--quad-level", type=int, dest="quad_level")
     parser.add_argument("--contour-nodes", type=int, dest="contour_nodes")
-    parser.add_argument("--seed", type=int, help="extra optimizer starts seed")
     parser.add_argument("--taud", type=float, help="broadening duration (perturbative)")
     parser.add_argument("--omega", help="comma-separated omega/mu (transmission)")
     parser.add_argument("--tc-points", type=int, dest="tc_points")
@@ -94,7 +93,6 @@ _DEFAULTS = {
     "threads": 1,
     "format": "csv",
     "out": "-",
-    "seed": None,
     "taud": 1.0,
     "omega": None,
     "tc_points": 25,
@@ -116,7 +114,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(loaded)
     for key in ("out", "format", "threads", "grid_k", "grid_n", "extent",
-                "quad_level", "contour_nodes", "seed", "taud",
+                "quad_level", "contour_nodes", "taud",
                 "tc_points", "tw_points"):
         val = getattr(args, key, None)
         if val is not None:
@@ -163,7 +161,7 @@ def _compute_rows(cfg: dict) -> list[dict]:
 
     if command == "sweep-gaussian":
         rows = sweeps.run_points(points, settings, threads=cfg["threads"],
-                                 include_gaussian=True, seed=cfg["seed"])
+                                 include_gaussian=True)
         return [{k: r[k] for k in _COLUMNS[command]} for r in rows]
 
     if command == "gaussian-map":
@@ -222,7 +220,7 @@ def _fmt(value) -> str:
 
 def _settings_comment(cfg: dict) -> str:
     keys = ("grid_k", "grid_n", "extent", "quad_level", "contour_nodes",
-            "threads", "seed", "taud")
+            "threads", "taud")
     parts = [f"{k}={cfg[k]}" for k in keys]
     parts.append("d0=" + "|".join(_fmt(x) for x in cfg["d0"]))
     parts.append("gamma=" + "|".join(_fmt(x) for x in cfg["gamma"]))
@@ -240,7 +238,7 @@ def _emit(cfg: dict, rows: list[dict]) -> None:
             "command": cfg["command"],
             "settings": {k: cfg[k] for k in
                          ("grid_k", "grid_n", "extent", "quad_level",
-                          "contour_nodes", "threads", "seed", "taud",
+                          "contour_nodes", "threads", "taud",
                           "d0", "gamma")},
             "rows": [{c: row[c] for c in columns} for row in rows],
         }

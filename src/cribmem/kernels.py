@@ -28,18 +28,13 @@ from cribmem.errors import NumericsError
 from cribmem.laplace import LaplaceContour
 from cribmem.model import DetuningGrid, PhysicalParams, ProtocolSchedule
 from cribmem.propagators import (
-    BlockReduction,
-    EigenCache,
     Stage,
     Stage3Action,
-    block_reduce,
     block_reversal_permutation,
-    propagator_exp,
-    stage_matrix,
+    stage_eigen,
 )
 from cribmem.quadrature import TimeGrid, check_time_reversible
 
-_IMAG_RESIDUE_TOL = 1e-7
 _WINDOW_SLACK = 1e-9
 
 KERNEL_DUMP_MAGIC = b"CRIBKRN1"
@@ -64,59 +59,6 @@ class EfficiencyKernel:
     matrix: np.ndarray
 
 
-def _window_check(name: str, value: float, upper: float) -> None:
-    slack = _WINDOW_SLACK * max(1.0, abs(upper))
-    if not (-slack <= value <= upper + slack):
-        raise ValueError(f"{name}={value!r} outside the window [0, {upper!r}]")
-
-
-def kernel_samples(which: str, u: complex, t: float, t_prime: float,
-                   cache: EigenCache, grid: DetuningGrid,
-                   schedule: ProtocolSchedule) -> complex:
-    """One Laplace-domain kernel sample k_bar(u, t, t') for k1..k4.
-
-    Times are measured from the start of the emitting / injecting stage, so
-    k1 and k2 take t in [0, tau_d], k3 and k4 take t in [0, tau_p]; t' lies
-    in [0, tau_d] for k1, k3 and in [0, tau_p] for k2, k4.
-    """
-    td, tp, ts = schedule.tau_d, schedule.tau_p, schedule.tau_s
-    windows = {"k1": (td, td), "k2": (td, tp), "k3": (tp, td), "k4": (tp, tp)}
-    if which not in windows:
-        raise ValueError(f"unknown kernel piece {which!r}")
-    t_max, tp_max = windows[which]
-    _window_check("t", t, t_max)
-    _window_check("t_prime", t_prime, tp_max)
-
-    g = grid.joint_weights
-    g0 = grid.intrinsic_weights
-    h_kn = np.ones(grid.k * grid.n)
-    h_k = np.ones(grid.k)
-
-    def expm(stage: Stage, duration: float) -> np.ndarray:
-        return propagator_exp(stage_matrix(stage, u, grid), duration, cache)
-
-    if which == "k1":
-        row = g @ expm(Stage.S4, t)
-        mid = expm(Stage.S3, ts)
-        col = expm(Stage.S2, t_prime) @ h_kn
-    elif which == "k2":
-        row = g @ expm(Stage.S4, t)
-        mid = block_reduce(expm(Stage.S3, ts) @ expm(Stage.S2, td),
-                           BlockReduction.J_TO_K_COLUMNS, grid)
-        col = expm(Stage.S1, t_prime) @ h_k
-    elif which == "k3":
-        row = g0 @ expm(Stage.S1, t)
-        mid = block_reduce(expm(Stage.S4, td) @ expm(Stage.S3, ts),
-                           BlockReduction.L_TO_K_ROWS, grid)
-        col = expm(Stage.S2, t_prime) @ h_kn
-    else:
-        row = g0 @ expm(Stage.S1, t)
-        mid = block_reduce(expm(Stage.S4, td) @ expm(Stage.S3, ts) @ expm(Stage.S2, td),
-                           BlockReduction.B_TO_K_BY_K, grid)
-        col = expm(Stage.S1, t_prime) @ h_k
-    return complex(-(row @ mid @ col) / (u * u))
-
-
 def _assembled_at_u(u: complex, grid: DetuningGrid, schedule: ProtocolSchedule,
                     t_out_lo, t_out_hi, t_in_lo, t_in_hi) -> tuple[np.ndarray, ...]:
     """All four quadrants of K_E-hat at one contour node.
@@ -135,18 +77,9 @@ def _assembled_at_u(u: complex, grid: DetuningGrid, schedule: ProtocolSchedule,
     td, ts = schedule.tau_d, schedule.tau_s
     perm = block_reversal_permutation(grid)
 
-    cache = EigenCache()
-    e2 = cache.entry(stage_matrix(Stage.S2, u, grid))
-    if not e2.usable:
-        raise NumericsError(
-            f"stage-2 eigendecomposition unusable at u={u!r} (cond={e2.cond:.3e})"
-        )
-    e1 = cache.entry(stage_matrix(Stage.S1, u, grid))
-    if not e1.usable:
-        raise NumericsError(
-            f"stage-1 eigendecomposition unusable at u={u!r} (cond={e1.cond:.3e})"
-        )
-    s3 = Stage3Action(u, grid, ts, cache)
+    e2 = stage_eigen(Stage.S2, u, grid)
+    e1 = stage_eigen(Stage.S1, u, grid)
+    s3 = Stage3Action(u, grid, ts, e1)
 
     # Row batches: g^T exp(M4 t) = (g^T exp(M2 t)) P  with P the reflection.
     gv2 = g @ e2.vectors
@@ -182,25 +115,21 @@ def build_transfer_kernel(
     contour: LaplaceContour,
     out_grid: TimeGrid,
     in_grid: TimeGrid,
-    assembly: str = "auto",
 ) -> TransferKernel:
     """Assemble K_E(t_i, t'_j) on the given time grids.
 
-    ``assembly`` selects the contour evaluation: "full" sums every node and
-    monitors the imaginary residue of the (real) kernel; "half" evaluates
-    only the upper-half-plane nodes and doubles the real part, which is
-    exact for symmetric detuning grids and halves the eigendecomposition
-    cost.  "auto" picks "half" whenever the grid is symmetric.
+    The controlled comb must be mirror-symmetric: stage 4 is obtained from
+    stage 2 by reflecting it.  On a fully symmetric grid the kernel is real,
+    so only the upper-half-plane contour nodes are evaluated and the real
+    part is doubled; otherwise every node is summed.
     """
     for tg, name in ((out_grid, "out_grid"), (in_grid, "in_grid")):
         if abs(tg.a) > _WINDOW_SLACK or abs(tg.b - schedule.tau_r) > _WINDOW_SLACK * max(1.0, schedule.tau_r):
             raise ValueError(f"{name} must span [0, tau_r], got [{tg.a}, {tg.b}]")
-    if assembly not in ("auto", "half", "full"):
-        raise ValueError(f"unknown assembly mode {assembly!r}")
-    symmetric = grid.is_symmetric()
-    use_half = assembly == "half" or (assembly == "auto" and symmetric)
-    if use_half and not symmetric:
-        raise ValueError("half-contour assembly requires a symmetric detuning grid")
+    if not grid.is_controlled_symmetric():
+        raise ValueError("the controlled detuning nodes and weights must be "
+                         "mirror-symmetric about zero")
+    use_half = grid.is_symmetric()
 
     td = schedule.tau_d
     out_lo = out_grid.nodes <= td
@@ -237,16 +166,6 @@ def build_transfer_kernel(
     }
     if use_half:
         values = 2.0 * values.real + 0.0j
-    else:
-        scale = float(np.max(np.abs(values.real)))
-        if symmetric and scale > 0.0:
-            residue = float(np.max(np.abs(values.imag)))
-            diagnostics["imag_residue"] = residue
-            if residue > _IMAG_RESIDUE_TOL * scale:
-                raise NumericsError(
-                    f"imaginary residue {residue:.3e} exceeds "
-                    f"{_IMAG_RESIDUE_TOL:.0e} x max|K_E| = {scale:.3e}"
-                )
     if not np.all(np.isfinite(values.view(float))):
         raise NumericsError("non-finite entries in the transfer kernel")
     diagnostics["max_abs"] = float(np.max(np.abs(values)))

@@ -180,13 +180,12 @@ class DetuningGrid:
 
     def is_symmetric(self, tol: float = 1e-12) -> bool:
         """True when both node families are symmetric about zero with even weights."""
-        for nodes, w in ((self.intrinsic_nodes, self.intrinsic_weights),
-                         (self.controlled_nodes, self.controlled_weights)):
-            if not np.allclose(nodes, -nodes[::-1], atol=tol, rtol=0.0):
-                return False
-            if not np.allclose(w, w[::-1], rtol=1e-12, atol=0.0):
-                return False
-        return True
+        return (_mirrored(self.intrinsic_nodes, self.intrinsic_weights, tol)
+                and self.is_controlled_symmetric(tol))
+
+    def is_controlled_symmetric(self, tol: float = 1e-12) -> bool:
+        """True when the controlled family alone is symmetric with even weights."""
+        return _mirrored(self.controlled_nodes, self.controlled_weights, tol)
 
     def rephasing_time(self) -> float:
         """Onset of the spurious rephasing of the discrete controlled comb.
@@ -198,6 +197,11 @@ class DetuningGrid:
             return math.inf
         dd = float(self.controlled_nodes[1] - self.controlled_nodes[0])
         return 2.0 * math.pi / dd
+
+
+def _mirrored(nodes: np.ndarray, weights: np.ndarray, tol: float) -> bool:
+    return (np.allclose(nodes, -nodes[::-1], atol=tol, rtol=0.0)
+            and np.allclose(weights, weights[::-1], rtol=1e-12, atol=0.0))
 
 
 def _family(width: float, count: int, extent_sigmas: float):

@@ -1,9 +1,12 @@
-"""Laplace-domain stage generators, cached eigendecompositions, reductions.
+"""Laplace-domain stage generators and their eigendecompositions.
 
 Each protocol stage evolves the polarization vector under a generator of the
 form ``-i*diag(phases) - (1/u) * ones * weights^T`` (a diagonal matrix plus a
 rank-one coupling through the radiated field).  Stage 1 acts on the K
-intrinsic classes, stages 2-4 on the K*N joint classes.
+intrinsic classes, stages 2-4 on the K*N joint classes.  ``stage_eigen`` is
+the one propagation primitive: every stage exponential in the package is
+applied through the decomposition it returns, and a decomposition that
+cannot be trusted raises NumericsError instead of being patched over.
 
 The stage-1 rank-one term carries the sum of the controlled Riemann weights,
 which equals one only in the continuum limit: with it, the K-dimensional
@@ -16,11 +19,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from cribmem.errors import NumericsError
 from cribmem.model import DetuningGrid
 
 _COND_LIMIT = 1e8
@@ -35,24 +38,7 @@ class Stage(enum.Enum):
     S4 = 4
 
 
-class BlockReduction(enum.Enum):
-    J_TO_K_COLUMNS = "J"
-    L_TO_K_ROWS = "L"
-    B_TO_K_BY_K = "B"
-
-
-@dataclass(frozen=True)
-class StageGenerator:
-    stage: Stage
-    u: complex
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def stage_matrix(stage: Stage, u: complex, grid: DetuningGrid) -> StageGenerator:
+def stage_matrix(stage: Stage, u: complex, grid: DetuningGrid) -> np.ndarray:
     """Assemble the generator of one stage at Laplace moment u."""
     if u == 0:
         raise ValueError("u = 0 is a singular Laplace moment (1/u coupling)")
@@ -72,54 +58,40 @@ def stage_matrix(stage: Stage, u: complex, grid: DetuningGrid) -> StageGenerator
         scale = 1.0 / u
     m = -1j * np.diag(phases.astype(complex))
     m -= scale * np.outer(np.ones(phases.size), weights)
-    return StageGenerator(stage=stage, u=u, matrix=m)
+    return m
 
 
-@dataclass
-class EigenEntry:
+@dataclass(frozen=True)
+class StageEigen:
+    """Eigendecomposition M = V diag(values) V^-1 of one stage generator."""
+
     values: np.ndarray
     vectors: np.ndarray
     inverse: np.ndarray
     cond: float
-    usable: bool
-
-    def expm(self, duration: float) -> np.ndarray:
-        return self.vectors @ (np.exp(self.values * duration)[:, None] * self.inverse)
 
 
-class EigenCache:
-    """Eigendecompositions keyed by (stage, u), computed once and reused.
+def stage_eigen(stage: Stage, u: complex, grid: DetuningGrid) -> StageEigen:
+    """Eigendecomposition of ``stage_matrix(stage, u, grid)``.
 
-    The entry is flagged unusable when the eigenvector matrix is too ill
-    conditioned or fails to reconstruct the generator; propagator_exp then
-    falls back to scaling-and-squaring.
+    Raises NumericsError when the eigenvector matrix is singular, too ill
+    conditioned, or fails to reconstruct the generator (a defective or
+    nearly defective generator; never observed for symmetric detuning grids).
     """
-
-    def __init__(self):
-        self._entries: dict[tuple[Stage, complex], EigenEntry] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def entry(self, gen: StageGenerator) -> EigenEntry:
-        key = (gen.stage, gen.u)
-        got = self._entries.get(key)
-        if got is None:
-            got = _decompose(gen.matrix)
-            self._entries[key] = got
-        return got
-
-
-def _decompose(matrix: np.ndarray) -> EigenEntry:
+    matrix = stage_matrix(stage, u, grid)
     n = matrix.shape[0]
     values, vectors = np.linalg.eig(matrix)
     try:
         inverse = np.linalg.solve(vectors, np.eye(n, dtype=complex))
+        cond = float(np.linalg.norm(vectors, 1) * np.linalg.norm(inverse, 1))
     except np.linalg.LinAlgError:
-        return EigenEntry(values, vectors, np.eye(n, dtype=complex), math.inf, False)
-    cond = float(np.linalg.norm(vectors, 1) * np.linalg.norm(inverse, 1))
-    usable = cond < _COND_LIMIT and _reconstructs(matrix, values, vectors, inverse)
-    return EigenEntry(values, vectors, inverse, cond, usable)
+        inverse, cond = None, math.inf
+    if not (cond < _COND_LIMIT and _reconstructs(matrix, values, vectors, inverse)):
+        raise NumericsError(
+            f"stage-{stage.value} eigendecomposition unusable at u={complex(u)!r} "
+            f"(cond={cond:.3e})"
+        )
+    return StageEigen(values, vectors, inverse, cond)
 
 
 def _reconstructs(matrix, values, vectors, inverse) -> bool:
@@ -136,55 +108,9 @@ def _reconstructs(matrix, values, vectors, inverse) -> bool:
     return resid <= _RECON_TOL * scale * np.linalg.norm(probes) / math.sqrt(n)
 
 
-def propagator_exp(gen: StageGenerator, duration: float,
-                   cache: EigenCache | None = None) -> np.ndarray:
-    """exp(matrix * duration) via the cached eigendecomposition.
-
-    Falls back to scaling-and-squaring when the eigenvector matrix is
-    ill conditioned (possible for the non-normal generators, never observed
-    for symmetric detuning grids).
-    """
-    if duration < 0.0:
-        raise ValueError(f"duration must be non-negative, got {duration!r}")
-    if duration == 0.0:
-        return np.eye(gen.dim, dtype=complex)
-    if cache is None:
-        cache = EigenCache()
-    ent = cache.entry(gen)
-    if ent.usable:
-        return ent.expm(duration)
-    return scipy.linalg.expm(gen.matrix * duration)
-
-
-def block_reduce(matrix: np.ndarray, mode: BlockReduction,
-                 grid: DetuningGrid) -> np.ndarray:
-    """Collapse controlled-detuning blocks of a KN x KN stage product.
-
-    J sums each block of N columns (the unweighted lift of a K-vector into
-    the joint layout), L sums each block of N rows with the controlled
-    weights (projection onto the per-intrinsic-class polarization), B applies
-    both.
-    """
-    k, n = grid.k, grid.n
-    kn = k * n
-    matrix = np.asarray(matrix)
-    if matrix.shape != (kn, kn):
-        raise ValueError(f"expected a {kn}x{kn} matrix, got {matrix.shape}")
-    gw = grid.controlled_weights
-    if mode is BlockReduction.J_TO_K_COLUMNS:
-        return matrix.reshape(kn, k, n).sum(axis=2)
-    if mode is BlockReduction.L_TO_K_ROWS:
-        return np.einsum("jnc,n->jc", matrix.reshape(k, n, kn), gw)
-    if mode is BlockReduction.B_TO_K_BY_K:
-        rows = np.einsum("jnc,n->jc", matrix.reshape(k, n, kn), gw)
-        return rows.reshape(k, k, n).sum(axis=2)
-    raise ValueError(f"unknown reduction mode {mode!r}")
-
-
 # ---------------------------------------------------------------------------
-# Structured fast paths used by the kernel assembly.  These produce the same
-# numbers as the dense eigendecomposition route but exploit (a) the exact
-# block degeneracy of the stage-3 generator and (b) the controlled-detuning
+# Structured shortcuts used with the primitive: (a) the exact block
+# degeneracy of the stage-3 generator and (b) the controlled-detuning
 # reflection that maps stage 2 onto stage 4.
 
 
@@ -215,12 +141,11 @@ class Stage3Action:
     """
 
     def __init__(self, u: complex, grid: DetuningGrid, duration: float,
-                 cache: EigenCache | None = None):
+                 ent: StageEigen):
+        """``ent`` is ``stage_eigen(Stage.S1, u, grid)``."""
         self.grid = grid
         self.u = complex(u)
         self.duration = float(duration)
-        gen1 = stage_matrix(Stage.S1, u, grid)
-        ent = (cache or EigenCache()).entry(gen1)
         d0 = grid.intrinsic_nodes
         lam = ent.values
         z = (lam[None, :] + 1j * d0[:, None]) * self.duration

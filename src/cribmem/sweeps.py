@@ -58,8 +58,7 @@ def build_pipeline(d0: float, gamma_rel: float, settings: GridSettings):
 
 
 def evaluate_point(d0: float, gamma_rel: float, settings: GridSettings,
-                   include_gaussian: bool = False, include_mode: bool = False,
-                   seed: int | None = None) -> dict:
+                   include_gaussian: bool = False, include_mode: bool = False) -> dict:
     params, schedule, kernel, eff = build_pipeline(d0, gamma_rel, settings)
     best = modes.optimal_mode(eff)
     row = {
@@ -70,7 +69,7 @@ def evaluate_point(d0: float, gamma_rel: float, settings: GridSettings,
         "eta_max": best.efficiency,
     }
     if include_gaussian:
-        gauss = modes.optimize_gaussian(eff, schedule, seed=seed)
+        gauss = modes.optimize_gaussian(eff, schedule)
         row.update({
             "t_c_opt": gauss.gaussian_params[0],
             "t_w_opt": gauss.gaussian_params[1],
@@ -87,12 +86,11 @@ def _run_one(args):
 
 
 def run_points(points, settings: GridSettings, threads: int = 1,
-               include_gaussian: bool = False, include_mode: bool = False,
-               seed: int | None = None) -> list[dict]:
+               include_gaussian: bool = False, include_mode: bool = False) -> list[dict]:
     """Evaluate (d0, gamma_rel) points, preserving input order."""
     jobs = [((d0, g, settings),
              {"include_gaussian": include_gaussian,
-              "include_mode": include_mode, "seed": seed})
+              "include_mode": include_mode})
             for d0, g in points]
     if threads <= 1 or len(jobs) <= 1:
         return [_run_one(j) for j in jobs]

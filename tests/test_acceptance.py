@@ -33,7 +33,7 @@ from cribmem.laplace import invert_function
 from cribmem.model import default_schedule
 from cribmem.modes import gaussian_mode
 from cribmem.oracle import FdConfig, fd_solve, resample
-from cribmem.propagators import EigenCache, Stage, propagator_exp, stage_matrix
+from cribmem.propagators import Stage, stage_eigen
 from cribmem.sweeps import GridSettings, run_points
 
 D0_LIST = (25.0, 50.0, 100.0)
@@ -242,13 +242,14 @@ def test_criterion_6_numerics_invariants():
         integrate(tg, tg.nodes**-0.5).real - 2.0) <= 1e-8
 
     grid = build_detuning_grid(0.2, 1.0, 3, 3)
-    cache = EigenCache()
     semigroup_ok = True
     for stage in Stage:
         for u in talbot_contour(16, 1.0).nodes:
-            gen = stage_matrix(stage, complex(u), grid)
-            whole = propagator_exp(gen, 1.0, cache)
-            parts = propagator_exp(gen, 0.4, cache) @ propagator_exp(gen, 0.6, cache)
+            e = stage_eigen(stage, complex(u), grid)
+            whole, first, second = (
+                e.vectors @ (np.exp(e.values * d)[:, None] * e.inverse)
+                for d in (1.0, 0.4, 0.6))
+            parts = first @ second
             if np.linalg.norm(whole - parts) > 1e-8 * np.linalg.norm(whole):
                 semigroup_ok = False
     checks["matrix-exponential semigroup"] = semigroup_ok

@@ -50,6 +50,26 @@ def test_perturbative_rows(capsys):
                - float(by_gamma[5.0]["eta_eq_closed"])) <= 0.07
 
 
+def test_perturbative_aliasing_class_count_exits_2(capsys):
+    # The default --grid-n 33 comb rephases at 2*pi/step = 2.01, inside the
+    # 2*tau_d = 4 window; the smallest safe odd count is 65.
+    code, _, err = run_cli(["perturbative", "--gamma", "10", "--taud", "2"], capsys)
+    assert code == 2
+    assert "at least 65" in err
+
+
+def test_perturbative_safe_class_count_matches_library_default(capsys):
+    from cribmem.analytic import Profile, broadening_stage_efficiency_numeric
+
+    code, out, _ = run_cli(["perturbative", "--gamma", "10", "--taud", "2",
+                            "--grid-n", "65"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    want = broadening_stage_efficiency_numeric(Profile.flat(), 10.0, 2.0)
+    assert float(rows[0]["eta_numeric"]) == want
+    assert want == pytest.approx(0.8400, abs=1e-4)
+
+
 def test_sweep_optimal_tiny(capsys):
     code, out, _ = run_cli(["sweep-optimal", "--d0", "10", "--gamma", "3"] + TINY,
                            capsys)

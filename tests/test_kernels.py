@@ -1,21 +1,22 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cribmem import build_detuning_grid, derive_params, talbot_contour, tanh_sinh_grid
 from cribmem.kernels import (
+    _assembled_at_u,
     apply_output,
     build_efficiency_kernel,
     build_transfer_kernel,
-    kernel_samples,
     read_kernel_dump,
     write_kernel_dump,
 )
 from cribmem.laplace import invert_at_unit
-from cribmem.model import ProtocolSchedule, default_schedule
+from cribmem.model import DetuningGrid, ProtocolSchedule, default_schedule
 from cribmem.modes import gaussian_mode
-from cribmem.propagators import EigenCache
 
 
 def j1_series(x: float) -> float:
@@ -26,36 +27,24 @@ def j1_series(x: float) -> float:
     return total
 
 
-def build_small(d0=10.0, gamma_rel=3.0, k=5, n=5, level=5, m=32, schedule=None,
-                assembly="auto"):
+def build_small(d0=10.0, gamma_rel=3.0, k=5, n=5, level=5, m=32, schedule=None):
     params = derive_params(d0, gamma_rel)
     sched = schedule or default_schedule(params)
     grid = build_detuning_grid(params.gamma0_rel, gamma_rel, k, n)
     contour = talbot_contour(m, 1.0)
     tg = tanh_sinh_grid(0.0, sched.tau_r, level)
-    kern = build_transfer_kernel(params, sched, grid, contour, tg, tg,
-                                 assembly=assembly)
+    kern = build_transfer_kernel(params, sched, grid, contour, tg, tg)
     return params, sched, grid, contour, kern
 
 
-def test_kernel_samples_window_validation():
-    params, sched, grid, contour, _ = build_small(level=3)
-    cache = EigenCache()
-    u = complex(contour.nodes[0])
-    with pytest.raises(ValueError):
-        kernel_samples("k1", u, sched.tau_d + 0.1, 0.0, cache, grid, sched)
-    with pytest.raises(ValueError):
-        kernel_samples("k2", u, 0.0, sched.tau_p + 0.1, cache, grid, sched)
-    with pytest.raises(ValueError):
-        kernel_samples("nope", u, 0.0, 0.0, cache, grid, sched)
+def dense_sample(which: str, u: complex, t: float, t_prime: float,
+                 grid: DetuningGrid, sched: ProtocolSchedule) -> complex:
+    """Laplace-domain kernel piece k1..k4 from raw dense generators and expm.
 
-
-def test_kernel_samples_matches_direct_matrix_chain():
-    # Independent re-derivation: raw dense products at one Laplace moment.
-    params, sched, grid, contour, _ = build_small(k=3, n=3, level=3)
-    import scipy.linalg
-
-    u = complex(contour.nodes[3])
+    Times are measured from the start of the emitting / injecting stage:
+    k1, k2 emit during rephasing (t <= tau_d), k3, k4 during read-out;
+    k1, k3 take inputs from dephasing (t' <= tau_d), k2, k4 from read-in.
+    """
     g = grid.joint_weights
     g0 = grid.intrinsic_weights
     sg = grid.controlled_weights.sum()
@@ -68,19 +57,42 @@ def test_kernel_samples_matches_direct_matrix_chain():
     e = scipy.linalg.expm
     lift = np.kron(np.eye(grid.k), np.ones((grid.n, 1)))
     lw = np.kron(np.eye(grid.k), grid.controlled_weights[None, :])
-    t, tp = 0.35, 0.45   # inside both the tau_d and tau_p windows
     td, ts = sched.tau_d, sched.tau_s
-    want = {
-        "k1": -(g @ e(m4 * t) @ e(m3 * ts) @ e(m2 * tp) @ ones_kn) / u**2,
-        "k2": -(g @ e(m4 * t) @ (e(m3 * ts) @ e(m2 * td) @ lift) @ e(m1 * tp) @ ones_k) / u**2,
-        "k3": -(g0 @ e(m1 * t) @ (lw @ e(m4 * td) @ e(m3 * ts)) @ e(m2 * tp) @ ones_kn) / u**2,
-        "k4": -(g0 @ e(m1 * t) @ (lw @ e(m4 * td) @ e(m3 * ts) @ e(m2 * td) @ lift)
-                @ e(m1 * tp) @ ones_k) / u**2,
-    }
-    cache = EigenCache()
-    for which, expect in want.items():
-        got = kernel_samples(which, u, t, tp, cache, grid, sched)
-        assert abs(got - expect) < 1e-10 * max(1.0, abs(expect))
+    if which == "k1":
+        chain = g @ e(m4 * t) @ e(m3 * ts) @ e(m2 * t_prime) @ ones_kn
+    elif which == "k2":
+        chain = g @ e(m4 * t) @ (e(m3 * ts) @ e(m2 * td) @ lift) @ e(m1 * t_prime) @ ones_k
+    elif which == "k3":
+        chain = g0 @ e(m1 * t) @ (lw @ e(m4 * td) @ e(m3 * ts)) @ e(m2 * t_prime) @ ones_kn
+    else:
+        chain = (g0 @ e(m1 * t) @ (lw @ e(m4 * td) @ e(m3 * ts) @ e(m2 * td) @ lift)
+                 @ e(m1 * t_prime) @ ones_k)
+    return complex(-chain / u**2)
+
+
+def dense_kernel_entry(t: float, t_prime: float, grid: DetuningGrid,
+                       sched: ProtocolSchedule, contour) -> complex:
+    """K_E(t, t') on the read window by inverting dense_sample on the contour."""
+    td = sched.tau_d
+    which = ("k1" if t <= td else "k3") if t_prime <= td else ("k2" if t <= td else "k4")
+    t_loc = t if t <= td else t - td
+    tp_loc = t_prime if t_prime <= td else t_prime - td
+    samples = np.array([dense_sample(which, complex(u), t_loc, tp_loc, grid, sched)
+                        for u in contour.nodes])
+    return invert_at_unit(contour, samples)
+
+
+def test_kernel_samples_matches_direct_matrix_chain():
+    # Independent re-derivation: raw dense products at one Laplace moment.
+    params, sched, grid, contour, _ = build_small(k=3, n=3, level=3)
+    u = complex(contour.nodes[3])
+    t, tp = 0.35, 0.45   # inside both the tau_d and tau_p windows
+    q11, q12, q21, q22 = _assembled_at_u(
+        u, grid, sched, np.array([t]), np.array([t]), np.array([tp]), np.array([tp]))
+    got = {"k1": q11, "k2": q12, "k3": q21, "k4": q22}
+    for which, q in got.items():
+        expect = dense_sample(which, u, t, tp, grid, sched)
+        assert abs(-q[0, 0] / u**2 - expect) < 1e-10 * max(1.0, abs(expect))
 
 
 def test_degenerate_resonant_k4_is_bessel():
@@ -88,12 +100,11 @@ def test_degenerate_resonant_k4_is_bessel():
     # a = t + t' + 2 tau_d + tau_s, via L^-1[u^-2 e^(-a/u)] = sqrt(z/a) J1(2 sqrt(a z)).
     grid = build_detuning_grid(0.1, 0.0, k=1, n=1)
     contour = talbot_contour(32, 1.0)
-    cache = EigenCache()
     for tau_d, tau_s in ((0.0, 0.0), (1.0, 0.7)):
         sched = ProtocolSchedule(tau_p=2.0, tau_d=tau_d, tau_s=tau_s)
         for (t, tp) in ((0.0, 0.0), (0.6, 1.1), (2.0, 2.0)):
             samples = np.array([
-                kernel_samples("k4", complex(u), t, tp, cache, grid, sched)
+                dense_sample("k4", complex(u), t, tp, grid, sched)
                 for u in contour.nodes])
             got = invert_at_unit(contour, samples).real
             a = t + tp + 2.0 * tau_d + tau_s
@@ -107,12 +118,11 @@ def test_degenerate_resonant_kernel_depends_on_storage_time():
     # depend on tau_s (the closed form above shifts by tau_s).
     grid = build_detuning_grid(0.1, 0.0, k=1, n=1)
     contour = talbot_contour(32, 1.0)
-    cache = EigenCache()
     vals = []
     for tau_s in (0.0, 1.0):
         sched = ProtocolSchedule(tau_p=2.0, tau_d=1.0, tau_s=tau_s)
         samples = np.array([
-            kernel_samples("k4", complex(u), 0.0, 0.0, cache, grid, sched)
+            dense_sample("k4", complex(u), 0.0, 0.0, grid, sched)
             for u in contour.nodes])
         vals.append(invert_at_unit(contour, samples).real)
     assert abs(vals[0] - vals[1]) > 0.05
@@ -125,11 +135,9 @@ def test_degenerate_k3_continues_k1():
     grid = build_detuning_grid(0.25, 0.0, k=3, n=1)
     sched = ProtocolSchedule(tau_p=1.5, tau_d=0.8, tau_s=0.0)
     contour = talbot_contour(24, 1.0)
-    cache = EigenCache()
-    import scipy.linalg
     for u in contour.nodes[:4]:
         u = complex(u)
-        got = kernel_samples("k3", u, 0.3, 0.5, cache, grid, sched)
+        got = dense_sample("k3", u, 0.3, 0.5, grid, sched)
         m1 = -1j * np.diag(grid.intrinsic_nodes.astype(complex)) \
             - np.outer(np.ones(3), grid.intrinsic_weights) / u
         chain = grid.intrinsic_weights @ scipy.linalg.expm(m1 * (0.3 + sched.tau_d)) \
@@ -140,43 +148,39 @@ def test_degenerate_k3_continues_k1():
 def test_transfer_kernel_quadrants_match_pointwise_samples():
     params, sched, grid, contour, kern = build_small(k=3, n=3, level=4)
     rng = np.random.default_rng(2)
-    cache = EigenCache()
-    td = sched.tau_d
     out_n, in_n = kern.out_grid.nodes, kern.in_grid.nodes
     for _ in range(5):
         i = rng.integers(0, out_n.size)
         j = rng.integers(0, in_n.size)
-        t, tp = out_n[i], in_n[j]
-        which = ("k1" if t <= td else "k3") if tp <= td else ("k2" if t <= td else "k4")
-        t_loc = t if t <= td else t - td
-        tp_loc = tp if tp <= td else tp - td
-        samples = np.array([
-            kernel_samples(which, complex(u), t_loc, tp_loc, cache, grid, sched)
-            for u in contour.nodes])
-        want = invert_at_unit(contour, samples)
+        want = dense_kernel_entry(out_n[i], in_n[j], grid, sched, contour)
         assert abs(kern.values[i, j] - want) < 1e-10 * max(1.0, abs(want))
 
 
-def test_half_and_full_assembly_agree():
-    *_, kern_half = build_small(k=3, n=3, level=4, assembly="half")
-    *_, kern_full = build_small(k=3, n=3, level=4, assembly="full")
-    assert kern_half.diagnostics["assembly"] == "half"
-    assert kern_full.diagnostics["assembly"] == "full"
-    assert np.allclose(kern_half.values, kern_full.values, atol=1e-12)
-    assert kern_full.diagnostics["imag_residue"] <= 1e-7 * kern_full.diagnostics["max_abs"]
-
-
 def test_half_assembly_requires_symmetric_grid():
-    from cribmem.model import DetuningGrid
-
+    # An asymmetric intrinsic family is allowed; it takes the full contour.
     params = derive_params(10.0, 3.0)
     sched = default_schedule(params)
     grid = DetuningGrid(np.array([-0.1, 0.0, 0.3]), np.array([0.3, 0.4, 0.3]),
                         np.array([0.0]), np.array([1.0]))
+    contour = talbot_contour(16, 1.0)
     tg = tanh_sinh_grid(0.0, sched.tau_r, 3)
-    with pytest.raises(ValueError):
-        build_transfer_kernel(params, sched, grid, talbot_contour(16, 1.0),
-                              tg, tg, assembly="half")
+    kern = build_transfer_kernel(params, sched, grid, contour, tg, tg)
+    assert kern.diagnostics["assembly"] == "full"
+    for i, j in ((1, 2), (3, 6), (7, 0)):
+        want = dense_kernel_entry(tg.nodes[i], tg.nodes[j], grid, sched, contour)
+        assert abs(kern.values[i, j] - want) < 1e-10 * max(1.0, abs(want))
+
+
+def test_asymmetric_controlled_comb_is_rejected():
+    # Stage 4 is stage 2 reflected through the controlled comb; on this comb
+    # the reflection is wrong, so the kernel must not be built at all.
+    params = derive_params(10.0, 3.0)
+    sched = default_schedule(params)
+    grid = DetuningGrid(np.array([0.0]), np.array([1.0]),
+                        np.array([-2.0, 0.0, 3.0]), np.array([0.3, 0.4, 0.3]))
+    tg = tanh_sinh_grid(0.0, sched.tau_r, 3)
+    with pytest.raises(ValueError, match="mirror-symmetric"):
+        build_transfer_kernel(params, sched, grid, talbot_contour(16, 1.0), tg, tg)
 
 
 def test_vanishing_input_window_kills_stage5_quadrant():
@@ -273,25 +277,23 @@ def test_efficiency_kernel_hermitian_psd_contractive():
     assert evals[-1] <= 1.0 + 1e-9
 
 
-def test_kernel_dump_roundtrip_and_header():
+def test_kernel_dump_roundtrip_and_header(tmp_path):
     *_, kern = build_small(k=3, n=3, level=3)
-    path = "/tmp/cribmem_kernel_test.bin"
+    path = tmp_path / "kernel.bin"
     write_kernel_dump(path, kern.values, kern.schedule.tau_r)
     data, tau_r = read_kernel_dump(path)
     assert tau_r == kern.schedule.tau_r
     assert np.array_equal(data, kern.values)
-    raw = open(path, "rb").read()
+    raw = path.read_bytes()
     assert raw[:8] == b"CRIBKRN1"
-    import struct
     rows, cols, tr = struct.unpack("<IId", raw[8:24])
     assert (rows, cols) == kern.values.shape
     assert raw[24:32] == b"\x00" * 8
     assert len(raw) == 32 + 16 * rows * cols
 
 
-def test_kernel_dump_rejects_garbage():
-    path = "/tmp/cribmem_kernel_bad.bin"
-    with open(path, "wb") as fh:
-        fh.write(b"NOTMAGIC" + b"\x00" * 24)
+def test_kernel_dump_rejects_garbage(tmp_path):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"NOTMAGIC" + b"\x00" * 24)
     with pytest.raises(ValueError):
         read_kernel_dump(path)

@@ -2,20 +2,21 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cribmem import build_detuning_grid, talbot_contour
+from cribmem import NumericsError, build_detuning_grid, talbot_contour
 from cribmem.model import DetuningGrid
 from cribmem.propagators import (
-    BlockReduction,
-    EigenCache,
     Stage,
     Stage3Action,
-    StageGenerator,
-    block_reduce,
     block_reversal_permutation,
     phi1,
-    propagator_exp,
+    stage_eigen,
     stage_matrix,
 )
+
+
+def eigen_expm(e, duration: float) -> np.ndarray:
+    """exp(M * duration) assembled from a stage_eigen decomposition of M."""
+    return e.vectors @ (np.exp(e.values * duration)[:, None] * e.inverse)
 
 
 def brute_force_stage(stage: Stage, u: complex, grid: DetuningGrid) -> np.ndarray:
@@ -64,8 +65,8 @@ def test_stage_matrix_degenerate_scalar():
     g = build_detuning_grid(0.1, 0.0, k=1, n=1)
     u = 2.0 + 1.5j
     gen = stage_matrix(Stage.S1, u, g)
-    assert gen.matrix.shape == (1, 1)
-    assert gen.matrix[0, 0] == pytest.approx(-1.0 / u, rel=1e-15)
+    assert gen.shape == (1, 1)
+    assert gen[0, 0] == pytest.approx(-1.0 / u, rel=1e-15)
 
 
 def test_stage_s2_s4_sign_reversal():
@@ -73,8 +74,8 @@ def test_stage_s2_s4_sign_reversal():
     g = DetuningGrid(np.array([0.0]), np.array([1.0]),
                      np.array([delta]), np.array([1.0]))
     u = 1.0 + 1.0j
-    m2 = stage_matrix(Stage.S2, u, g).matrix
-    m4 = stage_matrix(Stage.S4, u, g).matrix
+    m2 = stage_matrix(Stage.S2, u, g)
+    m4 = stage_matrix(Stage.S4, u, g)
     assert m2[0, 0] - m4[0, 0] == pytest.approx(-2j * delta, rel=1e-15)
     assert (m2 + 1j * delta * np.eye(1) == m4 - 1j * delta * np.eye(1)).all()
 
@@ -83,7 +84,7 @@ def test_stage_s2_s4_sign_reversal():
 def test_stage_matrix_matches_brute_force(stage):
     g = small_grid(2, 2)
     u = -1.3 + 2.2j
-    got = stage_matrix(stage, u, g).matrix
+    got = stage_matrix(stage, u, g)
     want = brute_force_stage(stage, u, g)
     assert np.allclose(got, want, rtol=0.0, atol=1e-15)
 
@@ -98,8 +99,8 @@ def test_s2_on_negated_grid_equals_s4_exactly():
     negated = DetuningGrid(g.intrinsic_nodes, g.intrinsic_weights,
                            -g.controlled_nodes, g.controlled_weights)
     u = 0.9 - 1.1j
-    m2_negated = stage_matrix(Stage.S2, u, negated).matrix
-    m4 = stage_matrix(Stage.S4, u, g).matrix
+    m2_negated = stage_matrix(Stage.S2, u, negated)
+    m4 = stage_matrix(Stage.S4, u, g)
     assert np.array_equal(m2_negated, m4)
 
 
@@ -107,127 +108,58 @@ def test_block_reversal_permutation_maps_s2_to_s4():
     g = build_detuning_grid(0.1, 1.0, k=3, n=5)
     u = 0.9 - 1.1j
     perm = block_reversal_permutation(g)
-    m2 = stage_matrix(Stage.S2, u, g).matrix
-    m4 = stage_matrix(Stage.S4, u, g).matrix
+    m2 = stage_matrix(Stage.S2, u, g)
+    m4 = stage_matrix(Stage.S4, u, g)
     assert np.array_equal(m2[np.ix_(perm, perm)], m4)
 
 
 def test_degenerate_controlled_grid_lifts_to_s1():
     g = build_detuning_grid(0.25, 0.0, k=3, n=1)
     u = 1.7 + 0.3j
-    m1 = stage_matrix(Stage.S1, u, g).matrix
+    m1 = stage_matrix(Stage.S1, u, g)
     for stage in (Stage.S2, Stage.S3, Stage.S4):
-        assert np.array_equal(stage_matrix(stage, u, g).matrix, m1)
-
-
-def test_propagator_exp_zero_duration_exact_identity():
-    gen = stage_matrix(Stage.S2, 1.0 + 1.0j, small_grid())
-    out = propagator_exp(gen, 0.0)
-    assert np.array_equal(out, np.eye(gen.dim))
+        assert np.array_equal(stage_matrix(stage, u, g), m1)
 
 
 def test_propagator_exp_scalar():
     g = build_detuning_grid(0.1, 0.0, k=1, n=1)
     u = 1.0 + 2.0j
-    gen = stage_matrix(Stage.S1, u, g)
-    out = propagator_exp(gen, 0.8)
+    out = eigen_expm(stage_eigen(Stage.S1, u, g), 0.8)
     assert out[0, 0] == pytest.approx(np.exp(-0.8 / u), rel=1e-13)
 
 
 def test_propagator_exp_matches_scaling_and_squaring():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    gen = StageGenerator(stage=Stage.S2, u=1.0 + 0.0j, matrix=m)
-    got = propagator_exp(gen, 0.7)
-    want = scipy.linalg.expm(0.7 * m)
-    assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-9
+    g = small_grid(2, 3)
+    u = 0.6 - 1.4j
+    for stage in Stage:
+        got = eigen_expm(stage_eigen(stage, u, g), 0.7)
+        want = scipy.linalg.expm(0.7 * stage_matrix(stage, u, g))
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-9
 
 
-def test_propagator_exp_defective_matrix_falls_back():
-    jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    gen = StageGenerator(stage=Stage.S3, u=1.0 + 0.0j, matrix=jordan)
-    cache = EigenCache()
-    out = propagator_exp(gen, 2.0, cache)
-    assert not cache.entry(gen).usable
-    assert np.allclose(out, np.array([[1.0, 2.0], [0.0, 1.0]]), atol=1e-14)
-
-
-def test_propagator_exp_rejects_negative_duration():
-    gen = stage_matrix(Stage.S1, 1.0, small_grid())
-    with pytest.raises(ValueError):
-        propagator_exp(gen, -0.1)
+def test_stage_eigen_defective_generator_raises():
+    # Two intrinsic classes at +-1/2 with equal weights: at u = 1 the stage-1
+    # generator is -I/2 plus a nilpotent part, a 2x2 Jordan block.
+    g = DetuningGrid(np.array([-0.5, 0.5]), np.array([0.5, 0.5]),
+                     np.array([0.0]), np.array([1.0]))
+    m = stage_matrix(Stage.S1, 1.0, g)
+    jordan = m + 0.5 * np.eye(2)
+    assert np.array_equal(jordan @ jordan, np.zeros((2, 2)))
+    assert np.any(jordan != 0.0)
+    with pytest.raises(NumericsError, match=r"stage-1 .*u=\(1\+0j\).*cond="):
+        stage_eigen(Stage.S1, 1.0, g)
 
 
 def test_semigroup_property_all_stages_all_nodes():
     g = build_detuning_grid(0.2, 1.0, k=3, n=3)
     contour = talbot_contour(16, 1.0)
-    cache = EigenCache()
     for stage in Stage:
         for u in contour.nodes:
-            gen = stage_matrix(stage, complex(u), g)
-            whole = propagator_exp(gen, 1.0, cache)
-            part = propagator_exp(gen, 0.35, cache) @ propagator_exp(gen, 0.65, cache)
+            e = stage_eigen(stage, complex(u), g)
+            whole = eigen_expm(e, 1.0)
+            part = eigen_expm(e, 0.35) @ eigen_expm(e, 0.65)
             rel = np.linalg.norm(whole - part) / np.linalg.norm(whole)
             assert rel < 1e-8
-
-
-def test_eigencache_reuses_entries():
-    g = small_grid()
-    cache = EigenCache()
-    gen = stage_matrix(Stage.S2, 1.0 + 1.0j, g)
-    propagator_exp(gen, 0.5, cache)
-    propagator_exp(gen, 1.5, cache)
-    assert len(cache) == 1
-    ent = cache.entry(gen)
-    recon = ent.vectors @ (ent.values[:, None] * ent.inverse)
-    assert np.linalg.norm(recon - gen.matrix) <= 1e-9 * np.linalg.norm(gen.matrix)
-
-
-def test_block_reduce_identity_j_mode():
-    g = small_grid(2, 2)
-    out = block_reduce(np.eye(4, dtype=complex), BlockReduction.J_TO_K_COLUMNS, g)
-    assert out.shape == (4, 2)
-    # each row of the identity contributes a single one to its block column
-    assert np.allclose(out.sum(axis=1), 1.0)
-    assert np.allclose(out[:, 0], [1, 1, 0, 0])
-    assert np.allclose(out[:, 1], [0, 0, 1, 1])
-
-
-def test_block_reduce_degenerate_controlled():
-    g = build_detuning_grid(0.2, 0.0, k=3, n=1)
-    m = np.arange(9, dtype=complex).reshape(3, 3)
-    assert np.array_equal(block_reduce(m, BlockReduction.J_TO_K_COLUMNS, g), m)
-    assert np.array_equal(block_reduce(m, BlockReduction.L_TO_K_ROWS, g), m)
-    assert np.array_equal(block_reduce(m, BlockReduction.B_TO_K_BY_K, g), m)
-
-
-def test_block_reduce_matches_index_formulas():
-    g = small_grid(2, 2)
-    rng = np.random.default_rng(11)
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    gw = g.controlled_weights
-    j_want = np.zeros((4, 2), dtype=complex)
-    l_want = np.zeros((2, 4), dtype=complex)
-    b_want = np.zeros((2, 2), dtype=complex)
-    for row in range(4):
-        for col_k in range(2):
-            j_want[row, col_k] = sum(m[row, col_k * 2 + ll] for ll in range(2))
-    for row_j in range(2):
-        for col in range(4):
-            l_want[row_j, col] = sum(gw[jj] * m[row_j * 2 + jj, col] for jj in range(2))
-    for row_j in range(2):
-        for col_k in range(2):
-            b_want[row_j, col_k] = sum(
-                gw[jj] * m[row_j * 2 + jj, col_k * 2 + ll]
-                for jj in range(2) for ll in range(2))
-    assert np.allclose(block_reduce(m, BlockReduction.J_TO_K_COLUMNS, g), j_want, atol=1e-15)
-    assert np.allclose(block_reduce(m, BlockReduction.L_TO_K_ROWS, g), l_want, atol=1e-15)
-    assert np.allclose(block_reduce(m, BlockReduction.B_TO_K_BY_K, g), b_want, atol=1e-15)
-
-
-def test_block_reduce_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        block_reduce(np.eye(3), BlockReduction.J_TO_K_COLUMNS, small_grid(2, 2))
 
 
 def test_phi1_small_and_large_arguments():
@@ -243,8 +175,8 @@ def test_stage3_action_matches_dense_exponential():
     g = build_detuning_grid(0.3, 1.2, k=3, n=3)
     u = 0.8 + 1.7j
     tau = 2.3
-    dense = propagator_exp(stage_matrix(Stage.S3, u, g), tau)
-    act = Stage3Action(u, g, tau)
+    dense = scipy.linalg.expm(stage_matrix(Stage.S3, u, g) * tau)
+    act = Stage3Action(u, g, tau, stage_eigen(Stage.S1, u, g))
     rng = np.random.default_rng(5)
     x = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
     a = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
@@ -254,6 +186,6 @@ def test_stage3_action_matches_dense_exponential():
 
 def test_stage3_action_zero_duration_is_identity():
     g = build_detuning_grid(0.3, 1.2, k=3, n=3)
-    act = Stage3Action(1.0 + 1.0j, g, 0.0)
+    act = Stage3Action(1.0 + 1.0j, g, 0.0, stage_eigen(Stage.S1, 1.0 + 1.0j, g))
     x = np.eye(9, dtype=complex)
     assert np.allclose(act.apply_cols(x), x, atol=1e-14)
