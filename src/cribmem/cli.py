@@ -86,7 +86,7 @@ _DEFAULTS = {
     "d0": [25.0, 50.0, 100.0],
     "gamma": list,      # filled below (log-spaced)
     "grid_k": 33,
-    "grid_n": 33,
+    "grid_n": None,     # 33, except that perturbative lets the library choose
     "extent": 5.0,
     "quad_level": 6,
     "contour_nodes": 32,
@@ -129,6 +129,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg["d0"] = [float(cfg["d0"])]
     if isinstance(cfg["gamma"], (int, float)):
         cfg["gamma"] = [float(cfg["gamma"])]
+    if cfg["grid_n"] is None and cfg["command"] != "perturbative":
+        cfg["grid_n"] = 33
     if not cfg["d0"] or not cfg["gamma"]:
         raise ValueError("d0 and gamma lists must be non-empty")
     if cfg["threads"] < 1:
@@ -221,7 +223,7 @@ def _fmt(value) -> str:
 def _settings_comment(cfg: dict) -> str:
     keys = ("grid_k", "grid_n", "extent", "quad_level", "contour_nodes",
             "threads", "taud")
-    parts = [f"{k}={cfg[k]}" for k in keys]
+    parts = [f"{k}={'auto' if cfg[k] is None else cfg[k]}" for k in keys]
     parts.append("d0=" + "|".join(_fmt(x) for x in cfg["d0"]))
     parts.append("gamma=" + "|".join(_fmt(x) for x in cfg["gamma"]))
     return f"# cribmem {cfg['command']} " + " ".join(parts)

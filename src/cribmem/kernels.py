@@ -4,13 +4,15 @@ The retrieved field is a linear functional of the time-reversed input,
 
     E_out(t) = integral_0^tau_r  K_E(t, t') E_in(tau_r - t') dt',
 
-with both times on the read window [0, tau_r].  K_E is assembled in four
-quadrants split at tau_d in each argument: outputs with t <= tau_d are
-emitted during the rephasing stage, later ones during the final free stage;
-inputs with t' <= tau_d entered during the dephasing stage (the pulse tail),
-later ones during the initial free stage.  Each quadrant is an inverse
-Laplace transform, along a fixed Talbot contour, of a product of stage
-exponentials sandwiched between the coupling weights and the drive vector.
+with both times on the read window [0, tau_r].  Every entry follows the
+protocol: a stored state, times exp(M3 tau_s) for the dark storage, times a
+read-out row.  Inputs with t' <= tau_d entered during the dephasing stage
+(the pulse tail) and are stored as exp(M2 t') h; later ones entered during
+the initial free stage and are stored as exp(M2 tau_d) lift exp(M1 s') h.
+Outputs with t <= tau_d are emitted during the rephasing stage through the
+row g^T exp(M4 t); later ones during the final free stage through
+g0^T exp(M1 s) lw exp(M4 tau_d).  Each entry is an inverse Laplace
+transform, along a fixed Talbot contour, of that product.
 
 The discretized efficiency kernel is the Gram matrix of the weighted
 transfer matrix; its largest eigenvalue is the maximal storage-and-retrieval
@@ -29,8 +31,8 @@ from cribmem.laplace import LaplaceContour
 from cribmem.model import DetuningGrid, PhysicalParams, ProtocolSchedule
 from cribmem.propagators import (
     Stage,
-    Stage3Action,
     block_reversal_permutation,
+    stage3_rows,
     stage_eigen,
 )
 from cribmem.quadrature import TimeGrid, check_time_reversible
@@ -60,13 +62,14 @@ class EfficiencyKernel:
 
 
 def _assembled_at_u(u: complex, grid: DetuningGrid, schedule: ProtocolSchedule,
-                    t_out_lo, t_out_hi, t_in_lo, t_in_hi) -> tuple[np.ndarray, ...]:
-    """All four quadrants of K_E-hat at one contour node.
+                    t_out_lo, t_out_hi, t_in_lo, t_in_hi) -> tuple[np.ndarray, np.ndarray]:
+    """K_E-hat at one contour node as two column blocks over all output rows.
 
-    Performs a single dense eigendecomposition (stage 2); stage 4 follows by
-    the controlled-detuning reflection and stage 3 by its exact block
-    reduction, so the cost per node is one KN eigenproblem plus matrix
-    products.
+    Rows are ordered (t_out_lo, t_out_hi); the first block holds the inputs
+    t_in_lo, the second the inputs t_in_hi.  Performs a single dense
+    eigendecomposition (stage 2); stage 4 follows by the controlled-detuning
+    reflection and stage 3 by its exact block reduction, so the cost per
+    node is one KN eigenproblem plus matrix products.
     """
     k, n = grid.k, grid.n
     kn = k * n
@@ -79,33 +82,23 @@ def _assembled_at_u(u: complex, grid: DetuningGrid, schedule: ProtocolSchedule,
 
     e2 = stage_eigen(Stage.S2, u, grid)
     e1 = stage_eigen(Stage.S1, u, grid)
-    s3 = Stage3Action(u, grid, ts, e1)
 
-    # Row batches: g^T exp(M4 t) = (g^T exp(M2 t)) P  with P the reflection.
+    # Read-out rows: g^T exp(M4 t) = (g^T exp(M2 t)) P with P the reflection,
+    # then g0^T exp(M1 t) lw exp(M4 td) after the rephasing stage.
     gv2 = g @ e2.vectors
     a4 = ((gv2[None, :] * np.exp(np.outer(t_out_lo, e2.values))) @ e2.inverse)[:, perm]
     g0v1 = g0 @ e1.vectors
     a1 = (g0v1[None, :] * np.exp(np.outer(t_out_hi, e1.values))) @ e1.inverse
+    lw = np.kron(np.eye(k), grid.controlled_weights[None, :])  # K x KN weighted rows
+    lw_e4 = (((lw @ e2.vectors) * np.exp(e2.values * td)[None, :]) @ e2.inverse)[:, perm]
+    rows = stage3_rows(np.vstack([a4, a1 @ lw_e4]), u, grid, ts, e1)
 
-    # Column batches: exp(M2 t') h and exp(M1 s') h.
+    # Stored states: exp(M2 t') h, and exp(M2 td) lift exp(M1 s') h.
     b2 = e2.vectors @ (np.exp(np.outer(e2.values, t_in_lo)) * (e2.inverse @ h_kn)[:, None])
     b1 = e1.vectors @ (np.exp(np.outer(e1.values, t_in_hi)) * (e1.inverse @ h_k)[:, None])
-
-    # Middle factors.
     lift = np.kron(np.eye(k), np.ones((n, 1)))            # KN x K column lift
-    lw = np.kron(np.eye(k), grid.controlled_weights[None, :])  # K x KN weighted rows
     e2d_lift = e2.vectors @ (np.exp(e2.values * td)[:, None] * (e2.inverse @ lift))
-    jr = s3.apply_cols(e2d_lift)                          # exp(M3 ts) exp(M2 td) lift
-    lw_e2 = ((lw @ e2.vectors) * np.exp(e2.values * td)[None, :]) @ e2.inverse
-    lr = s3.apply_rows(lw_e2)[:, perm]                    # lw exp(M4 td) exp(M3 ts)
-    br = lr @ e2d_lift
-
-    a4e3 = s3.apply_rows(a4)
-    q11 = a4e3 @ b2
-    q12 = (a4 @ jr) @ b1
-    q21 = (a1 @ lr) @ b2
-    q22 = (a1 @ br) @ b1
-    return q11, q12, q21, q22
+    return rows @ b2, (rows @ e2d_lift) @ b1
 
 
 def build_transfer_kernel(
@@ -145,19 +138,14 @@ def build_transfer_kernel(
         sel = np.arange(contour.size)
 
     values = np.zeros((out_grid.size, in_grid.size), dtype=complex)
-    io_lo = np.where(out_lo)[0]
-    io_hi = np.where(~out_lo)[0]
-    ii_lo = np.where(in_lo)[0]
-    ii_hi = np.where(~in_lo)[0]
+    n_lo = t_in_lo.size   # nodes increase, so the t <= tau_d rows and columns lead
     for idx in sel:
         u = complex(contour.nodes[idx])
         wu = complex(contour.derivative_weights[idx]) * (-1.0 / (u * u))
-        q11, q12, q21, q22 = _assembled_at_u(
+        k_lo, k_hi = _assembled_at_u(
             u, grid, schedule, t_out_lo, t_out_hi, t_in_lo, t_in_hi)
-        values[np.ix_(io_lo, ii_lo)] += wu * q11
-        values[np.ix_(io_lo, ii_hi)] += wu * q12
-        values[np.ix_(io_hi, ii_lo)] += wu * q21
-        values[np.ix_(io_hi, ii_hi)] += wu * q22
+        values[:, :n_lo] += wu * k_lo
+        values[:, n_lo:] += wu * k_hi
 
     diagnostics = {
         "assembly": "half" if use_half else "full",

@@ -2,10 +2,9 @@
 
 Conventions: the memory bandwidth ``mu`` is the unit of inverse time, so all
 durations are ``tau*mu`` and all detunings and widths are ``delta/mu``.  The
-intrinsic broadening width ``gamma0_rel`` fixes both the unbroadened optical
-depth ``d0 = sqrt(2*pi)/gamma0_rel`` and the polarization coherence time
-``t2_rel = sqrt(2)/gamma0_rel``; the three numbers are stored redundantly and
-must agree.
+unbroadened optical depth ``d0`` fixes both the intrinsic broadening width
+``gamma0_rel = sqrt(2*pi)/d0`` and the polarization coherence time
+``t2_rel = sqrt(2)/gamma0_rel``; only ``d0`` is stored.
 """
 
 from __future__ import annotations
@@ -15,59 +14,41 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_REL_TOL = 1e-12
-
 DEFAULT_GRID_POINTS = 33
 DEFAULT_EXTENT_SIGMAS = 5.0
-
-
-def _check_rel(name: str, actual: float, expected: float) -> None:
-    if not math.isfinite(actual) or abs(actual - expected) > _REL_TOL * abs(expected):
-        raise ValueError(
-            f"{name}={actual!r} inconsistent with derived value {expected!r}"
-        )
 
 
 @dataclass(frozen=True)
 class PhysicalParams:
     """Dimensionless physical constants of one memory configuration.
 
-    gamma0_rel : intrinsic Gaussian width gamma0/mu (> 0)
+    d0         : resonant optical depth before broadening (> 0)
     gamma_rel  : controlled Gaussian width gamma/mu (>= 0)
-    d0         : resonant optical depth before broadening
-    t2_rel     : coherence time T2*mu of the collective polarization
     """
 
-    gamma0_rel: float
-    gamma_rel: float
     d0: float
-    t2_rel: float
+    gamma_rel: float
 
     def __post_init__(self):
-        if not (self.gamma0_rel > 0.0 and math.isfinite(self.gamma0_rel)):
-            raise ValueError(f"gamma0_rel must be positive, got {self.gamma0_rel!r}")
+        if not (self.d0 > 0.0 and math.isfinite(self.d0)):
+            raise ValueError(f"optical depth must be positive, got {self.d0!r}")
         if not (self.gamma_rel >= 0.0 and math.isfinite(self.gamma_rel)):
             raise ValueError(f"gamma_rel must be non-negative, got {self.gamma_rel!r}")
-        _check_rel("d0", self.d0, math.sqrt(2.0 * math.pi) / self.gamma0_rel)
-        _check_rel("t2_rel", self.t2_rel, math.sqrt(2.0) / self.gamma0_rel)
+
+    @property
+    def gamma0_rel(self) -> float:
+        """Intrinsic Gaussian width gamma0/mu = sqrt(2*pi)/d0."""
+        return math.sqrt(2.0 * math.pi) / self.d0
+
+    @property
+    def t2_rel(self) -> float:
+        """Polarization coherence time T2*mu = sqrt(2)/gamma0_rel."""
+        return math.sqrt(2.0) / self.gamma0_rel
 
 
 def derive_params(d0: float, gamma_rel: float) -> PhysicalParams:
-    """Build PhysicalParams from the optical depth and the controlled width.
-
-    Uses gamma0_rel = sqrt(2*pi)/d0 and t2_rel = d0/sqrt(pi).
-    """
-    if not (d0 > 0.0 and math.isfinite(d0)):
-        raise ValueError(f"optical depth must be positive, got {d0!r}")
-    if not (gamma_rel >= 0.0 and math.isfinite(gamma_rel)):
-        raise ValueError(f"gamma_rel must be non-negative, got {gamma_rel!r}")
-    gamma0_rel = math.sqrt(2.0 * math.pi) / d0
-    return PhysicalParams(
-        gamma0_rel=gamma0_rel,
-        gamma_rel=gamma_rel,
-        d0=d0,
-        t2_rel=math.sqrt(2.0) / gamma0_rel,
-    )
+    """Build PhysicalParams from the optical depth and the controlled width."""
+    return PhysicalParams(d0=d0, gamma_rel=gamma_rel)
 
 
 @dataclass(frozen=True)
@@ -83,19 +64,18 @@ class ProtocolSchedule:
     tau_p: float
     tau_d: float
     tau_s: float
-    tau_r: float = field(default=float("nan"))
 
     def __post_init__(self):
-        if math.isnan(self.tau_r):
-            object.__setattr__(self, "tau_r", self.tau_p + self.tau_d)
-        for name in ("tau_p", "tau_d", "tau_s", "tau_r"):
+        for name in ("tau_p", "tau_d", "tau_s"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
         if self.tau_p <= 0.0:
             raise ValueError("tau_p must be positive")
-        if self.tau_r != self.tau_p + self.tau_d:
-            raise ValueError("tau_r must equal tau_p + tau_d exactly")
+
+    @property
+    def tau_r(self) -> float:
+        return self.tau_p + self.tau_d
 
 
 def default_schedule(params: PhysicalParams) -> ProtocolSchedule:
@@ -128,7 +108,7 @@ class DetuningGrid:
     intrinsic_weights: np.ndarray
     controlled_nodes: np.ndarray
     controlled_weights: np.ndarray
-    joint_weights: np.ndarray = field(default=None)
+    joint_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         for name in ("intrinsic_nodes", "intrinsic_weights",
@@ -138,14 +118,8 @@ class DetuningGrid:
             raise ValueError("intrinsic nodes/weights size mismatch")
         if self.controlled_nodes.shape != self.controlled_weights.shape:
             raise ValueError("controlled nodes/weights size mismatch")
-        if self.joint_weights is None:
-            jw = np.outer(self.intrinsic_weights, self.controlled_weights).ravel()
-            object.__setattr__(self, "joint_weights", jw)
-        else:
-            object.__setattr__(self, "joint_weights",
-                               np.asarray(self.joint_weights, dtype=float))
-        if self.joint_weights.shape != (self.k * self.n,):
-            raise ValueError("joint_weights must have K*N entries")
+        jw = np.outer(self.intrinsic_weights, self.controlled_weights).ravel()
+        object.__setattr__(self, "joint_weights", jw)
 
     @property
     def k(self) -> int:

@@ -107,8 +107,7 @@ def _starts(schedule: ProtocolSchedule) -> list[tuple[float, float]]:
     ]
 
 
-def optimize_gaussian(kernel: EfficiencyKernel, schedule: ProtocolSchedule,
-                      seed: int | None = None, extra_starts: int = 0) -> ModeResult:
+def optimize_gaussian(kernel: EfficiencyKernel, schedule: ProtocolSchedule) -> ModeResult:
     """Maximize the Gaussian-mode efficiency over (t_c, t_w).
 
     Multi-start Nelder-Mead with the search clipped to t_c in [0, tau_r] and
@@ -124,10 +123,6 @@ def optimize_gaussian(kernel: EfficiencyKernel, schedule: ProtocolSchedule,
         return -mode_efficiency(kernel, gaussian_mode(grid, t_c, t_w))
 
     starts = [np.clip(np.asarray(s, dtype=float), lo, hi) for s in _starts(schedule)]
-    if extra_starts > 0:
-        rng = np.random.default_rng(seed)
-        for _ in range(extra_starts):
-            starts.append(lo + (hi - lo) * rng.random(2))
 
     best_x, best_eta = None, -np.inf
     improved = False

@@ -131,48 +131,27 @@ def block_reversal_permutation(grid: DetuningGrid) -> np.ndarray:
     return np.arange(grid.k * grid.n).reshape(grid.k, grid.n)[:, ::-1].ravel()
 
 
-class Stage3Action:
-    """Apply exp(M3 * t) without forming the KN x KN exponential.
+def stage3_rows(a: np.ndarray, u: complex, grid: DetuningGrid, duration: float,
+                ent: StageEigen) -> np.ndarray:
+    """a @ exp(M3 * duration) for rows a of shape (m, KN).
 
-    The stage-3 diagonal is constant inside each controlled block, so the
-    weighted block sums close on a K-dimensional system (the stage-1
-    generator).  The full action is the free block rotation plus a rank-one
-    correction driven by that reduced system.
+    The KN x KN exponential is never formed: the stage-3 diagonal is
+    constant inside each controlled block, so the block sums close on a
+    K-dimensional system (the stage-1 generator, whose decomposition
+    ``ent = stage_eigen(Stage.S1, u, grid)`` is passed in).  The action is
+    the free block rotation plus a rank-one correction driven by that
+    reduced system.
     """
-
-    def __init__(self, u: complex, grid: DetuningGrid, duration: float,
-                 ent: StageEigen):
-        """``ent`` is ``stage_eigen(Stage.S1, u, grid)``."""
-        self.grid = grid
-        self.u = complex(u)
-        self.duration = float(duration)
-        d0 = grid.intrinsic_nodes
-        lam = ent.values
-        z = (lam[None, :] + 1j * d0[:, None]) * self.duration
-        # E[j, m] = integral_0^t e^{-i d0_j (t-s)} e^{lam_m s} ds
-        self._emat = self.duration * np.exp(-1j * d0[:, None] * self.duration) * phi1(z)
-        self._phase = np.exp(-1j * grid.delta_zero() * self.duration)
-        self._gv = grid.intrinsic_weights @ ent.vectors      # g0^T V
-        self._vh = ent.inverse @ np.ones(grid.k)             # V^-1 h
-        self._vectors = ent.vectors
-        self._inverse = ent.inverse
-
-    def apply_cols(self, x: np.ndarray) -> np.ndarray:
-        """exp(M3 t) @ x for x of shape (KN, m)."""
-        k, n = self.grid.k, self.grid.n
-        x = np.atleast_2d(x.T).T if x.ndim == 1 else x
-        w0 = np.einsum("jnm,n->jm", x.reshape(k, n, -1), self.grid.controlled_weights)
-        c = (self._inverse @ w0) * self._gv[:, None]
-        corr = (self._emat @ c) / self.u
-        return self._phase[:, None] * x - np.repeat(corr, n, axis=0)
-
-    def apply_rows(self, a: np.ndarray) -> np.ndarray:
-        """a @ exp(M3 t) for a of shape (m, KN)."""
-        k, n = self.grid.k, self.grid.n
-        x = a.T
-        v0 = x.reshape(k, n, -1).sum(axis=1)
-        c = (self._vectors.T @ v0) * self._vh[:, None]
-        corr = (self._emat @ c) / self.u
-        g = self.grid.joint_weights
-        out = self._phase[:, None] * x - g[:, None] * np.repeat(corr, n, axis=0)
-        return out.T
+    k, n = grid.k, grid.n
+    d0 = grid.intrinsic_nodes
+    z = (ent.values[None, :] + 1j * d0[:, None]) * duration
+    # E[j, m] = integral_0^t e^{-i d0_j (t-s)} e^{lam_m s} ds
+    emat = duration * np.exp(-1j * d0[:, None] * duration) * phi1(z)
+    phase = np.exp(-1j * grid.delta_zero() * duration)
+    x = a.T
+    v0 = x.reshape(k, n, -1).sum(axis=1)
+    c = (ent.vectors.T @ v0) * (ent.inverse @ np.ones(k))[:, None]
+    corr = (emat @ c) / complex(u)
+    g = grid.joint_weights
+    out = phase[:, None] * x - g[:, None] * np.repeat(corr, n, axis=0)
+    return out.T

@@ -33,6 +33,8 @@ class TimeGrid:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
+        if np.any(np.diff(self.nodes) <= 0.0):
+            raise ValueError("nodes must be strictly increasing")
 
     @property
     def size(self) -> int:

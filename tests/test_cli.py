@@ -51,9 +51,10 @@ def test_perturbative_rows(capsys):
 
 
 def test_perturbative_aliasing_class_count_exits_2(capsys):
-    # The default --grid-n 33 comb rephases at 2*pi/step = 2.01, inside the
-    # 2*tau_d = 4 window; the smallest safe odd count is 65.
-    code, _, err = run_cli(["perturbative", "--gamma", "10", "--taud", "2"], capsys)
+    # A 33-class comb rephases at 2*pi/step = 2.01, inside the 2*tau_d = 4
+    # window; the smallest safe odd count is 65.
+    code, _, err = run_cli(["perturbative", "--gamma", "10", "--taud", "2",
+                            "--grid-n", "33"], capsys)
     assert code == 2
     assert "at least 65" in err
 
@@ -61,13 +62,17 @@ def test_perturbative_aliasing_class_count_exits_2(capsys):
 def test_perturbative_safe_class_count_matches_library_default(capsys):
     from cribmem.analytic import Profile, broadening_stage_efficiency_numeric
 
-    code, out, _ = run_cli(["perturbative", "--gamma", "10", "--taud", "2",
-                            "--grid-n", "65"], capsys)
-    assert code == 0
-    _, rows = parse_csv(out)
     want = broadening_stage_efficiency_numeric(Profile.flat(), 10.0, 2.0)
-    assert float(rows[0]["eta_numeric"]) == want
     assert want == pytest.approx(0.8400, abs=1e-4)
+    # Without --grid-n the library picks the class count, and the settings
+    # comment does not claim one.
+    for extra, grid_n in (([], "auto"), (["--grid-n", "65"], "65")):
+        code, out, _ = run_cli(["perturbative", "--gamma", "10", "--taud", "2"]
+                               + extra, capsys)
+        assert code == 0
+        assert f"grid_n={grid_n} " in out.splitlines()[0]
+        _, rows = parse_csv(out)
+        assert float(rows[0]["eta_numeric"]) == want
 
 
 def test_sweep_optimal_tiny(capsys):

@@ -87,12 +87,14 @@ def test_kernel_samples_matches_direct_matrix_chain():
     params, sched, grid, contour, _ = build_small(k=3, n=3, level=3)
     u = complex(contour.nodes[3])
     t, tp = 0.35, 0.45   # inside both the tau_d and tau_p windows
-    q11, q12, q21, q22 = _assembled_at_u(
+    k_lo, k_hi = _assembled_at_u(
         u, grid, sched, np.array([t]), np.array([t]), np.array([tp]), np.array([tp]))
-    got = {"k1": q11, "k2": q12, "k3": q21, "k4": q22}
+    # Rows: rephasing output, then read-out output; blocks: dephasing input,
+    # then read-in input.
+    got = {"k1": k_lo[0, 0], "k2": k_hi[0, 0], "k3": k_lo[1, 0], "k4": k_hi[1, 0]}
     for which, q in got.items():
         expect = dense_sample(which, u, t, tp, grid, sched)
-        assert abs(-q[0, 0] / u**2 - expect) < 1e-10 * max(1.0, abs(expect))
+        assert abs(-q / u**2 - expect) < 1e-10 * max(1.0, abs(expect))
 
 
 def test_degenerate_resonant_k4_is_bessel():
@@ -153,6 +155,24 @@ def test_transfer_kernel_quadrants_match_pointwise_samples():
         i = rng.integers(0, out_n.size)
         j = rng.integers(0, in_n.size)
         want = dense_kernel_entry(out_n[i], in_n[j], grid, sched, contour)
+        assert abs(kern.values[i, j] - want) < 1e-10 * max(1.0, abs(want))
+
+
+def test_zero_dephasing_kernel_has_empty_low_block():
+    # With tau_d = 0 no input enters during dephasing and no output leaves
+    # during rephasing: the whole kernel is the read-in -> read-out block.
+    params = derive_params(10.0, 3.0)
+    sched = ProtocolSchedule(tau_p=2.0, tau_d=0.0, tau_s=0.7)
+    grid = build_detuning_grid(params.gamma0_rel, 3.0, 3, 3)
+    contour = talbot_contour(32, 1.0)
+    tg = tanh_sinh_grid(0.0, sched.tau_r, 3)
+    k_lo, k_hi = _assembled_at_u(complex(contour.nodes[3]), grid, sched,
+                                 tg.nodes[:0], tg.nodes, tg.nodes[:0], tg.nodes)
+    assert k_lo.shape == (tg.size, 0)
+    assert k_hi.shape == (tg.size, tg.size)
+    kern = build_transfer_kernel(params, sched, grid, contour, tg, tg)
+    for i, j in ((0, 0), (2, 7), (8, 4), (16, 16)):
+        want = dense_kernel_entry(tg.nodes[i], tg.nodes[j], grid, sched, contour)
         assert abs(kern.values[i, j] - want) < 1e-10 * max(1.0, abs(want))
 
 

@@ -57,9 +57,12 @@ def test_derive_params_rejects_bad_inputs():
         derive_params(10.0, -1.0)
 
 
-def test_params_redundant_fields_must_agree():
+def test_params_derive_width_and_coherence_time_from_d0():
+    p = PhysicalParams(d0=100.0, gamma_rel=3.0)
+    assert p.gamma0_rel == math.sqrt(2.0 * math.pi) / 100.0
+    assert p.t2_rel == math.sqrt(2.0) / p.gamma0_rel
     with pytest.raises(ValueError):
-        PhysicalParams(gamma0_rel=0.1, gamma_rel=0.0, d0=10.0, t2_rel=14.14)
+        PhysicalParams(d0=math.nan, gamma_rel=3.0)
 
 
 def test_default_schedule_d0_800():
@@ -80,8 +83,6 @@ def test_schedule_storage_fraction_of_t2():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        ProtocolSchedule(tau_p=1.0, tau_d=1.0, tau_s=0.5, tau_r=3.0)
     with pytest.raises(ValueError):
         ProtocolSchedule(tau_p=-1.0, tau_d=1.0, tau_s=0.5)
     with pytest.raises(ValueError):

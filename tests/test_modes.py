@@ -154,7 +154,7 @@ def test_optimize_gaussian_below_optimal_and_stable(pipeline):
 
 def test_optimize_gaussian_mode_is_normalized(pipeline):
     _, sched, eff = pipeline
-    gauss = optimize_gaussian(eff, sched, seed=1, extra_starts=2)
+    gauss = optimize_gaussian(eff, sched)
     energy = float(np.sum(eff.grid.weights * np.abs(gauss.mode) ** 2))
     assert energy == pytest.approx(1.0, abs=1e-10)
     assert mode_efficiency(eff, gauss.mode) == pytest.approx(gauss.efficiency, abs=1e-10)

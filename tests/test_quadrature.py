@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cribmem import integrate, tanh_sinh_grid
+from cribmem.quadrature import TimeGrid
 
 
 def test_constant_integrand():
@@ -46,6 +47,14 @@ def test_nodes_strictly_increasing_interior_symmetric():
         assert g.nodes[0] > a and g.nodes[-1] < b
         assert np.allclose(g.nodes + g.nodes[::-1], a + b,
                            atol=1e-12 * max(1.0, abs(a) + abs(b)))
+
+
+def test_time_grid_rejects_unordered_nodes():
+    w = np.ones(3)
+    for nodes in ([0.2, 0.1, 0.9], [0.2, 0.2, 0.9]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            TimeGrid(nodes=np.array(nodes), weights=w, a=0.0, b=1.0)
+    assert TimeGrid(nodes=np.array([0.1, 0.2, 0.9]), weights=w, a=0.0, b=1.0).size == 3
 
 
 def test_node_count():
