@@ -10,7 +10,9 @@ surviving norm gives
     II[P] = integral_0^1 P(z) integral_0^z P(z') dz' dz,
 
 valid to first order in 1/gamma.  The companion numeric routine evolves the
-same two stages non-perturbatively through the Laplace-domain machinery.
+same two stages non-perturbatively through the Laplace-domain machinery:
+``stage2_action`` on a K = 1 detuning grid, for every contour node of every
+z node in one batch, with stage 4 as the reflected stage 2.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import scipy.interpolate
 
 from cribmem.laplace import talbot_contour
 from cribmem.model import PhysicalParams, build_detuning_grid, gaussian_pdf
-from cribmem.propagators import Stage, block_reversal_permutation, stage_eigen
+from cribmem.propagators import block_reversal_permutation, stage2_action
 from cribmem.quadrature import TimeGrid, tanh_sinh_grid
 
 _DEFAULT_Z_LEVEL = 5
@@ -156,6 +158,8 @@ def broadening_stage_efficiency_numeric(
     spatial Laplace domain on a K = 1 detuning grid (the intrinsic
     broadening collapsed to the single resonant class), inverts onto the
     profile's z-grid (one Talbot contour per node) and integrates |P(z)|^2.
+    Both stages run through ``stage2_action`` on every contour node of
+    every z node at once.
 
     When ``n_classes`` is omitted it is chosen so the discrete-comb
     rephasing time 2*pi/step stays at least twice the stage duration;
@@ -176,24 +180,19 @@ def broadening_stage_efficiency_numeric(
     # With K = 1 the intrinsic width does not enter; any positive value does.
     grid = build_detuning_grid(1.0, gamma_rel, k=1, n=n_classes,
                                extent_sigmas=extent_sigmas)
-    gw = grid.joint_weights
-    ones = np.ones(n_classes)
     perm = block_reversal_permutation(grid)
 
+    # One Talbot contour per z node, all (z, u) nodes in one batch;
+    # exp(M4 t) = P exp(M2 t) P with P the comb reflection.
     zg = p1.grid
-    p4 = np.zeros(zg.size, dtype=complex)
-    for i, z in enumerate(zg.nodes):
-        contour = talbot_contour(contour_nodes, t_scale=float(z))
-        samples = np.empty(contour.size, dtype=complex)
-        pbar = p1.laplace(contour.nodes)
-        for j, u in enumerate(contour.nodes):
-            e2 = stage_eigen(Stage.S2, complex(u), grid)
-            decay = np.exp(e2.values * tau_d)
-            sig = e2.vectors @ (decay * (e2.inverse @ ones))
-            # exp(M4 t) = P exp(M2 t) P with P the comb reflection.
-            sig = (e2.vectors @ (decay * (e2.inverse @ sig[perm])))[perm]
-            samples[j] = (gw @ sig) * pbar[j]
-        p4[i] = np.dot(contour.derivative_weights, samples)
+    contours = [talbot_contour(contour_nodes, t_scale=float(z)) for z in zg.nodes]
+    us = np.concatenate([c.nodes for c in contours])
+    sig = stage2_action(grid, us, np.ones((n_classes, 1)), [tau_d]).states[0]
+    sig = stage2_action(grid, us, sig[:, perm], [tau_d]).states[0][:, perm, 0]
+    samples = (sig @ grid.joint_weights).reshape(zg.size, contour_nodes)
+    samples *= np.array([p1.laplace(c.nodes) for c in contours])
+    weights = np.array([c.derivative_weights for c in contours])
+    p4 = np.einsum("ij,ij->i", weights, samples)
     return float(np.sum(zg.weights * np.abs(p4) ** 2))
 
 

@@ -8,10 +8,11 @@ Commands
     perturbative    broadening-stage efficiency, closed form vs numeric
     transmission    unbroadened intensity transmission spectrum
 
-Output is CSV (default) or JSON; a leading comment line records every
-resolved setting so runs are reproducible.  Standard output is reserved for
-data when the output path is "-"; errors go to standard error.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure.
+Output is CSV (default) or JSON; a leading comment line records the
+resolved settings so runs are reproducible (perturbative records only those
+it reads).  Standard output is reserved for data when the output path is
+"-"; errors go to standard error.  Exit codes: 0 success, 2 configuration
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -220,12 +221,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# Settings recorded in the CSV comment and the JSON output.  A command
+# listed in _READS records only the settings it reads.
+_RECORDED = ("grid_k", "grid_n", "extent", "quad_level", "contour_nodes",
+             "threads", "taud", "d0", "gamma")
+_READS = {"perturbative": ("grid_n", "extent", "contour_nodes", "taud", "gamma")}
+
+
+def _recorded(cfg: dict) -> tuple[str, ...]:
+    return _READS.get(cfg["command"], _RECORDED)
+
+
 def _settings_comment(cfg: dict) -> str:
-    keys = ("grid_k", "grid_n", "extent", "quad_level", "contour_nodes",
-            "threads", "taud")
-    parts = [f"{k}={'auto' if cfg[k] is None else cfg[k]}" for k in keys]
-    parts.append("d0=" + "|".join(_fmt(x) for x in cfg["d0"]))
-    parts.append("gamma=" + "|".join(_fmt(x) for x in cfg["gamma"]))
+    parts = []
+    for k in _recorded(cfg):
+        if isinstance(cfg[k], list):
+            parts.append(f"{k}=" + "|".join(_fmt(x) for x in cfg[k]))
+        else:
+            parts.append(f"{k}={'auto' if cfg[k] is None else cfg[k]}")
     return f"# cribmem {cfg['command']} " + " ".join(parts)
 
 
@@ -238,10 +251,7 @@ def _emit(cfg: dict, rows: list[dict]) -> None:
     else:
         payload = {
             "command": cfg["command"],
-            "settings": {k: cfg[k] for k in
-                         ("grid_k", "grid_n", "extent", "quad_level",
-                          "contour_nodes", "threads", "taud",
-                          "d0", "gamma")},
+            "settings": {k: cfg[k] for k in _recorded(cfg)},
             "rows": [{c: row[c] for c in columns} for row in rows],
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

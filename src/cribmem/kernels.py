@@ -14,6 +14,13 @@ row g^T exp(M4 t); later ones during the final free stage through
 g0^T exp(M1 s) lw exp(M4 tau_d).  Each entry is an inverse Laplace
 transform, along a fixed Talbot contour, of that product.
 
+Every KN-dimensional factor is the action of the stage-2 exponential on a
+few vectors, computed for all contour nodes at once by ``stage2_action``:
+exp(M2 t) h at the times t <= tau_d and exp(M2 tau_d) lift.  The read-out
+rows follow from the same arrays, because M2^T = D M2 D^-1 with
+D = diag(g) and stage 4 is stage 2 reflected through the controlled comb.
+Only the K x K stage-1 generator is decomposed.
+
 The discretized efficiency kernel is the Gram matrix of the weighted
 transfer matrix; its largest eigenvalue is the maximal storage-and-retrieval
 efficiency.
@@ -32,6 +39,7 @@ from cribmem.model import DetuningGrid, PhysicalParams, ProtocolSchedule
 from cribmem.propagators import (
     Stage,
     block_reversal_permutation,
+    stage2_action,
     stage3_rows,
     stage_eigen,
 )
@@ -62,43 +70,38 @@ class EfficiencyKernel:
 
 
 def _assembled_at_u(u: complex, grid: DetuningGrid, schedule: ProtocolSchedule,
-                    t_out_lo, t_out_hi, t_in_lo, t_in_hi) -> tuple[np.ndarray, np.ndarray]:
+                    t_out_hi, t_in_hi, s_out, s_in, e2d_lift) -> tuple[np.ndarray, np.ndarray]:
     """K_E-hat at one contour node as two column blocks over all output rows.
 
-    Rows are ordered (t_out_lo, t_out_hi); the first block holds the inputs
-    t_in_lo, the second the inputs t_in_hi.  Performs a single dense
-    eigendecomposition (stage 2); stage 4 follows by the controlled-detuning
-    reflection and stage 3 by its exact block reduction, so the cost per
-    node is one KN eigenproblem plus matrix products.
+    Rows are ordered (outputs t <= tau_d, t_out_hi); the first block holds
+    the inputs t' <= tau_d, the second the inputs t_in_hi.  The stage-2
+    factors come from ``stage2_action``: ``s_out`` and ``s_in`` hold the
+    rows exp(M2 t) h at the output and input times t <= tau_d, and
+    ``e2d_lift`` is exp(M2 tau_d) lift.  Only the K x K stage-1 generator is
+    decomposed here; stage 4 follows by the controlled-detuning reflection,
+    stage 3 by its exact block reduction.
     """
-    k, n = grid.k, grid.n
-    kn = k * n
     g = grid.joint_weights
     g0 = grid.intrinsic_weights
-    h_kn = np.ones(kn)
-    h_k = np.ones(k)
-    td, ts = schedule.tau_d, schedule.tau_s
+    ts = schedule.tau_s
     perm = block_reversal_permutation(grid)
-
-    e2 = stage_eigen(Stage.S2, u, grid)
     e1 = stage_eigen(Stage.S1, u, grid)
 
-    # Read-out rows: g^T exp(M4 t) = (g^T exp(M2 t)) P with P the reflection,
-    # then g0^T exp(M1 t) lw exp(M4 td) after the rephasing stage.
-    gv2 = g @ e2.vectors
-    a4 = ((gv2[None, :] * np.exp(np.outer(t_out_lo, e2.values))) @ e2.inverse)[:, perm]
+    # Read-out rows.  M2^T = D M2 D^-1 with D = diag(g), so
+    # g^T exp(M2 t) = (g o exp(M2 t) h)^T and, for the K x KN block rows of
+    # controlled weights lw = (D lift diag(1/g0))^T,
+    # lw exp(M2 td) = (D e2d_lift diag(1/g0))^T.  Stage 4 is stage 2
+    # reflected, and the reflection fixes g and lw on the symmetric comb.
+    a4 = (g[None, :] * s_out)[:, perm]
     g0v1 = g0 @ e1.vectors
     a1 = (g0v1[None, :] * np.exp(np.outer(t_out_hi, e1.values))) @ e1.inverse
-    lw = np.kron(np.eye(k), grid.controlled_weights[None, :])  # K x KN weighted rows
-    lw_e4 = (((lw @ e2.vectors) * np.exp(e2.values * td)[None, :]) @ e2.inverse)[:, perm]
+    lw_e4 = (g[:, None] * e2d_lift / g0[None, :]).T[:, perm]
     rows = stage3_rows(np.vstack([a4, a1 @ lw_e4]), u, grid, ts, e1)
 
     # Stored states: exp(M2 t') h, and exp(M2 td) lift exp(M1 s') h.
-    b2 = e2.vectors @ (np.exp(np.outer(e2.values, t_in_lo)) * (e2.inverse @ h_kn)[:, None])
-    b1 = e1.vectors @ (np.exp(np.outer(e1.values, t_in_hi)) * (e1.inverse @ h_k)[:, None])
-    lift = np.kron(np.eye(k), np.ones((n, 1)))            # KN x K column lift
-    e2d_lift = e2.vectors @ (np.exp(e2.values * td)[:, None] * (e2.inverse @ lift))
-    return rows @ b2, (rows @ e2d_lift) @ b1
+    h1 = e1.inverse @ np.ones(grid.k)
+    b1 = e1.vectors @ (np.exp(np.outer(e1.values, t_in_hi)) * h1[:, None])
+    return rows @ s_in.T, (rows @ e2d_lift) @ b1
 
 
 def build_transfer_kernel(
@@ -136,14 +139,25 @@ def build_transfer_kernel(
         sel = contour.conjugate_half()
     else:
         sel = np.arange(contour.size)
+    us = contour.nodes[sel]
+
+    # Stage 2 for the whole contour at once: exp(M2 t) h at every output
+    # and input time t <= tau_d, and exp(M2 td) lift.
+    t_lo = np.union1d(t_out_lo, t_in_lo)
+    stored = stage2_action(grid, us, np.ones((grid.k * grid.n, 1)), t_lo)
+    lift = np.kron(np.eye(grid.k), np.ones((grid.n, 1)))   # KN x K column lift
+    lifted = stage2_action(grid, us, lift, [td])
+    out_at = np.searchsorted(t_lo, t_out_lo)
+    in_at = np.searchsorted(t_lo, t_in_lo)
 
     values = np.zeros((out_grid.size, in_grid.size), dtype=complex)
     n_lo = t_in_lo.size   # nodes increase, so the t <= tau_d rows and columns lead
-    for idx in sel:
+    for i, idx in enumerate(sel):
         u = complex(contour.nodes[idx])
         wu = complex(contour.derivative_weights[idx]) * (-1.0 / (u * u))
-        k_lo, k_hi = _assembled_at_u(
-            u, grid, schedule, t_out_lo, t_out_hi, t_in_lo, t_in_hi)
+        s2 = stored.states[:, i, :, 0]
+        k_lo, k_hi = _assembled_at_u(u, grid, schedule, t_out_hi, t_in_hi,
+                                     s2[out_at], s2[in_at], lifted.states[0, i])
         values[:, :n_lo] += wu * k_lo
         values[:, n_lo:] += wu * k_hi
 
@@ -151,6 +165,8 @@ def build_transfer_kernel(
         "assembly": "half" if use_half else "full",
         "contour_nodes": int(contour.size),
         "rephasing_time": grid.rephasing_time(),
+        "stage2_substeps": stored.substeps + lifted.substeps,
+        "stage2_matvecs": stored.matvecs + lifted.matvecs,
     }
     if use_half:
         values = 2.0 * values.real + 0.0j

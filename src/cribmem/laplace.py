@@ -3,8 +3,8 @@
 The contour is Weideman's optimized cotangent deformation of the Bromwich
 line, sampled with the midpoint rule.  Because the node set depends only on
 the node count and the evaluation abscissa (not on the transform), one
-contour serves every kernel entry: the stage eigendecompositions at a node
-are computed once and applied to the whole time grid.
+contour serves every kernel entry: the stage propagations at a node are
+computed once and applied to the whole time grid.
 """
 
 from __future__ import annotations

@@ -101,7 +101,8 @@ class DetuningGrid:
     renormalized; the deviation of their sum from one is reported through
     :meth:`intrinsic_deficit` / :meth:`controlled_deficit`.  ``joint_weights``
     follows the (j-1)*N + k layout: the intrinsic index is the outer (block)
-    index, the controlled index runs inside each block.
+    index, the controlled index runs inside each block.  Every weight must
+    be positive.
     """
 
     intrinsic_nodes: np.ndarray
@@ -118,6 +119,11 @@ class DetuningGrid:
             raise ValueError("intrinsic nodes/weights size mismatch")
         if self.controlled_nodes.shape != self.controlled_weights.shape:
             raise ValueError("controlled nodes/weights size mismatch")
+        # The kernel divides by the weights (the stage-2 transpose similarity).
+        for name in ("intrinsic", "controlled"):
+            if not np.all(getattr(self, f"{name}_weights") > 0.0):
+                raise ValueError(f"{name} weights must be positive (too wide an "
+                                 "extent makes the edge weights underflow to zero)")
         jw = np.outer(self.intrinsic_weights, self.controlled_weights).ravel()
         object.__setattr__(self, "joint_weights", jw)
 
@@ -204,6 +210,8 @@ def build_detuning_grid(
 
     Both counts must be odd so that a resonant (zero-detuning) class exists.
     A degenerate count of 1 yields the single resonant class with weight one.
+    An extent so wide that the edge weights underflow to zero raises
+    ValueError (see DetuningGrid).
     """
     if k < 1 or n < 1:
         raise ValueError("node counts must be at least 1")

@@ -1,12 +1,19 @@
-"""Laplace-domain stage generators and their eigendecompositions.
+"""Laplace-domain stage generators and the two propagation primitives.
 
 Each protocol stage evolves the polarization vector under a generator of the
 form ``-i*diag(phases) - (1/u) * ones * weights^T`` (a diagonal matrix plus a
 rank-one coupling through the radiated field).  Stage 1 acts on the K
-intrinsic classes, stages 2-4 on the K*N joint classes.  ``stage_eigen`` is
-the one propagation primitive: every stage exponential in the package is
-applied through the decomposition it returns, and a decomposition that
-cannot be trusted raises NumericsError instead of being patched over.
+intrinsic classes, stages 2-4 on the K*N joint classes.  Two primitives
+apply every stage exponential in the package:
+
+* ``stage_eigen`` decomposes the K-dimensional stage-1 generator; a
+  decomposition that cannot be trusted raises NumericsError instead of
+  being patched over.  Stage 3 is applied through it by its exact block
+  reduction (``stage3_rows``).
+* ``stage2_action`` applies the KN-dimensional stage-2 exponential to
+  blocks of vectors without forming it, for a whole batch of contour nodes
+  at once: a product with the diagonal-plus-rank-one generator costs
+  O(KN) per vector.  Stage 4 follows by the controlled-detuning reflection.
 
 The stage-1 rank-one term carries the sum of the controlled Riemann weights,
 which equals one only in the continuum limit: with it, the K-dimensional
@@ -29,6 +36,8 @@ from cribmem.model import DetuningGrid
 _COND_LIMIT = 1e8
 _RECON_TOL = 1e-9
 _PROBE_LIMIT = 256  # full reconstruction check up to this size, probes beyond
+_TAYLOR_TOL = 2.0 ** -53
+_TAYLOR_MAX_TERMS = 40  # beta*h <= 1 needs at most ~20; more means non-finite data
 
 
 class Stage(enum.Enum):
@@ -106,6 +115,99 @@ def _reconstructs(matrix, values, vectors, inverse) -> bool:
     probes = rng.standard_normal((n, 4))
     resid = np.linalg.norm(vectors @ (values[:, None] * (inverse @ probes)) - matrix @ probes)
     return resid <= _RECON_TOL * scale * np.linalg.norm(probes) / math.sqrt(n)
+
+
+@dataclass(frozen=True)
+class Stage2Propagation:
+    """exp(M2(u) t) x at each requested time t and contour node u.
+
+    ``states`` has shape (times, nodes, KN, m); ``substeps`` counts Taylor
+    substeps and ``matvecs`` generator products, each over the whole batch.
+    """
+
+    states: np.ndarray
+    substeps: int
+    matvecs: int
+
+
+def stage2_action(grid: DetuningGrid, us, x, times) -> Stage2Propagation:
+    """exp(M2(u) t) x for a batch of contour nodes and increasing times t >= 0.
+
+    ``x`` is a (KN, m) block shared by every node or a (nodes, KN, m) stack.
+    M2(u) = -i diag(phi) - (1/u) 1 g^T is never formed.  The state is
+    carried from one time to the next by truncated Taylor substeps h with
+    beta*h <= 1, where beta = max|phi| + max|1/u| sum(g) bounds the max-norm
+    of every generator in the batch, so the k-th term is at most 1/k! of
+    the state.  Terms are added until each node's term falls below 2^-53 of
+    its state's max-abs.
+    """
+    us = np.asarray(us, dtype=complex).ravel()
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.all(np.isfinite(times)):
+        raise ValueError("times must be a 1-d array of finite values")
+    if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
+        raise ValueError("times must be non-negative and non-decreasing")
+    if np.any(us == 0):
+        raise ValueError("u = 0 is a singular Laplace moment (1/u coupling)")
+    phi = grid.delta_plus()
+    g = grid.joint_weights
+    x = np.asarray(x, dtype=complex)
+    if x.ndim == 2:
+        x = x[None]
+    if x.ndim != 3 or x.shape[1] != phi.size or x.shape[0] not in (1, us.size):
+        raise ValueError(f"x must be (KN, m) or (nodes, KN, m) with KN = {phi.size}, "
+                         f"got {x.shape}")
+    state = np.array(np.broadcast_to(x, (us.size,) + x.shape[1:]), order="C")
+    term = np.empty_like(state)
+    inv_u = 1.0 / us
+    beta = float(np.max(np.abs(phi))) + float(np.max(np.abs(inv_u))) * float(g.sum())
+    out = np.empty((times.size,) + state.shape, dtype=complex)
+    substeps = matvecs = 0
+    t_now = 0.0
+    for i, t in enumerate(times):
+        count = math.ceil(beta * (t - t_now))
+        for _ in range(count):
+            matvecs += _taylor_step(state, term, phi, g, inv_u, (t - t_now) / count, us)
+        substeps += count
+        out[i] = state
+        t_now = t
+    return Stage2Propagation(out, substeps, matvecs)
+
+
+def _taylor_step(state, term, phi, g, inv_u, h, us) -> int:
+    """state <- exp(M2 h) state in place; returns the number of products.
+
+    A term's 2-norm bounds its max-abs and is cheap to take per node, so
+    it is the one compared; the state's max-abs is taken at the start and
+    again only once every term has passed against that.
+    """
+    term[...] = state
+    coupling = (h * inv_u)[:, None]
+    limit = _TAYLOR_TOL * _max_abs(state)
+    for k in range(1, _TAYLOR_MAX_TERMS + 1):
+        field = coupling * (g @ term) / k           # (h/k)(1/u) g^T term
+        term *= (-1j * h / k) * phi[:, None]
+        term -= field[:, None, :]
+        state += term
+        size = _norm(term)
+        if np.all(size <= limit):
+            limit = _TAYLOR_TOL * _max_abs(state)
+            if np.all(size <= limit):
+                return k
+    bad = complex(us[np.flatnonzero(~(size <= limit))[0]])
+    raise NumericsError(f"stage-2 Taylor series did not converge in "
+                        f"{_TAYLOR_MAX_TERMS} terms at u={bad!r} (step {h:.3e})")
+
+
+def _max_abs(a: np.ndarray) -> np.ndarray:
+    """Per-node max of |Re| and |Im|, within sqrt(2) of the max modulus."""
+    return np.abs(a.view(float)).max(axis=(1, 2))
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    """Per-node 2-norm."""
+    v = a.view(float).reshape(a.shape[0], -1)
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
 # ---------------------------------------------------------------------------

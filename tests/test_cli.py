@@ -75,6 +75,29 @@ def test_perturbative_safe_class_count_matches_library_default(capsys):
         assert float(rows[0]["eta_numeric"]) == want
 
 
+def test_perturbative_records_only_the_settings_it_reads(tmp_path, capsys):
+    unused = ("grid_k", "quad_level", "threads", "d0")
+    argv = ["perturbative", "--gamma", "5", "--taud", "1"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    tokens = out.splitlines()[0].split()[3:]
+    assert [t.split("=")[0] for t in tokens] == [
+        "grid_n", "extent", "contour_nodes", "taud", "gamma"]
+    path = tmp_path / "p.json"
+    code, _, _ = run_cli(argv + ["--format", "json", "--out", str(path)], capsys)
+    assert code == 0
+    settings = json.loads(path.read_text())["settings"]
+    assert not set(unused) & set(settings)
+    assert settings["grid_n"] is None and settings["gamma"] == [5.0]
+
+
+def test_underflowing_detuning_weights_exit_2(capsys):
+    code, _, err = run_cli(["sweep-optimal", "--d0", "10", "--gamma", "3",
+                            "--extent", "40"] + TINY, capsys)
+    assert code == 2
+    assert "underflow" in err
+
+
 def test_sweep_optimal_tiny(capsys):
     code, out, _ = run_cli(["sweep-optimal", "--d0", "10", "--gamma", "3"] + TINY,
                            capsys)

@@ -17,6 +17,7 @@ from cribmem.kernels import (
 from cribmem.laplace import invert_at_unit
 from cribmem.model import DetuningGrid, ProtocolSchedule, default_schedule
 from cribmem.modes import gaussian_mode
+from cribmem.propagators import stage2_action
 
 
 def j1_series(x: float) -> float:
@@ -82,13 +83,26 @@ def dense_kernel_entry(t: float, t_prime: float, grid: DetuningGrid,
     return invert_at_unit(contour, samples)
 
 
+def stage2_factors(u: complex, grid: DetuningGrid, sched: ProtocolSchedule,
+                   t_out_lo, t_in_lo):
+    """The stage-2 arguments of _assembled_at_u at one contour node."""
+    kn = grid.k * grid.n
+    t_lo = np.union1d(t_out_lo, t_in_lo)
+    states = stage2_action(grid, [u], np.ones((kn, 1)), t_lo).states[:, 0, :, 0]
+    lift = np.kron(np.eye(grid.k), np.ones((grid.n, 1)))
+    e2d_lift = stage2_action(grid, [u], lift, [sched.tau_d]).states[0, 0]
+    return (states[np.searchsorted(t_lo, t_out_lo)],
+            states[np.searchsorted(t_lo, t_in_lo)], e2d_lift)
+
+
 def test_kernel_samples_matches_direct_matrix_chain():
     # Independent re-derivation: raw dense products at one Laplace moment.
     params, sched, grid, contour, _ = build_small(k=3, n=3, level=3)
     u = complex(contour.nodes[3])
     t, tp = 0.35, 0.45   # inside both the tau_d and tau_p windows
     k_lo, k_hi = _assembled_at_u(
-        u, grid, sched, np.array([t]), np.array([t]), np.array([tp]), np.array([tp]))
+        u, grid, sched, np.array([t]), np.array([tp]),
+        *stage2_factors(u, grid, sched, np.array([t]), np.array([tp])))
     # Rows: rephasing output, then read-out output; blocks: dephasing input,
     # then read-in input.
     got = {"k1": k_lo[0, 0], "k2": k_hi[0, 0], "k3": k_lo[1, 0], "k4": k_hi[1, 0]}
@@ -166,14 +180,23 @@ def test_zero_dephasing_kernel_has_empty_low_block():
     grid = build_detuning_grid(params.gamma0_rel, 3.0, 3, 3)
     contour = talbot_contour(32, 1.0)
     tg = tanh_sinh_grid(0.0, sched.tau_r, 3)
-    k_lo, k_hi = _assembled_at_u(complex(contour.nodes[3]), grid, sched,
-                                 tg.nodes[:0], tg.nodes, tg.nodes[:0], tg.nodes)
+    u = complex(contour.nodes[3])
+    k_lo, k_hi = _assembled_at_u(
+        u, grid, sched, tg.nodes, tg.nodes,
+        *stage2_factors(u, grid, sched, tg.nodes[:0], tg.nodes[:0]))
     assert k_lo.shape == (tg.size, 0)
     assert k_hi.shape == (tg.size, tg.size)
     kern = build_transfer_kernel(params, sched, grid, contour, tg, tg)
     for i, j in ((0, 0), (2, 7), (8, 4), (16, 16)):
         want = dense_kernel_entry(tg.nodes[i], tg.nodes[j], grid, sched, contour)
         assert abs(kern.values[i, j] - want) < 1e-10 * max(1.0, abs(want))
+
+
+def test_kernel_reports_stage2_work():
+    *_, kern = build_small(k=3, n=3, level=3)
+    for key in ("stage2_substeps", "stage2_matvecs"):
+        assert isinstance(kern.diagnostics[key], int)
+        assert kern.diagnostics[key] > 0
 
 
 def test_half_assembly_requires_symmetric_grid():

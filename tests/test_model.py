@@ -175,6 +175,17 @@ def test_grid_zero_controlled_width_needs_degenerate_n():
     assert g.controlled_nodes.tolist() == [0.0]
 
 
+def test_grid_rejects_underflowing_weights():
+    # At 40 sigmas the edge weights exp(-800) underflow to zero; the kernel
+    # divides by the weights, so such a grid must not be built.
+    with pytest.raises(ValueError, match="intrinsic weights must be positive"):
+        build_detuning_grid(0.1, 1.0, k=5, n=5, extent_sigmas=40.0)
+    with pytest.raises(ValueError, match="controlled weights must be positive"):
+        build_detuning_grid(0.1, 1.0, k=1, n=5, extent_sigmas=40.0)
+    g = build_detuning_grid(0.1, 1.0, k=5, n=5, extent_sigmas=30.0)
+    assert np.all(g.intrinsic_weights > 0.0) and np.all(g.controlled_weights > 0.0)
+
+
 def test_grid_coarse_riemann_sum_reported_not_hidden():
     # At K = 5 the node-centered Riemann sum overshoots one (comb aliasing);
     # the deficit diagnostic reports it rather than renormalizing it away.
@@ -204,4 +215,7 @@ def test_grid_rephasing_time():
 def test_custom_grid_construction_checked():
     with pytest.raises(ValueError):
         DetuningGrid(np.array([0.0, 1.0]), np.array([1.0]),
+                     np.array([0.0]), np.array([1.0]))
+    with pytest.raises(ValueError, match="intrinsic weights must be positive"):
+        DetuningGrid(np.array([-0.1, 0.0, 0.1]), np.array([0.0, 1.0, 0.0]),
                      np.array([0.0]), np.array([1.0]))

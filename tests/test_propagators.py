@@ -8,6 +8,7 @@ from cribmem.propagators import (
     Stage,
     block_reversal_permutation,
     phi1,
+    stage2_action,
     stage3_rows,
     stage_eigen,
     stage_matrix,
@@ -187,3 +188,70 @@ def test_stage3_action_zero_duration_is_identity():
     a = np.eye(9, dtype=complex)
     got = stage3_rows(a, 1.0 + 1.0j, g, 0.0, stage_eigen(Stage.S1, 1.0 + 1.0j, g))
     assert np.allclose(got, a, atol=1e-14)
+
+
+def stage2_nodes():
+    # Three Talbot nodes, one of them in the left half plane.
+    contour = talbot_contour(16, 1.0)
+    us = contour.nodes[[0, 5, 8]]
+    assert us[0].real < 0.0 < us[2].real
+    return us
+
+
+def test_stage2_action_matches_dense_exponential():
+    g = build_detuning_grid(0.3, 2.0, k=3, n=5)
+    tau_d = 1.0
+    times = [0.0, 1e-9, 2e-9, tau_d]
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((15, 2)) + 1j * rng.standard_normal((15, 2))
+    us = stage2_nodes()
+    got = stage2_action(g, us, x, times)
+    assert got.states.shape == (4, 3, 15, 2)
+    for j, u in enumerate(us):
+        for i, t in enumerate(times):
+            want = scipy.linalg.expm(stage_matrix(Stage.S2, u, g) * t) @ x
+            err = np.abs(got.states[i, j] - want).max() / np.abs(want).max()
+            assert err <= 1e-12
+
+
+def test_stage2_action_batch_equals_single_nodes():
+    g = build_detuning_grid(0.3, 2.0, k=3, n=5)
+    us = stage2_nodes()
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((3, 15, 1)) + 1j * rng.standard_normal((3, 15, 1))
+    batch = stage2_action(g, us, x, [0.2, 0.7]).states
+    for j, u in enumerate(us):
+        single = stage2_action(g, [u], x[j], [0.2, 0.7]).states[:, 0]
+        assert np.allclose(batch[:, j], single, rtol=0.0, atol=1e-14)
+
+
+def test_stage2_action_rejects_bad_times():
+    g = build_detuning_grid(0.3, 2.0, k=3, n=5)
+    x = np.ones((15, 1))
+    for times in ([0.5, 0.2], [-0.1, 0.3]):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            stage2_action(g, stage2_nodes(), x, times)
+
+
+def test_stage2_action_non_finite_input_raises():
+    g = build_detuning_grid(0.3, 2.0, k=3, n=5)
+    x = np.ones((15, 1))
+    x[4, 0] = np.nan
+    with pytest.raises(NumericsError, match="did not converge.*u="):
+        stage2_action(g, stage2_nodes(), x, [0.5])
+
+
+def test_stage2_action_gives_stage4_read_out_rows():
+    # M2^T = D M2 D^-1 with D = diag(g), and stage 4 is stage 2 reflected:
+    # g^T exp(M4 t) = (g o exp(M2 t) 1)[perm].
+    g = build_detuning_grid(0.3, 2.0, k=3, n=5)
+    w = g.joint_weights
+    perm = block_reversal_permutation(g)
+    times = [0.3, 1.0]
+    us = stage2_nodes()
+    states = stage2_action(g, us, np.ones((15, 1)), times).states
+    for j, u in enumerate(us):
+        for i, t in enumerate(times):
+            want = w @ scipy.linalg.expm(stage_matrix(Stage.S4, u, g) * t)
+            got = (w * states[i, j, :, 0])[perm]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
