@@ -11,8 +11,8 @@ surviving norm gives
 
 valid to first order in 1/gamma.  The companion numeric routine evolves the
 same two stages non-perturbatively through the Laplace-domain machinery:
-``stage2_action`` on a K = 1 detuning grid, for every contour node of every
-z node in one batch, with stage 4 as the reflected stage 2.
+``stage_action`` on a K = 1 detuning grid, for every contour node of every
+z node in one batch.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import scipy.interpolate
 
 from cribmem.laplace import talbot_contour
 from cribmem.model import PhysicalParams, build_detuning_grid, gaussian_pdf
-from cribmem.propagators import block_reversal_permutation, stage2_action
+from cribmem.propagators import Stage, stage_action
 from cribmem.quadrature import TimeGrid, tanh_sinh_grid
 
 _DEFAULT_Z_LEVEL = 5
@@ -158,7 +158,7 @@ def broadening_stage_efficiency_numeric(
     spatial Laplace domain on a K = 1 detuning grid (the intrinsic
     broadening collapsed to the single resonant class), inverts onto the
     profile's z-grid (one Talbot contour per node) and integrates |P(z)|^2.
-    Both stages run through ``stage2_action`` on every contour node of
+    Both stages run through ``stage_action`` on every contour node of
     every z node at once.
 
     When ``n_classes`` is omitted it is chosen so the discrete-comb
@@ -180,15 +180,13 @@ def broadening_stage_efficiency_numeric(
     # With K = 1 the intrinsic width does not enter; any positive value does.
     grid = build_detuning_grid(1.0, gamma_rel, k=1, n=n_classes,
                                extent_sigmas=extent_sigmas)
-    perm = block_reversal_permutation(grid)
 
-    # One Talbot contour per z node, all (z, u) nodes in one batch;
-    # exp(M4 t) = P exp(M2 t) P with P the comb reflection.
+    # One Talbot contour per z node, all (z, u) nodes in one batch.
     zg = p1.grid
     contours = [talbot_contour(contour_nodes, t_scale=float(z)) for z in zg.nodes]
     us = np.concatenate([c.nodes for c in contours])
-    sig = stage2_action(grid, us, np.ones((n_classes, 1)), [tau_d]).states[0]
-    sig = stage2_action(grid, us, sig[:, perm], [tau_d]).states[0][:, perm, 0]
+    sig = stage_action(Stage.S2, grid, us, np.ones((n_classes, 1)), [tau_d]).states[0]
+    sig = stage_action(Stage.S4, grid, us, sig, [tau_d]).states[0][..., 0]
     samples = (sig @ grid.joint_weights).reshape(zg.size, contour_nodes)
     samples *= np.array([p1.laplace(c.nodes) for c in contours])
     weights = np.array([c.derivative_weights for c in contours])

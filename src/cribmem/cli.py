@@ -66,9 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", help="JSON file with the same keys as the flags")
-    parser.add_argument("--out", default="-", help="output path, '-' for stdout")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--out", help="output path, '-' for stdout (default)")
+    parser.add_argument("--format", choices=("csv", "json"))
+    parser.add_argument("--threads", type=int)
     parser.add_argument("--d0", help="comma-separated optical depths")
     parser.add_argument("--gamma", help="comma-separated controlled widths gamma/mu")
     parser.add_argument("--grid-k", type=int, dest="grid_k")
@@ -101,6 +101,35 @@ _DEFAULTS = {
 }
 
 
+# The type of each config-file value; None is allowed where it is the default.
+_KINDS = {**dict.fromkeys(("grid_k", "grid_n", "quad_level", "contour_nodes",
+                           "threads", "tc_points", "tw_points"), "an integer"),
+          **dict.fromkeys(("extent", "taud"), "a number"),
+          **dict.fromkeys(("d0", "gamma", "omega"), "a list of numbers"),
+          **dict.fromkeys(("format", "out"), "a string")}
+
+
+def _checked(key: str, val):
+    """A config-file value of the type its flag takes, or ValueError."""
+    def number(v) -> bool:
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    kind = _KINDS[key]
+    if val is None and _DEFAULTS[key] is None:
+        return val
+    if kind == "an integer" and number(val) and isinstance(val, int):
+        return val
+    if kind == "a number" and number(val):
+        return float(val)
+    if kind == "a list of numbers":
+        vals = val if isinstance(val, list) else [val]   # one number is a list
+        if all(map(number, vals)):
+            return [float(v) for v in vals]
+    if kind == "a string" and isinstance(val, str):
+        return val
+    raise ValueError(f"config key {key!r} must be {kind}, got {val!r}")
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
     import numpy as np
 
@@ -110,10 +139,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
-        unknown = set(loaded) - set(cfg)
+        if not isinstance(loaded, dict):
+            raise ValueError("a config file must hold one JSON object")
+        unknown = set(loaded) - set(_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(loaded)
+        cfg.update({key: _checked(key, val) for key, val in loaded.items()})
     for key in ("out", "format", "threads", "grid_k", "grid_n", "extent",
                 "quad_level", "contour_nodes", "taud",
                 "tc_points", "tw_points"):
@@ -126,16 +157,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg["gamma"] = _parse_float_list(args.gamma)
     if args.omega is not None:
         cfg["omega"] = _parse_float_list(args.omega)
-    if isinstance(cfg["d0"], (int, float)):
-        cfg["d0"] = [float(cfg["d0"])]
-    if isinstance(cfg["gamma"], (int, float)):
-        cfg["gamma"] = [float(cfg["gamma"])]
     if cfg["grid_n"] is None and cfg["command"] != "perturbative":
         cfg["grid_n"] = 33
     if not cfg["d0"] or not cfg["gamma"]:
         raise ValueError("d0 and gamma lists must be non-empty")
     if cfg["threads"] < 1:
-        raise ValueError("--threads must be at least 1")
+        raise ValueError("threads must be at least 1")
     if cfg["format"] not in ("csv", "json"):
         raise ValueError(f"unknown format {cfg['format']!r}")
     return cfg

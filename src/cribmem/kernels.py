@@ -14,12 +14,14 @@ row g^T exp(M4 t); later ones during the final free stage through
 g0^T exp(M1 s) lw exp(M4 tau_d).  Each entry is an inverse Laplace
 transform, along a fixed Talbot contour, of that product.
 
-Every KN-dimensional factor is the action of the stage-2 exponential on a
-few vectors, computed for all contour nodes at once by ``stage2_action``:
-exp(M2 t) h at the times t <= tau_d and exp(M2 tau_d) lift.  The read-out
-rows follow from the same arrays, because M2^T = D M2 D^-1 with
-D = diag(g) and stage 4 is stage 2 reflected through the controlled comb.
-Only the K x K stage-1 generator is decomposed.
+Every factor is the action of a stage exponential on a few vectors,
+computed for all contour nodes at once by ``stage_action`` before any node
+is assembled: exp(M2 t) h at the times t <= tau_d, exp(M2 tau_d) lift,
+exp(M1 s) h at the later times, and exp(M1 tau_s) on the block sums of the
+stored columns, to which stage 3 reduces exactly.  The read-out rows follow
+from the same arrays, because M2^T = D M2 D^-1 with D = diag(g),
+M1^T = D0 M1 D0^-1 with D0 = diag(g0), and stage 4 is stage 2 reflected
+through the controlled comb.  Nothing is decomposed.
 
 The discretized efficiency kernel is the Gram matrix of the weighted
 transfer matrix; its largest eigenvalue is the maximal storage-and-retrieval
@@ -39,9 +41,9 @@ from cribmem.model import DetuningGrid, PhysicalParams, ProtocolSchedule
 from cribmem.propagators import (
     Stage,
     block_reversal_permutation,
-    stage2_action,
-    stage3_rows,
-    stage_eigen,
+    block_sums,
+    stage3_correction,
+    stage_action,
 )
 from cribmem.quadrature import TimeGrid, check_time_reversible
 
@@ -69,39 +71,62 @@ class EfficiencyKernel:
     matrix: np.ndarray
 
 
-def _assembled_at_u(u: complex, grid: DetuningGrid, schedule: ProtocolSchedule,
-                    t_out_hi, t_in_hi, s_out, s_in, e2d_lift) -> tuple[np.ndarray, np.ndarray]:
-    """K_E-hat at one contour node as two column blocks over all output rows.
+def _contour_assembly(grid: DetuningGrid, schedule: ProtocolSchedule, us,
+                      t_out, t_in):
+    """Every stage propagation of the kernel, batched over the nodes ``us``.
 
-    Rows are ordered (outputs t <= tau_d, t_out_hi); the first block holds
-    the inputs t' <= tau_d, the second the inputs t_in_hi.  The stage-2
-    factors come from ``stage2_action``: ``s_out`` and ``s_in`` hold the
-    rows exp(M2 t) h at the output and input times t <= tau_d, and
-    ``e2d_lift`` is exp(M2 tau_d) lift.  Only the K x K stage-1 generator is
-    decomposed here; stage 4 follows by the controlled-detuning reflection,
-    stage 3 by its exact block reduction.
+    Returns ``(assemble, work)``.  ``assemble(i)`` is K_E-hat at ``us[i]`` as
+    two column blocks over all output rows, from products alone: rows are
+    ordered (outputs t <= tau_d, later outputs), the first block holds the
+    inputs t' <= tau_d, the second the later inputs.  ``work`` is the
+    stage-2 (substeps, matvecs).  Two stage-2 actions give the stored
+    states exp(M2 t') h and exp(M2 tau_d) lift; two stage-1 actions give
+    exp(M1 s) h at the later times and the stage-3 correction over tau_s.
     """
-    g = grid.joint_weights
-    g0 = grid.intrinsic_weights
-    ts = schedule.tau_s
+    td, ts = schedule.tau_d, schedule.tau_s
+    lo_out, lo_in = t_out <= td, t_in <= td
+    t_lo = np.union1d(t_out[lo_out], t_in[lo_in])
+    t_hi = np.union1d(t_out[~lo_out], t_in[~lo_in]) - td
+    out_lo, in_lo = np.searchsorted(t_lo, t_out[lo_out]), np.searchsorted(t_lo, t_in[lo_in])
+    out_hi = np.searchsorted(t_hi, t_out[~lo_out] - td)
+    in_hi = np.searchsorted(t_hi, t_in[~lo_in] - td)
+    stored = stage_action(Stage.S2, grid, us, np.ones((grid.k * grid.n, 1)), t_lo)
+    lift = np.kron(np.eye(grid.k), np.ones((grid.n, 1)))   # KN x K column lift
+    lifted = stage_action(Stage.S2, grid, us, lift, [td])
+    free = stage_action(Stage.S1, grid, us, np.ones((grid.k, 1)), t_hi).states[..., 0]
+
+    # Stage 3 through the block sums of the stored columns: the inputs
+    # t' <= tau_d (summed before they are picked out), then the lift.
+    y_in = block_sums(grid, stored.states)[in_lo, :, :, 0].transpose(1, 2, 0)
+    y0 = np.concatenate([y_in, block_sums(grid, lifted.states[0])], axis=2)
+    corr = stage3_correction(grid, us, y0, ts)
+    phase = np.exp(-1j * grid.delta_zero() * ts)
+    g, g0 = grid.joint_weights, grid.intrinsic_weights
     perm = block_reversal_permutation(grid)
-    e1 = stage_eigen(Stage.S1, u, grid)
+    n_lo = in_lo.size
 
-    # Read-out rows.  M2^T = D M2 D^-1 with D = diag(g), so
-    # g^T exp(M2 t) = (g o exp(M2 t) h)^T and, for the K x KN block rows of
-    # controlled weights lw = (D lift diag(1/g0))^T,
-    # lw exp(M2 td) = (D e2d_lift diag(1/g0))^T.  Stage 4 is stage 2
-    # reflected, and the reflection fixes g and lw on the symmetric comb.
-    a4 = (g[None, :] * s_out)[:, perm]
-    g0v1 = g0 @ e1.vectors
-    a1 = (g0v1[None, :] * np.exp(np.outer(t_out_hi, e1.values))) @ e1.inverse
-    lw_e4 = (g[:, None] * e2d_lift / g0[None, :]).T[:, perm]
-    rows = stage3_rows(np.vstack([a4, a1 @ lw_e4]), u, grid, ts, e1)
+    def assemble(i: int) -> tuple[np.ndarray, np.ndarray]:
+        s2 = stored.states[:, i, :, 0]
+        e2d_lift = lifted.states[0, i]
+        # Read-out rows.  M2^T = D M2 D^-1 with D = diag(g), so
+        # g^T exp(M2 t) = (g o exp(M2 t) h)^T and, for the K x KN block rows
+        # of controlled weights lw = (D lift diag(1/g0))^T,
+        # lw exp(M2 td) = (D e2d_lift diag(1/g0))^T.  Stage 4 is stage 2
+        # reflected, and the reflection fixes g and lw on the symmetric comb.
+        # Likewise M1^T = D0 M1 D0^-1 with D0 = diag(g0), so
+        # g0^T exp(M1 s) = (g0 o exp(M1 s) h)^T.
+        a4 = (g[None, :] * s2[out_lo])[:, perm]
+        lw_e4 = (g[:, None] * e2d_lift / g0[None, :]).T[:, perm]
+        rows = np.vstack([a4, (g0[None, :] * free[out_hi, i]) @ lw_e4])
+        # exp(M3 ts) X = phase o X - repeat_N(corr); the repeat folds into
+        # the block sums of the rows.
+        sums = (rows.reshape(-1, grid.n) @ np.ones(grid.n)).reshape(-1, grid.k)
+        rows *= phase
+        k_lo = rows @ s2[in_lo].T - sums @ corr[i, :, :n_lo]
+        k_hi = (rows @ e2d_lift - sums @ corr[i, :, n_lo:]) @ free[in_hi, i].T
+        return k_lo, k_hi
 
-    # Stored states: exp(M2 t') h, and exp(M2 td) lift exp(M1 s') h.
-    h1 = e1.inverse @ np.ones(grid.k)
-    b1 = e1.vectors @ (np.exp(np.outer(e1.values, t_in_hi)) * h1[:, None])
-    return rows @ s_in.T, (rows @ e2d_lift) @ b1
+    return assemble, (stored.substeps + lifted.substeps, stored.matvecs + lifted.matvecs)
 
 
 def build_transfer_kernel(
@@ -126,38 +151,20 @@ def build_transfer_kernel(
         raise ValueError("the controlled detuning nodes and weights must be "
                          "mirror-symmetric about zero")
     use_half = grid.is_symmetric()
-
-    td = schedule.tau_d
-    out_lo = out_grid.nodes <= td
-    in_lo = in_grid.nodes <= td
-    t_out_lo = out_grid.nodes[out_lo]
-    t_out_hi = out_grid.nodes[~out_lo] - td
-    t_in_lo = in_grid.nodes[in_lo]
-    t_in_hi = in_grid.nodes[~in_lo] - td
-
     if use_half:
         sel = contour.conjugate_half()
     else:
         sel = np.arange(contour.size)
-    us = contour.nodes[sel]
-
-    # Stage 2 for the whole contour at once: exp(M2 t) h at every output
-    # and input time t <= tau_d, and exp(M2 td) lift.
-    t_lo = np.union1d(t_out_lo, t_in_lo)
-    stored = stage2_action(grid, us, np.ones((grid.k * grid.n, 1)), t_lo)
-    lift = np.kron(np.eye(grid.k), np.ones((grid.n, 1)))   # KN x K column lift
-    lifted = stage2_action(grid, us, lift, [td])
-    out_at = np.searchsorted(t_lo, t_out_lo)
-    in_at = np.searchsorted(t_lo, t_in_lo)
+    assemble, (substeps, matvecs) = _contour_assembly(
+        grid, schedule, contour.nodes[sel], out_grid.nodes, in_grid.nodes)
 
     values = np.zeros((out_grid.size, in_grid.size), dtype=complex)
-    n_lo = t_in_lo.size   # nodes increase, so the t <= tau_d rows and columns lead
+    # Nodes increase, so the t <= tau_d rows and columns lead.
+    n_lo = int(np.count_nonzero(in_grid.nodes <= schedule.tau_d))
     for i, idx in enumerate(sel):
         u = complex(contour.nodes[idx])
         wu = complex(contour.derivative_weights[idx]) * (-1.0 / (u * u))
-        s2 = stored.states[:, i, :, 0]
-        k_lo, k_hi = _assembled_at_u(u, grid, schedule, t_out_hi, t_in_hi,
-                                     s2[out_at], s2[in_at], lifted.states[0, i])
+        k_lo, k_hi = assemble(i)
         values[:, :n_lo] += wu * k_lo
         values[:, n_lo:] += wu * k_hi
 
@@ -165,8 +172,8 @@ def build_transfer_kernel(
         "assembly": "half" if use_half else "full",
         "contour_nodes": int(contour.size),
         "rephasing_time": grid.rephasing_time(),
-        "stage2_substeps": stored.substeps + lifted.substeps,
-        "stage2_matvecs": stored.matvecs + lifted.matvecs,
+        "stage2_substeps": substeps,
+        "stage2_matvecs": matvecs,
     }
     if use_half:
         values = 2.0 * values.real + 0.0j

@@ -10,6 +10,7 @@ computed once and applied to the whole time grid.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,8 @@ def talbot_contour(m: int, t_scale: float, speed: float = 1.0) -> LaplaceContour
     error reaches the float64 cancellation floor by m ~ 24; smaller values
     trade accuracy for a slower, measurable geometric convergence.
     """
-    if m < 8:
-        raise ValueError(f"need at least 8 contour nodes, got {m!r}")
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 8:
+        raise ValueError(f"need an integer of at least 8 contour nodes, got {m!r}")
     if not (t_scale > 0.0 and math.isfinite(t_scale)):
         raise ValueError(f"t_scale must be positive, got {t_scale!r}")
     if not (speed > 0.0):

@@ -9,6 +9,7 @@ window.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,16 +41,13 @@ class TimeGrid:
     def size(self) -> int:
         return self.nodes.size
 
-    def span(self) -> float:
-        return self.b - self.a
-
 
 def tanh_sinh_grid(a: float, b: float, level: int) -> TimeGrid:
     """Tanh-sinh rule mapped to [a, b] with 2**(level+1) + 1 nodes."""
     if not (b > a):
         raise ValueError(f"need b > a, got a={a!r}, b={b!r}")
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level!r}")
+    if isinstance(level, bool) or not isinstance(level, numbers.Integral) or level < 1:
+        raise ValueError(f"level must be an integer >= 1, got {level!r}")
     n = 2**level
     h = _T_MAX / n
     t = h * np.arange(0, n + 1)

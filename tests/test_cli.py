@@ -176,12 +176,30 @@ def test_unknown_command_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
 
 
+def test_config_file_sets_output_format_and_threads(tmp_path, capsys):
+    # --out, --format and --threads come from the file unless a flag is given.
+    out = tmp_path / "x.json"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"format": "json", "out": str(out), "threads": 2}))
+    argv = ["transmission", "--d0", "5", "--omega", "0", "--config", str(path)]
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0 and stdout == ""
+    payload = json.loads(out.read_text())
+    assert payload["settings"]["threads"] == 2
+    code, stdout, _ = run_cli(argv + ["--format", "csv", "--out", "-"], capsys)
+    assert code == 0
+    assert stdout.startswith("# cribmem transmission ") and "threads=2" in stdout
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"no_such_key": 1}))
-    code, _, err = run_cli(["sweep-optimal", "--config", str(path)], capsys)
-    assert code == 2
-    assert "configuration error" in err
+    for bad in ({"no_such_key": 1}, {"command": "modes"}, {"threads": 0},
+                {"grid_k": "15"}, {"quad_level": 2.5}, {"grid_k": 5.0},
+                {"grid_k": True}, {"d0": ["25"]}, {"extent": None}, [1, 2]):
+        path.write_text(json.dumps(bad))
+        code, _, err = run_cli(["sweep-optimal", "--config", str(path)], capsys)
+        assert code == 2, bad
+        assert "configuration error" in err
 
 
 def test_empty_list_exits_2(capsys):

@@ -6,8 +6,9 @@ import pytest
 import scipy.linalg
 
 from cribmem import build_detuning_grid, derive_params, talbot_contour, tanh_sinh_grid
+from cribmem.analytic import Profile, broadening_stage_efficiency_numeric
 from cribmem.kernels import (
-    _assembled_at_u,
+    _contour_assembly,
     apply_output,
     build_efficiency_kernel,
     build_transfer_kernel,
@@ -17,7 +18,6 @@ from cribmem.kernels import (
 from cribmem.laplace import invert_at_unit
 from cribmem.model import DetuningGrid, ProtocolSchedule, default_schedule
 from cribmem.modes import gaussian_mode
-from cribmem.propagators import stage2_action
 
 
 def j1_series(x: float) -> float:
@@ -83,16 +83,11 @@ def dense_kernel_entry(t: float, t_prime: float, grid: DetuningGrid,
     return invert_at_unit(contour, samples)
 
 
-def stage2_factors(u: complex, grid: DetuningGrid, sched: ProtocolSchedule,
-                   t_out_lo, t_in_lo):
-    """The stage-2 arguments of _assembled_at_u at one contour node."""
-    kn = grid.k * grid.n
-    t_lo = np.union1d(t_out_lo, t_in_lo)
-    states = stage2_action(grid, [u], np.ones((kn, 1)), t_lo).states[:, 0, :, 0]
-    lift = np.kron(np.eye(grid.k), np.ones((grid.n, 1)))
-    e2d_lift = stage2_action(grid, [u], lift, [sched.tau_d]).states[0, 0]
-    return (states[np.searchsorted(t_lo, t_out_lo)],
-            states[np.searchsorted(t_lo, t_in_lo)], e2d_lift)
+def assembled_at(u: complex, grid: DetuningGrid, sched: ProtocolSchedule,
+                 t_out, t_in):
+    """K_E-hat at one contour node, in the kernel's two column blocks."""
+    assemble, _ = _contour_assembly(grid, sched, [u], t_out, t_in)
+    return assemble(0)
 
 
 def test_kernel_samples_matches_direct_matrix_chain():
@@ -100,9 +95,9 @@ def test_kernel_samples_matches_direct_matrix_chain():
     params, sched, grid, contour, _ = build_small(k=3, n=3, level=3)
     u = complex(contour.nodes[3])
     t, tp = 0.35, 0.45   # inside both the tau_d and tau_p windows
-    k_lo, k_hi = _assembled_at_u(
-        u, grid, sched, np.array([t]), np.array([tp]),
-        *stage2_factors(u, grid, sched, np.array([t]), np.array([tp])))
+    td = sched.tau_d
+    k_lo, k_hi = assembled_at(u, grid, sched, np.array([t, t + td]),
+                              np.array([tp, tp + td]))
     # Rows: rephasing output, then read-out output; blocks: dephasing input,
     # then read-in input.
     got = {"k1": k_lo[0, 0], "k2": k_hi[0, 0], "k3": k_lo[1, 0], "k4": k_hi[1, 0]}
@@ -181,9 +176,7 @@ def test_zero_dephasing_kernel_has_empty_low_block():
     contour = talbot_contour(32, 1.0)
     tg = tanh_sinh_grid(0.0, sched.tau_r, 3)
     u = complex(contour.nodes[3])
-    k_lo, k_hi = _assembled_at_u(
-        u, grid, sched, tg.nodes, tg.nodes,
-        *stage2_factors(u, grid, sched, tg.nodes[:0], tg.nodes[:0]))
+    k_lo, k_hi = assembled_at(u, grid, sched, tg.nodes, tg.nodes)
     assert k_lo.shape == (tg.size, 0)
     assert k_hi.shape == (tg.size, tg.size)
     kern = build_transfer_kernel(params, sched, grid, contour, tg, tg)
@@ -197,6 +190,18 @@ def test_kernel_reports_stage2_work():
     for key in ("stage2_substeps", "stage2_matvecs"):
         assert isinstance(kern.diagnostics[key], int)
         assert kern.diagnostics[key] > 0
+
+
+def test_kernel_and_perturbative_numeric_decompose_nothing(monkeypatch):
+    # Every stage exponential is applied by its action; no eigendecomposition.
+    def no_eig(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eig was called")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    *_, kern = build_small(k=3, n=3, level=3)
+    assert np.all(np.isfinite(kern.values))
+    eta = broadening_stage_efficiency_numeric(Profile.flat(), 10.0, 1.0)
+    assert 0.0 < eta < 1.0
 
 
 def test_half_assembly_requires_symmetric_grid():

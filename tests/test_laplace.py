@@ -87,6 +87,9 @@ def test_conjugate_half_indices():
 def test_rejects_small_m_and_bad_scale():
     with pytest.raises(ValueError):
         talbot_contour(7, 1.0)
+    for m in (16.5, 16.0):
+        with pytest.raises(ValueError, match="integer"):
+            talbot_contour(m, 1.0)
     with pytest.raises(ValueError):
         talbot_contour(32, 0.0)
     with pytest.raises(ValueError):

@@ -7,17 +7,17 @@ from cribmem.model import DetuningGrid
 from cribmem.propagators import (
     Stage,
     block_reversal_permutation,
-    phi1,
-    stage2_action,
-    stage3_rows,
-    stage_eigen,
+    block_sums,
+    stage3_correction,
+    stage_action,
     stage_matrix,
 )
 
 
-def eigen_expm(e, duration: float) -> np.ndarray:
-    """exp(M * duration) assembled from a stage_eigen decomposition of M."""
-    return e.vectors @ (np.exp(e.values * duration)[:, None] * e.inverse)
+def action_expm(stage: Stage, u, grid: DetuningGrid, duration: float) -> np.ndarray:
+    """exp(M * duration) as the stage action on the identity at one node."""
+    dim = stage_matrix(stage, u, grid).shape[0]
+    return stage_action(stage, grid, [u], np.eye(dim), [duration]).states[0, 0]
 
 
 def brute_force_stage(stage: Stage, u: complex, grid: DetuningGrid) -> np.ndarray:
@@ -125,7 +125,7 @@ def test_degenerate_controlled_grid_lifts_to_s1():
 def test_propagator_exp_scalar():
     g = build_detuning_grid(0.1, 0.0, k=1, n=1)
     u = 1.0 + 2.0j
-    out = eigen_expm(stage_eigen(Stage.S1, u, g), 0.8)
+    out = action_expm(Stage.S1, u, g, 0.8)
     assert out[0, 0] == pytest.approx(np.exp(-0.8 / u), rel=1e-13)
 
 
@@ -133,61 +133,64 @@ def test_propagator_exp_matches_scaling_and_squaring():
     g = small_grid(2, 3)
     u = 0.6 - 1.4j
     for stage in Stage:
-        got = eigen_expm(stage_eigen(stage, u, g), 0.7)
+        got = action_expm(stage, u, g, 0.7)
         want = scipy.linalg.expm(0.7 * stage_matrix(stage, u, g))
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-9
 
 
-def test_stage_eigen_defective_generator_raises():
+def test_stage_action_on_defective_generator_matches_expm():
     # Two intrinsic classes at +-1/2 with equal weights: at u = 1 the stage-1
-    # generator is -I/2 plus a nilpotent part, a 2x2 Jordan block.
+    # generator is -I/2 plus a nilpotent part, a 2x2 Jordan block, which has
+    # no eigenvector basis.  The action needs none.
     g = DetuningGrid(np.array([-0.5, 0.5]), np.array([0.5, 0.5]),
                      np.array([0.0]), np.array([1.0]))
     m = stage_matrix(Stage.S1, 1.0, g)
     jordan = m + 0.5 * np.eye(2)
     assert np.array_equal(jordan @ jordan, np.zeros((2, 2)))
     assert np.any(jordan != 0.0)
-    with pytest.raises(NumericsError, match=r"stage-1 .*u=\(1\+0j\).*cond="):
-        stage_eigen(Stage.S1, 1.0, g)
+    for t in (0.3, 1.0, 4.0):
+        want = scipy.linalg.expm(m * t)
+        got = action_expm(Stage.S1, 1.0, g, t)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_semigroup_property_all_stages_all_nodes():
     g = build_detuning_grid(0.2, 1.0, k=3, n=3)
-    contour = talbot_contour(16, 1.0)
+    us = talbot_contour(16, 1.0).nodes
     for stage in Stage:
-        for u in contour.nodes:
-            e = stage_eigen(stage, complex(u), g)
-            whole = eigen_expm(e, 1.0)
-            part = eigen_expm(e, 0.35) @ eigen_expm(e, 0.65)
-            rel = np.linalg.norm(whole - part) / np.linalg.norm(whole)
+        eye = np.eye(stage_matrix(stage, 1.0, g).shape[0])
+        whole = stage_action(stage, g, us, eye, [1.0]).states[0]
+        first = stage_action(stage, g, us, eye, [0.65]).states[0]
+        part = stage_action(stage, g, us, first, [0.35]).states[0]
+        for j in range(us.size):
+            rel = np.linalg.norm(whole[j] - part[j]) / np.linalg.norm(whole[j])
             assert rel < 1e-8
 
 
-def test_phi1_small_and_large_arguments():
-    z = np.array([0.0, 1e-9, 1e-9j, 0.3 + 0.1j, 4.0 - 2.0j])
-    got = phi1(z)
-    assert got[0] == pytest.approx(1.0)
-    for zi, gi in zip(z[1:], got[1:]):
-        want = (np.exp(zi) - 1.0) / zi if abs(zi) > 1e-7 else 1.0 + zi / 2.0
-        assert abs(gi - want) < 1e-12
+def stage3_by_reduction(g: DetuningGrid, us, tau: float, x: np.ndarray) -> np.ndarray:
+    """exp(M3 tau) x from the block reduction, for each node in us."""
+    corr = stage3_correction(g, us, block_sums(g, x), tau)
+    phase = np.exp(-1j * g.delta_zero() * tau)[:, None]
+    return phase * x - np.repeat(corr, g.n, axis=1)
 
 
 def test_stage3_action_matches_dense_exponential():
     g = build_detuning_grid(0.3, 1.2, k=3, n=3)
-    u = 0.8 + 1.7j
+    us = [0.8 + 1.7j, -0.4 + 2.5j]
     tau = 2.3
-    dense = scipy.linalg.expm(stage_matrix(Stage.S3, u, g) * tau)
     rng = np.random.default_rng(5)
-    a = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
-    got = stage3_rows(a, u, g, tau, stage_eigen(Stage.S1, u, g))
-    assert np.allclose(got, a @ dense, atol=1e-11)
+    x = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
+    got = stage3_by_reduction(g, us, tau, x)
+    for j, u in enumerate(us):
+        dense = scipy.linalg.expm(stage_matrix(Stage.S3, u, g) * tau)
+        assert np.allclose(got[j], dense @ x, atol=1e-11)
 
 
 def test_stage3_action_zero_duration_is_identity():
     g = build_detuning_grid(0.3, 1.2, k=3, n=3)
-    a = np.eye(9, dtype=complex)
-    got = stage3_rows(a, 1.0 + 1.0j, g, 0.0, stage_eigen(Stage.S1, 1.0 + 1.0j, g))
-    assert np.allclose(got, a, atol=1e-14)
+    x = np.eye(9, dtype=complex)
+    got = stage3_by_reduction(g, [1.0 + 1.0j], 0.0, x)
+    assert np.allclose(got[0], x, atol=1e-14)
 
 
 def stage2_nodes():
@@ -205,7 +208,7 @@ def test_stage2_action_matches_dense_exponential():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((15, 2)) + 1j * rng.standard_normal((15, 2))
     us = stage2_nodes()
-    got = stage2_action(g, us, x, times)
+    got = stage_action(Stage.S2, g, us, x, times)
     assert got.states.shape == (4, 3, 15, 2)
     for j, u in enumerate(us):
         for i, t in enumerate(times):
@@ -219,9 +222,9 @@ def test_stage2_action_batch_equals_single_nodes():
     us = stage2_nodes()
     rng = np.random.default_rng(8)
     x = rng.standard_normal((3, 15, 1)) + 1j * rng.standard_normal((3, 15, 1))
-    batch = stage2_action(g, us, x, [0.2, 0.7]).states
+    batch = stage_action(Stage.S2, g, us, x, [0.2, 0.7]).states
     for j, u in enumerate(us):
-        single = stage2_action(g, [u], x[j], [0.2, 0.7]).states[:, 0]
+        single = stage_action(Stage.S2, g, [u], x[j], [0.2, 0.7]).states[:, 0]
         assert np.allclose(batch[:, j], single, rtol=0.0, atol=1e-14)
 
 
@@ -230,7 +233,7 @@ def test_stage2_action_rejects_bad_times():
     x = np.ones((15, 1))
     for times in ([0.5, 0.2], [-0.1, 0.3]):
         with pytest.raises(ValueError, match="non-decreasing"):
-            stage2_action(g, stage2_nodes(), x, times)
+            stage_action(Stage.S2, g, stage2_nodes(), x, times)
 
 
 def test_stage2_action_non_finite_input_raises():
@@ -238,7 +241,7 @@ def test_stage2_action_non_finite_input_raises():
     x = np.ones((15, 1))
     x[4, 0] = np.nan
     with pytest.raises(NumericsError, match="did not converge.*u="):
-        stage2_action(g, stage2_nodes(), x, [0.5])
+        stage_action(Stage.S2, g, stage2_nodes(), x, [0.5])
 
 
 def test_stage2_action_gives_stage4_read_out_rows():
@@ -249,7 +252,7 @@ def test_stage2_action_gives_stage4_read_out_rows():
     perm = block_reversal_permutation(g)
     times = [0.3, 1.0]
     us = stage2_nodes()
-    states = stage2_action(g, us, np.ones((15, 1)), times).states
+    states = stage_action(Stage.S2, g, us, np.ones((15, 1)), times).states
     for j, u in enumerate(us):
         for i, t in enumerate(times):
             want = w @ scipy.linalg.expm(stage_matrix(Stage.S4, u, g) * t)

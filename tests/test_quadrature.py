@@ -69,6 +69,9 @@ def test_grid_rejects_bad_interval_and_level():
         tanh_sinh_grid(2.0, 1.0, 5)
     with pytest.raises(ValueError):
         tanh_sinh_grid(0.0, 1.0, 0)
+    for level in (2.5, 5.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            tanh_sinh_grid(0.0, 1.0, level)
 
 
 def test_integrate_zero_and_ones():
