@@ -56,9 +56,6 @@ class Profile:
         grid = tanh_sinh_grid(0.0, 1.0, z_level)
         return cls(grid=grid, values=np.asarray([func(z) for z in grid.nodes]))
 
-    def norm_sq(self) -> float:
-        return float(np.sum(self.grid.weights * np.abs(self.values) ** 2))
-
     def is_real(self) -> bool:
         scale = float(np.max(np.abs(self.values))) or 1.0
         return bool(np.all(np.abs(self.values.imag) <= 1e-14 * scale))
@@ -119,9 +116,9 @@ def dephasing_envelope(t: float, width_rel: float) -> float:
 def perturbative_efficiency(p1: Profile, gamma_rel: float,
                             tau_d: float) -> PerturbativeResult:
     """First-order surviving fraction through the two broadening stages."""
-    if not gamma_rel > 0.0:
-        raise ValueError(f"gamma_rel must be positive, got {gamma_rel!r}")
-    if tau_d < 0.0:
+    if not (gamma_rel > 0.0 and math.isfinite(gamma_rel)):
+        raise ValueError(f"gamma_rel must be positive and finite, got {gamma_rel!r}")
+    if not tau_d >= 0.0:  # inf is the long-stage limit, erf(gamma tau_d) = 1
         raise ValueError(f"tau_d must be non-negative, got {tau_d!r}")
     if not p1.is_real():
         raise ValueError(
@@ -166,8 +163,10 @@ def broadening_stage_efficiency_numeric(
     otherwise long stages alias against the finite class comb.  An explicit
     count below that floor raises ValueError.
     """
-    if not gamma_rel > 0.0:
-        raise ValueError(f"gamma_rel must be positive, got {gamma_rel!r}")
+    if not (gamma_rel > 0.0 and math.isfinite(gamma_rel)):
+        raise ValueError(f"gamma_rel must be positive and finite, got {gamma_rel!r}")
+    if not (tau_d >= 0.0 and math.isfinite(tau_d)):
+        raise ValueError(f"tau_d must be non-negative and finite, got {tau_d!r}")
     floor = _min_safe_classes(gamma_rel, tau_d, extent_sigmas)
     if n_classes is None:
         n_classes = max(_DEFAULT_CLASSES, floor)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -165,6 +166,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise ValueError("threads must be at least 1")
     if cfg["format"] not in ("csv", "json"):
         raise ValueError(f"unknown format {cfg['format']!r}")
+    for key in ("extent", "taud", "d0", "gamma", "omega"):
+        vals = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
+        if not all(math.isfinite(v) for v in vals if v is not None):
+            raise ValueError(f"{key} must be finite, got {cfg[key]!r}")
+    out = cfg["out"]   # checked before any point is computed
+    if out != "-" and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise ValueError(f"output path {out!r} is a directory or in a missing one")
     return cfg
 
 

@@ -35,7 +35,6 @@ class LaplaceContour:
     nodes: np.ndarray
     derivative_weights: np.ndarray
     t_scale: float
-    speed: float = 1.0
 
     @property
     def size(self) -> int:
@@ -59,26 +58,22 @@ def _sigma(theta: np.ndarray):
     return sig, dsig
 
 
-def talbot_contour(m: int, t_scale: float, speed: float = 1.0) -> LaplaceContour:
+def talbot_contour(m: int, t_scale: float) -> LaplaceContour:
     """Modified Talbot contour with m nodes, scaled for inversion at t_scale.
 
-    ``speed`` rescales the contour: 1.0 gives the optimized geometry whose
-    error reaches the float64 cancellation floor by m ~ 24; smaller values
-    trade accuracy for a slower, measurable geometric convergence.
+    The optimized geometry's error reaches the float64 cancellation floor
+    by m ~ 24.
     """
     if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 8:
         raise ValueError(f"need an integer of at least 8 contour nodes, got {m!r}")
     if not (t_scale > 0.0 and math.isfinite(t_scale)):
         raise ValueError(f"t_scale must be positive, got {t_scale!r}")
-    if not (speed > 0.0):
-        raise ValueError(f"speed must be positive, got {speed!r}")
     theta = -math.pi + (np.arange(m) + 0.5) * (2.0 * math.pi / m)
     sig, dsig = _sigma(theta)
-    scale = speed * m / t_scale
+    scale = m / t_scale
     nodes = scale * sig
     weights = (scale / (1j * m)) * dsig * np.exp(nodes * t_scale)
-    return LaplaceContour(nodes=nodes, derivative_weights=weights,
-                          t_scale=t_scale, speed=speed)
+    return LaplaceContour(nodes=nodes, derivative_weights=weights, t_scale=t_scale)
 
 
 def invert_at_unit(contour: LaplaceContour, samples) -> complex:

@@ -6,7 +6,8 @@ rank-one coupling through the radiated field).  Stage 1 acts on the K
 intrinsic classes, stages 2-4 on the K*N joint classes.  ``stage_action``
 applies the exponential of any stage to blocks of vectors without forming
 it, for a whole batch of contour nodes at once: a product with the
-diagonal-plus-rank-one generator costs O(dimension) per vector.  Stage 3 is
+diagonal-plus-rank-one generator costs O(dimension) per vector, and each
+Taylor step has a degree fixed in advance by a norm bound.  Stage 3 is
 reduced exactly onto the stage-1 action (``stage3_correction``), and stage
 4 follows from stage 2 by the controlled-detuning reflection wherever both
 are needed.  Nothing is decomposed.
@@ -29,8 +30,7 @@ import numpy as np
 from cribmem.errors import NumericsError
 from cribmem.model import DetuningGrid
 
-_TAYLOR_TOL = 2.0 ** -53
-_TAYLOR_MAX_TERMS = 40  # beta*h <= 1 needs at most ~20; more means non-finite data
+_TAYLOR_TOL = 2.0 ** -53 / math.e
 
 
 class Stage(enum.Enum):
@@ -84,9 +84,11 @@ def stage_action(stage: Stage, grid: DetuningGrid, us, x, times) -> StagePropaga
     (nodes, dimension, m) stack.  M(u) = -i diag(phi) - (1/u) 1 w^T is never
     formed.  The state is carried from one time to the next by truncated
     Taylor substeps h with beta*h <= 1, where beta = max|phi| + max|1/u| sum(w)
-    bounds the max-norm of every generator in the batch, so the k-th term is
-    at most 1/k! of the state.  Terms are added until each node's term falls
-    below 2^-53 of its state's max-abs.
+    bounds the max-norm of every generator in the batch.  The k-th term is
+    then at most (beta h)^k / k! of the state at the step's start, and the
+    state after the step at least e^-1 of it, so each step adds the m terms
+    of the smallest m with (beta h)^m / m! <= 2^-53 / e: its last term is
+    below 2^-53 of the state.  A non-finite result raises NumericsError.
     """
     us = np.asarray(us, dtype=complex).ravel()
     times = np.asarray(times, dtype=float)
@@ -112,49 +114,41 @@ def stage_action(stage: Stage, grid: DetuningGrid, us, x, times) -> StagePropaga
     t_now = 0.0
     for i, t in enumerate(times):
         count = math.ceil(beta * (t - t_now))
+        h = (t - t_now) / max(count, 1)
+        degree = _taylor_degree(beta * h)
         for _ in range(count):
-            matvecs += _taylor_step(state, term, phi, w, inv_u, (t - t_now) / count,
-                                    us, stage)
+            _taylor_step(state, term, phi, w, inv_u, h, degree)
         substeps += count
+        matvecs += count * degree
         out[i] = state
         t_now = t
+    # A non-finite entry stays non-finite under the in-place additions of
+    # every later step, so the final state shows any an output holds.
+    bad = ~np.isfinite(state).all(axis=(1, 2))
+    if bad.any():
+        raise NumericsError(f"stage-{stage.value} action gave non-finite values at "
+                            f"u={complex(us[np.flatnonzero(bad)[0]])!r}")
     return StagePropagation(out, substeps, matvecs)
 
 
-def _taylor_step(state, term, phi, w, inv_u, h, us, stage) -> int:
-    """state <- exp(M h) state in place; returns the number of products.
+def _taylor_degree(beta_h: float) -> int:
+    """Smallest m with beta_h^m / m! <= 2^-53 / e (19 at beta_h = 1)."""
+    m, bound = 1, beta_h
+    while bound > _TAYLOR_TOL:
+        m += 1
+        bound *= beta_h / m
+    return m
 
-    A term's 2-norm bounds its max-abs and is cheap to take per node, so
-    it is the one compared; the state's max-abs is taken at the start and
-    again only once every term has passed against that.
-    """
+
+def _taylor_step(state, term, phi, w, inv_u, h, degree) -> None:
+    """state <- exp(M h) state in place, by the Taylor polynomial of ``degree``."""
     term[...] = state
     coupling = (h * inv_u)[:, None]
-    limit = _TAYLOR_TOL * _max_abs(state)
-    for k in range(1, _TAYLOR_MAX_TERMS + 1):
+    for k in range(1, degree + 1):
         field = coupling * (w @ term) / k           # (h/k)(1/u) w^T term
         term *= (-1j * h / k) * phi[:, None]
         term -= field[:, None, :]
         state += term
-        size = _norm(term)
-        if np.all(size <= limit):
-            limit = _TAYLOR_TOL * _max_abs(state)
-            if np.all(size <= limit):
-                return k
-    bad = complex(us[np.flatnonzero(~(size <= limit))[0]])
-    raise NumericsError(f"stage-{stage.value} Taylor series did not converge in "
-                        f"{_TAYLOR_MAX_TERMS} terms at u={bad!r} (step {h:.3e})")
-
-
-def _max_abs(a: np.ndarray) -> np.ndarray:
-    """Per-node max of |Re| and |Im|, within sqrt(2) of the max modulus."""
-    return np.abs(a.view(float)).max(axis=(1, 2))
-
-
-def _norm(a: np.ndarray) -> np.ndarray:
-    """Per-node 2-norm."""
-    v = a.view(float).reshape(a.shape[0], -1)
-    return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
 # ---------------------------------------------------------------------------

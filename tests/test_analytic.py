@@ -75,10 +75,14 @@ def test_perturbative_efficiency_monotone_in_gamma():
 
 def test_perturbative_efficiency_rejects_bad_args():
     flat = Profile.flat()
+    for gamma, tau_d in ((0.0, 1.0), (5.0, -1.0), (math.nan, 1.0), (math.inf, 1.0),
+                         (5.0, math.nan)):
+        for efficiency in (perturbative_efficiency, broadening_stage_efficiency_numeric):
+            with pytest.raises(ValueError):
+                efficiency(flat, gamma, tau_d)
+    # tau_d = inf is the closed form's long-stage limit, but no stage length.
     with pytest.raises(ValueError):
-        perturbative_efficiency(flat, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        perturbative_efficiency(flat, 5.0, -1.0)
+        broadening_stage_efficiency_numeric(flat, 5.0, math.inf)
 
 
 def test_numeric_matches_perturbative_at_strong_broadening():

@@ -195,10 +195,32 @@ def test_bad_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     for bad in ({"no_such_key": 1}, {"command": "modes"}, {"threads": 0},
                 {"grid_k": "15"}, {"quad_level": 2.5}, {"grid_k": 5.0},
-                {"grid_k": True}, {"d0": ["25"]}, {"extent": None}, [1, 2]):
+                {"grid_k": True}, {"d0": ["25"]}, {"extent": None}, [1, 2],
+                {"omega": [math.nan]}, {"taud": math.inf}, {"extent": math.nan}):
         path.write_text(json.dumps(bad))
         code, _, err = run_cli(["sweep-optimal", "--config", str(path)], capsys)
         assert code == 2, bad
+        assert "configuration error" in err
+    for argv in (["transmission", "--d0", "5", "--omega", "nan"],
+                 ["perturbative", "--gamma", "inf"],
+                 ["perturbative", "--gamma", "5", "--taud", "inf"],
+                 ["sweep-optimal", "--d0=-inf"]):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert "configuration error" in err
+
+
+def test_unwritable_out_exits_2_before_computing(tmp_path, monkeypatch, capsys):
+    import cribmem.sweeps as sweeps
+
+    def never(*args, **kwargs):
+        raise AssertionError("points computed before the output path was checked")
+
+    monkeypatch.setattr(sweeps, "run_points", never)
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, _, err = run_cli(["sweep-optimal", "--d0", "10", "--gamma", "1",
+                                "--out", str(out)] + TINY, capsys)
+        assert code == 2, out
         assert "configuration error" in err
 
 

@@ -6,6 +6,7 @@ from cribmem import NumericsError, build_detuning_grid, talbot_contour
 from cribmem.model import DetuningGrid
 from cribmem.propagators import (
     Stage,
+    _generator_terms,
     block_reversal_permutation,
     block_sums,
     stage3_correction,
@@ -217,6 +218,26 @@ def test_stage2_action_matches_dense_exponential():
             assert err <= 1e-12
 
 
+@pytest.mark.parametrize("stage", [Stage.S1, Stage.S2, Stage.S4])
+def test_one_full_substep_matches_expm(stage):
+    # beta*h just below 1 is the longest substep and needs the highest
+    # Taylor degree; the fixed degree must still give float64 accuracy.
+    g = build_detuning_grid(0.3, 2.0, k=3, n=5)
+    phi, w = _generator_terms(stage, g)
+    nodes = talbot_contour(32, 1.0).nodes
+    left = nodes[np.argmin(nodes.real)]
+    nearest = nodes[np.argmax(np.abs(1.0 / nodes))]
+    assert left.real < 0.0
+    for u in (left, nearest):
+        beta = np.abs(phi).max() + abs(1.0 / u) * w.sum()
+        t = 0.999 / beta
+        got = stage_action(stage, g, [u], np.eye(phi.size), [t])
+        assert got.substeps == 1
+        want = scipy.linalg.expm(stage_matrix(stage, u, g) * t)
+        err = np.abs(got.states[0, 0] - want).max() / np.abs(want).max()
+        assert err <= 1e-14, (stage, u, err)
+
+
 def test_stage2_action_batch_equals_single_nodes():
     g = build_detuning_grid(0.3, 2.0, k=3, n=5)
     us = stage2_nodes()
@@ -240,7 +261,7 @@ def test_stage2_action_non_finite_input_raises():
     g = build_detuning_grid(0.3, 2.0, k=3, n=5)
     x = np.ones((15, 1))
     x[4, 0] = np.nan
-    with pytest.raises(NumericsError, match="did not converge.*u="):
+    with pytest.raises(NumericsError, match="non-finite.*u="):
         stage_action(Stage.S2, g, stage2_nodes(), x, [0.5])
 
 
