@@ -11,8 +11,9 @@ surviving norm gives
 
 valid to first order in 1/gamma.  The companion numeric routine evolves the
 same two stages non-perturbatively through the Laplace-domain machinery:
-``stage_action`` on a K = 1 detuning grid, for every contour node of every
-z node in one batch.
+``stage_action`` on a K = 1 detuning grid, for the upper-half contour nodes
+of every z node in one batch; each z node's inverse is twice the real part
+of its upper-half sum, since the profile is real and the comb symmetric.
 """
 
 from __future__ import annotations
@@ -23,54 +24,55 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.interpolate
 
-from cribmem.laplace import talbot_contour
-from cribmem.model import PhysicalParams, build_detuning_grid, gaussian_pdf
+from cribmem.laplace import DEFAULT_CONTOUR_NODES, talbot_contour
+from cribmem.model import (DEFAULT_EXTENT_SIGMAS, DEFAULT_GRID_POINTS, PhysicalParams,
+                           build_detuning_grid, gaussian_pdf, min_safe_classes)
 from cribmem.propagators import Stage, stage_action
 from cribmem.quadrature import TimeGrid, tanh_sinh_grid
 
 _DEFAULT_Z_LEVEL = 5
-_DEFAULT_CLASSES = 33
-_DEFAULT_EXTENT = 5.0
 _MAX_FIT_DEGREE = 10
 
 
 @dataclass(frozen=True)
 class Profile:
-    """Polarization profile sampled on a quadrature grid over [0, 1]."""
+    """Real polarization profile sampled on a quadrature grid over [0, 1].
+
+    Imaginary parts beyond 1e-14 of the largest sample raise ValueError.
+    """
 
     grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
+        values = np.asarray(self.values)
+        if np.any(np.abs(values.imag) > 1e-14 * np.max(np.abs(values), initial=0.0)):
+            raise ValueError("profile samples must be real")
+        object.__setattr__(self, "values", values.real.astype(float))
         if self.values.shape != self.grid.nodes.shape:
             raise ValueError("profile samples do not match the grid")
 
     @classmethod
     def flat(cls, z_level: int = _DEFAULT_Z_LEVEL) -> "Profile":
         grid = tanh_sinh_grid(0.0, 1.0, z_level)
-        return cls(grid=grid, values=np.ones(grid.size, dtype=complex))
+        return cls(grid=grid, values=np.ones(grid.size))
 
     @classmethod
     def from_callable(cls, func, z_level: int = _DEFAULT_Z_LEVEL) -> "Profile":
         grid = tanh_sinh_grid(0.0, 1.0, z_level)
         return cls(grid=grid, values=np.asarray([func(z) for z in grid.nodes]))
 
-    def is_real(self) -> bool:
-        scale = float(np.max(np.abs(self.values))) or 1.0
-        return bool(np.all(np.abs(self.values.imag) <= 1e-14 * scale))
-
-    def double_integral(self) -> complex:
+    def double_integral(self) -> float:
         """II[P] via a cubic-spline antiderivative of the inner integral."""
         z = self.grid.nodes
         if np.allclose(self.values, self.values[0]):
             # Uniform profile: II = c^2 * integral z dz = c^2 / 2, exactly.
-            c = complex(self.values[0])
+            c = float(self.values[0])
             return c * c * 0.5
         spline = scipy.interpolate.CubicSpline(z, self.values)
         inner = spline.antiderivative()
         outer = self.grid.weights * self.values * (inner(z) - inner(0.0))
-        return complex(outer.sum())
+        return float(outer.sum())
 
     def polynomial_coeffs(self) -> np.ndarray:
         """Power-basis fit used for the analytic spatial Laplace transform.
@@ -81,9 +83,9 @@ class Profile:
         """
         deg = min(_MAX_FIT_DEGREE, self.grid.size - 1)
         if np.allclose(self.values, self.values[0]):
-            return np.array([complex(self.values[0])])
+            return self.values[:1].copy()
         fit = np.polynomial.Polynomial.fit(self.grid.nodes, self.values, deg)
-        return fit.convert().coef.astype(complex)
+        return fit.convert().coef
 
     def laplace(self, u: np.ndarray) -> np.ndarray:
         """Spatial Laplace transform of the polynomial representation."""
@@ -98,14 +100,6 @@ class Profile:
         return out
 
 
-@dataclass(frozen=True)
-class PerturbativeResult:
-    eta: float
-    gamma_rel: float
-    tau_d: float
-    profile: Profile
-
-
 def dephasing_envelope(t: float, width_rel: float) -> float:
     """Fourier transform of the Gaussian broadening: exp(-w^2 t^2 / 2)."""
     if width_rel < 0.0:
@@ -113,32 +107,14 @@ def dephasing_envelope(t: float, width_rel: float) -> float:
     return math.exp(-0.5 * (width_rel * t) ** 2)
 
 
-def perturbative_efficiency(p1: Profile, gamma_rel: float,
-                            tau_d: float) -> PerturbativeResult:
+def perturbative_efficiency(p1: Profile, gamma_rel: float, tau_d: float) -> float:
     """First-order surviving fraction through the two broadening stages."""
     if not (gamma_rel > 0.0 and math.isfinite(gamma_rel)):
         raise ValueError(f"gamma_rel must be positive and finite, got {gamma_rel!r}")
     if not tau_d >= 0.0:  # inf is the long-stage limit, erf(gamma tau_d) = 1
         raise ValueError(f"tau_d must be non-negative, got {tau_d!r}")
-    if not p1.is_real():
-        raise ValueError(
-            "the first-order formula is stated without conjugation and is "
-            "only unambiguous for real profiles"
-        )
     ii = p1.double_integral()
-    eta = 1.0 - (2.0 * math.sqrt(math.pi) / gamma_rel) * math.erf(gamma_rel * tau_d) * ii.real
-    return PerturbativeResult(eta=float(eta), gamma_rel=gamma_rel,
-                              tau_d=tau_d, profile=p1)
-
-
-def _min_safe_classes(gamma_rel: float, tau_d: float, extent_sigmas: float) -> int:
-    """Smallest odd class count whose comb rephases after 2*max(tau_d, 1).
-
-    A comb of n classes over +-extent_sigmas*gamma_rel has step
-    2*extent_sigmas*gamma_rel/(n - 1) and rephases after 2*pi/step.
-    """
-    need = math.ceil(2.0 * extent_sigmas * gamma_rel * max(tau_d, 1.0) / math.pi)
-    return need + 1 + need % 2
+    return 1.0 - (2.0 * math.sqrt(math.pi) / gamma_rel) * math.erf(gamma_rel * tau_d) * ii
 
 
 def broadening_stage_efficiency_numeric(
@@ -146,17 +122,17 @@ def broadening_stage_efficiency_numeric(
     gamma_rel: float,
     tau_d: float,
     n_classes: int | None = None,
-    extent_sigmas: float = _DEFAULT_EXTENT,
-    contour_nodes: int = 32,
+    extent_sigmas: float = DEFAULT_EXTENT_SIGMAS,
+    contour_nodes: int = DEFAULT_CONTOUR_NODES,
 ) -> float:
     """Non-perturbative efficiency of the two broadening stages.
 
     Evolves the polarization through exp(M2 tau_d) then exp(M4 tau_d) in the
     spatial Laplace domain on a K = 1 detuning grid (the intrinsic
     broadening collapsed to the single resonant class), inverts onto the
-    profile's z-grid (one Talbot contour per node) and integrates |P(z)|^2.
-    Both stages run through ``stage_action`` on every contour node of
-    every z node at once.
+    profile's z-grid (one Talbot contour per node) and integrates P(z)^2.
+    Both stages run through ``stage_action`` on the upper-half contour nodes
+    of every z node at once.
 
     When ``n_classes`` is omitted it is chosen so the discrete-comb
     rephasing time 2*pi/step stays at least twice the stage duration;
@@ -167,9 +143,9 @@ def broadening_stage_efficiency_numeric(
         raise ValueError(f"gamma_rel must be positive and finite, got {gamma_rel!r}")
     if not (tau_d >= 0.0 and math.isfinite(tau_d)):
         raise ValueError(f"tau_d must be non-negative and finite, got {tau_d!r}")
-    floor = _min_safe_classes(gamma_rel, tau_d, extent_sigmas)
+    floor = min_safe_classes(gamma_rel, tau_d, extent_sigmas)
     if n_classes is None:
-        n_classes = max(_DEFAULT_CLASSES, floor)
+        n_classes = max(DEFAULT_GRID_POINTS, floor)
     if n_classes < 1 or n_classes % 2 == 0:
         raise ValueError("n_classes must be odd and positive")
     if n_classes < floor:
@@ -180,17 +156,18 @@ def broadening_stage_efficiency_numeric(
     grid = build_detuning_grid(1.0, gamma_rel, k=1, n=n_classes,
                                extent_sigmas=extent_sigmas)
 
-    # One Talbot contour per z node, all (z, u) nodes in one batch.
+    # One Talbot contour per z node, all (z, u) upper-half nodes in one batch.
     zg = p1.grid
     contours = [talbot_contour(contour_nodes, t_scale=float(z)) for z in zg.nodes]
-    us = np.concatenate([c.nodes for c in contours])
-    sig = stage_action(Stage.S2, grid, us, np.ones((n_classes, 1)), [tau_d]).states[0]
-    sig = stage_action(Stage.S4, grid, us, sig, [tau_d]).states[0][..., 0]
-    samples = (sig @ grid.joint_weights).reshape(zg.size, contour_nodes)
-    samples *= np.array([p1.laplace(c.nodes) for c in contours])
-    weights = np.array([c.derivative_weights for c in contours])
-    p4 = np.einsum("ij,ij->i", weights, samples)
-    return float(np.sum(zg.weights * np.abs(p4) ** 2))
+    half = contours[0].conjugate_half()
+    nodes = np.array([c.nodes[half] for c in contours])
+    weights = np.array([c.derivative_weights[half] for c in contours])
+    sig = stage_action(Stage.S2, grid, nodes.ravel(), np.ones((n_classes, 1)),
+                       [tau_d]).states[0]
+    sig = stage_action(Stage.S4, grid, nodes.ravel(), sig, [tau_d]).states[0][..., 0]
+    samples = (sig @ grid.joint_weights).reshape(nodes.shape) * p1.laplace(nodes)
+    p4 = 2.0 * np.einsum("ij,ij->i", weights, samples).real
+    return float(np.sum(zg.weights * p4 ** 2))
 
 
 def optical_depths(params: PhysicalParams) -> tuple[float, float]:

@@ -84,14 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Defaults of the other keys: gamma is log-spaced and the discretization
+# comes from sweeps.GridSettings, both in resolve_config.
 _DEFAULTS = {
     "d0": [25.0, 50.0, 100.0],
-    "gamma": list,      # filled below (log-spaced)
-    "grid_k": 33,
-    "grid_n": None,     # 33, except that perturbative lets the library choose
-    "extent": 5.0,
-    "quad_level": 6,
-    "contour_nodes": 32,
     "threads": 1,
     "format": "csv",
     "out": "-",
@@ -110,13 +106,13 @@ _KINDS = {**dict.fromkeys(("grid_k", "grid_n", "quad_level", "contour_nodes",
           **dict.fromkeys(("format", "out"), "a string")}
 
 
-def _checked(key: str, val):
+def _checked(key: str, val, default):
     """A config-file value of the type its flag takes, or ValueError."""
     def number(v) -> bool:
         return isinstance(v, (int, float)) and not isinstance(v, bool)
 
     kind = _KINDS[key]
-    if val is None and _DEFAULTS[key] is None:
+    if val is None and default is None:
         return val
     if kind == "an integer" and number(val) and isinstance(val, int):
         return val
@@ -134,18 +130,22 @@ def _checked(key: str, val):
 def resolve_config(args: argparse.Namespace) -> dict:
     import numpy as np
 
-    cfg = dict(_DEFAULTS)
-    cfg["gamma"] = [float(x) for x in np.geomspace(0.1, 10.0, 25)]
-    cfg["command"] = args.command
+    from cribmem.sweeps import GridSettings
+
+    settings = GridSettings()
+    cfg = {**_DEFAULTS, **settings.as_dict(),
+           "grid_n": None,   # settings.n, except that perturbative lets the library choose
+           "gamma": [float(x) for x in np.geomspace(0.1, 10.0, 25)]}
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("a config file must hold one JSON object")
-        unknown = set(loaded) - set(_DEFAULTS)
+        unknown = set(loaded) - set(_KINDS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update({key: _checked(key, val) for key, val in loaded.items()})
+        cfg.update({key: _checked(key, val, cfg[key]) for key, val in loaded.items()})
+    cfg["command"] = args.command
     for key in ("out", "format", "threads", "grid_k", "grid_n", "extent",
                 "quad_level", "contour_nodes", "taud",
                 "tc_points", "tw_points"):
@@ -159,7 +159,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if args.omega is not None:
         cfg["omega"] = _parse_float_list(args.omega)
     if cfg["grid_n"] is None and cfg["command"] != "perturbative":
-        cfg["grid_n"] = 33
+        cfg["grid_n"] = settings.n
     if not cfg["d0"] or not cfg["gamma"]:
         raise ValueError("d0 and gamma lists must be non-empty")
     if cfg["threads"] < 1:
@@ -224,7 +224,7 @@ def _compute_rows(cfg: dict) -> list[dict]:
         profile = analytic.Profile.flat()
         out = []
         for g in cfg["gamma"]:
-            closed = analytic.perturbative_efficiency(profile, g, cfg["taud"]).eta
+            closed = analytic.perturbative_efficiency(profile, g, cfg["taud"])
             numeric = analytic.broadening_stage_efficiency_numeric(
                 profile, g, cfg["taud"], n_classes=cfg["grid_n"],
                 extent_sigmas=cfg["extent"], contour_nodes=cfg["contour_nodes"])

@@ -12,7 +12,9 @@ the initial free stage and are stored as exp(M2 tau_d) lift exp(M1 s') h.
 Outputs with t <= tau_d are emitted during the rephasing stage through the
 row g^T exp(M4 t); later ones during the final free stage through
 g0^T exp(M1 s) lw exp(M4 tau_d).  Each entry is an inverse Laplace
-transform, along a fixed Talbot contour, of that product.
+transform, along a fixed Talbot contour, of that product; on the
+mirror-symmetric detuning grid it is real, twice the real part of the sum
+over the upper-half contour nodes.
 
 Every factor is the action of a stage exponential on a few vectors,
 computed for all contour nodes at once by ``stage_action`` before any node
@@ -23,9 +25,9 @@ from the same arrays, because M2^T = D M2 D^-1 with D = diag(g),
 M1^T = D0 M1 D0^-1 with D0 = diag(g0), and stage 4 is stage 2 reflected
 through the controlled comb.  Nothing is decomposed.
 
-The discretized efficiency kernel is the Gram matrix of the weighted
-transfer matrix; its largest eigenvalue is the maximal storage-and-retrieval
-efficiency.
+The discretized efficiency kernel is the real symmetric Gram matrix of the
+weighted transfer matrix; its largest eigenvalue is the maximal
+storage-and-retrieval efficiency.
 """
 
 from __future__ import annotations
@@ -65,10 +67,14 @@ class TransferKernel:
 
 @dataclass(frozen=True)
 class EfficiencyKernel:
-    """Hermitian matrix sqrt(w_i) K_eff(t_i, t_j) sqrt(w_j) on the in-grid."""
+    """Real symmetric matrix sqrt(w_i) K_eff(t_i, t_j) sqrt(w_j) on the in-grid."""
 
     grid: TimeGrid
     matrix: np.ndarray
+
+    def __post_init__(self):
+        if np.iscomplexobj(self.matrix):
+            raise ValueError("the efficiency matrix must be real")
 
 
 def _contour_assembly(grid: DetuningGrid, schedule: ProtocolSchedule, us,
@@ -137,49 +143,43 @@ def build_transfer_kernel(
     out_grid: TimeGrid,
     in_grid: TimeGrid,
 ) -> TransferKernel:
-    """Assemble K_E(t_i, t'_j) on the given time grids.
+    """Assemble the real K_E(t_i, t'_j) on the given time grids.
 
-    The controlled comb must be mirror-symmetric: stage 4 is obtained from
-    stage 2 by reflecting it.  On a fully symmetric grid the kernel is real,
-    so only the upper-half-plane contour nodes are evaluated and the real
-    part is doubled; otherwise every node is summed.
+    Both detuning families must be mirror-symmetric: stage 4 is obtained
+    from stage 2 by reflecting the controlled comb, and the symmetry makes
+    the kernel real, so only the upper-half contour nodes are evaluated and
+    the real part is doubled.
     """
     for tg, name in ((out_grid, "out_grid"), (in_grid, "in_grid")):
         if abs(tg.a) > _WINDOW_SLACK or abs(tg.b - schedule.tau_r) > _WINDOW_SLACK * max(1.0, schedule.tau_r):
             raise ValueError(f"{name} must span [0, tau_r], got [{tg.a}, {tg.b}]")
-    if not grid.is_controlled_symmetric():
-        raise ValueError("the controlled detuning nodes and weights must be "
-                         "mirror-symmetric about zero")
-    use_half = grid.is_symmetric()
-    if use_half:
-        sel = contour.conjugate_half()
-    else:
-        sel = np.arange(contour.size)
+    if not grid.is_symmetric():
+        raise ValueError("the intrinsic and controlled detuning nodes and "
+                         "weights must be mirror-symmetric about zero")
+    half = contour.conjugate_half()
     assemble, (substeps, matvecs) = _contour_assembly(
-        grid, schedule, contour.nodes[sel], out_grid.nodes, in_grid.nodes)
+        grid, schedule, contour.nodes[half], out_grid.nodes, in_grid.nodes)
 
-    values = np.zeros((out_grid.size, in_grid.size), dtype=complex)
+    values = np.zeros((out_grid.size, in_grid.size))
     # Nodes increase, so the t <= tau_d rows and columns lead.
     n_lo = int(np.count_nonzero(in_grid.nodes <= schedule.tau_d))
-    for i, idx in enumerate(sel):
+    for i, idx in enumerate(half):
         u = complex(contour.nodes[idx])
-        wu = complex(contour.derivative_weights[idx]) * (-1.0 / (u * u))
+        wu = 2.0 * complex(contour.derivative_weights[idx]) * (-1.0 / (u * u))
         k_lo, k_hi = assemble(i)
-        values[:, :n_lo] += wu * k_lo
-        values[:, n_lo:] += wu * k_hi
+        values[:, :n_lo] += (wu * k_lo).real
+        values[:, n_lo:] += (wu * k_hi).real
 
+    if not np.all(np.isfinite(values)):
+        raise NumericsError("non-finite entries in the transfer kernel")
     diagnostics = {
-        "assembly": "half" if use_half else "full",
+        "assembly": "half",
         "contour_nodes": int(contour.size),
         "rephasing_time": grid.rephasing_time(),
         "stage2_substeps": substeps,
         "stage2_matvecs": matvecs,
+        "max_abs": float(np.max(np.abs(values))),
     }
-    if use_half:
-        values = 2.0 * values.real + 0.0j
-    if not np.all(np.isfinite(values.view(float))):
-        raise NumericsError("non-finite entries in the transfer kernel")
-    diagnostics["max_abs"] = float(np.max(np.abs(values)))
     return TransferKernel(out_grid=out_grid, in_grid=in_grid, values=values,
                           schedule=schedule, diagnostics=diagnostics)
 
@@ -196,21 +196,22 @@ def apply_output(kernel: TransferKernel, e_in) -> np.ndarray:
             f"input has {e_in.shape} samples, in-grid has {kernel.in_grid.nodes.shape}"
         )
     check_time_reversible(kernel.in_grid)
-    return kernel.values @ (kernel.in_grid.weights * e_in[::-1])
+    x = kernel.in_grid.weights * e_in[::-1]   # parts apart: no complex copy of values
+    return kernel.values @ x.real + 1j * (kernel.values @ x.imag)
 
 
 def build_efficiency_kernel(kernel: TransferKernel) -> EfficiencyKernel:
-    """Weight-folded Hermitian efficiency matrix from the transfer kernel.
+    """Weight-folded real symmetric efficiency matrix from the transfer kernel.
 
-    With A = sqrt(w_out) K_E sqrt(w_in), the matrix is A^H A, explicitly
-    re-Hermitized; the Rayleigh quotient of sqrt(w)-scaled input samples
+    With A = sqrt(w_out) K_E sqrt(w_in), the matrix is A^T A, explicitly
+    re-symmetrized; the Rayleigh quotient of sqrt(w)-scaled input samples
     under it is the storage-and-retrieval efficiency.
     """
     sw_out = np.sqrt(kernel.out_grid.weights)
     sw_in = np.sqrt(kernel.in_grid.weights)
     a = sw_out[:, None] * kernel.values * sw_in[None, :]
-    m = a.conj().T @ a
-    m = 0.5 * (m + m.conj().T)
+    m = a.T @ a
+    m = 0.5 * (m + m.T)
     return EfficiencyKernel(grid=kernel.in_grid, matrix=m)
 
 

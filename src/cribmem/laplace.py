@@ -1,10 +1,13 @@
 """Numerical inverse Laplace transform on a fixed Talbot contour.
 
 The contour is Weideman's optimized cotangent deformation of the Bromwich
-line, sampled with the midpoint rule.  Because the node set depends only on
-the node count and the evaluation abscissa (not on the transform), one
-contour serves every kernel entry: the stage propagations at a node are
-computed once and applied to the whole time grid.
+line, sampled with the midpoint rule at an even number of nodes, which come
+in conjugate pairs.  Every transform inverted is of a real function, so the
+inverse is twice the real part of the sum over the upper-half nodes alone.
+Because the node set depends only on the node count and the evaluation
+abscissa (not on the transform), one contour serves every kernel entry: the
+stage propagations at a node are computed once and applied to the whole
+time grid.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ _A0 = -0.6122
 _A1 = 0.5017
 _A2 = 0.2645
 _B = 0.6407
+
+DEFAULT_CONTOUR_NODES = 32
 
 
 @dataclass(frozen=True)
@@ -41,34 +46,40 @@ class LaplaceContour:
         return self.nodes.size
 
     def conjugate_half(self) -> np.ndarray:
-        """Indices of the upper-half-plane nodes (conjugate-pair shortcut)."""
+        """Indices of the upper-half-plane nodes, the only ones evaluated."""
         return np.where(self.nodes.imag > 0.0)[0]
 
 
+# (y - sin y)/y^3 = sum_n (-1)^n y^2n / (2n + 3)!, to rounding for |y| < 1.
+_Y_MINUS_SIN = [(-1) ** n / math.factorial(2 * n + 3) for n in range(9)]
+
+
 def _sigma(theta: np.ndarray):
-    x = _B * theta
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cot = np.cos(x) / np.sin(x)
-        sig = _A0 + _A2 * 1j * theta + _A1 * theta * cot
-        dsig = _A2 * 1j + _A1 * (cot - x / np.sin(x) ** 2)
-    at_zero = np.abs(theta) < 1e-15
-    if np.any(at_zero):
-        sig = np.where(at_zero, _A0 + _A1 / _B, sig)
-        dsig = np.where(at_zero, _A2 * 1j, dsig)
-    return sig, dsig
+    x = _B * theta   # 0 < |x| < pi on an even midpoint rule
+    sin = np.sin(x)
+    sig = _A0 + _A2 * 1j * theta + _A1 * theta * np.cos(x) / sin
+    # d(theta cot x)/dtheta = cot x - x/sin^2 x = -(y - sin y)/(2 sin^2 x), y = 2x,
+    # by the series near theta = 0, where the difference cancels and the terms peak.
+    y = 2.0 * x
+    y_sin = np.where(np.abs(y) < 1.0,
+                     y**3 * np.polynomial.polynomial.polyval(y * y, _Y_MINUS_SIN), y - np.sin(y))
+    return sig, _A2 * 1j - _A1 * y_sin / (2.0 * sin * sin)
 
 
 def talbot_contour(m: int, t_scale: float) -> LaplaceContour:
     """Modified Talbot contour with m nodes, scaled for inversion at t_scale.
 
-    The optimized geometry's error reaches the float64 cancellation floor
-    by m ~ 24.
+    m must be even, so that no node lies on the real axis, outside the
+    upper half.  The optimized geometry's error reaches the float64
+    cancellation floor by m ~ 24.
     """
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 8:
-        raise ValueError(f"need an integer of at least 8 contour nodes, got {m!r}")
+    if (isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 8
+            or m % 2):
+        raise ValueError(f"need an even integer of at least 8 contour nodes, got {m!r}")
     if not (t_scale > 0.0 and math.isfinite(t_scale)):
         raise ValueError(f"t_scale must be positive, got {t_scale!r}")
-    theta = -math.pi + (np.arange(m) + 0.5) * (2.0 * math.pi / m)
+    # Half-integer multiples of the step: exact conjugate pairs, accurate near 0.
+    theta = (np.arange(m) + 0.5 - m // 2) * (2.0 * math.pi / m)
     sig, dsig = _sigma(theta)
     scale = m / t_scale
     nodes = scale * sig
@@ -76,16 +87,15 @@ def talbot_contour(m: int, t_scale: float) -> LaplaceContour:
     return LaplaceContour(nodes=nodes, derivative_weights=weights, t_scale=t_scale)
 
 
-def invert_at_unit(contour: LaplaceContour, samples) -> complex:
-    """Inverse transform at z = t_scale from samples F(u_k) on the contour."""
-    samples = np.asarray(samples)
-    if samples.shape != contour.nodes.shape:
-        raise ValueError(
-            f"got {samples.shape} samples for {contour.nodes.shape} contour nodes"
-        )
-    return complex(np.dot(contour.derivative_weights, samples))
+def invert_at_unit(contour: LaplaceContour, samples) -> float:
+    """Inverse transform at z = t_scale of a real function from its samples
+    F(u) at the upper-half nodes ``contour.nodes[contour.conjugate_half()]``."""
+    half = contour.conjugate_half()
+    if np.shape(samples) != half.shape:
+        raise ValueError(f"got {np.shape(samples)} samples for {half.size} upper-half nodes")
+    return 2.0 * float(np.dot(contour.derivative_weights[half], samples).real)
 
 
-def invert_function(contour: LaplaceContour, transform) -> complex:
+def invert_function(contour: LaplaceContour, transform) -> float:
     """Convenience wrapper: evaluate a vectorized transform and invert."""
-    return invert_at_unit(contour, transform(contour.nodes))
+    return invert_at_unit(contour, transform(contour.nodes[contour.conjugate_half()]))

@@ -158,14 +158,10 @@ class DetuningGrid:
         """Stage-1/3/5 phase vector: Delta0_j repeated across each block."""
         return np.repeat(self.intrinsic_nodes, self.n)
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
+    def is_symmetric(self) -> bool:
         """True when both node families are symmetric about zero with even weights."""
-        return (_mirrored(self.intrinsic_nodes, self.intrinsic_weights, tol)
-                and self.is_controlled_symmetric(tol))
-
-    def is_controlled_symmetric(self, tol: float = 1e-12) -> bool:
-        """True when the controlled family alone is symmetric with even weights."""
-        return _mirrored(self.controlled_nodes, self.controlled_weights, tol)
+        return (_mirrored(self.intrinsic_nodes, self.intrinsic_weights)
+                and _mirrored(self.controlled_nodes, self.controlled_weights))
 
     def rephasing_time(self) -> float:
         """Onset of the spurious rephasing of the discrete controlled comb.
@@ -179,9 +175,19 @@ class DetuningGrid:
         return 2.0 * math.pi / dd
 
 
-def _mirrored(nodes: np.ndarray, weights: np.ndarray, tol: float) -> bool:
-    return (np.allclose(nodes, -nodes[::-1], atol=tol, rtol=0.0)
+def _mirrored(nodes: np.ndarray, weights: np.ndarray) -> bool:
+    return (np.allclose(nodes, -nodes[::-1], atol=1e-12, rtol=0.0)
             and np.allclose(weights, weights[::-1], rtol=1e-12, atol=0.0))
+
+
+def min_safe_classes(gamma_rel: float, tau_d: float, extent_sigmas: float) -> int:
+    """Smallest odd class count whose comb rephases after 2*max(tau_d, 1).
+
+    A comb of n classes over +-extent_sigmas*gamma_rel has step
+    2*extent_sigmas*gamma_rel/(n - 1) and rephases after 2*pi/step.
+    """
+    need = math.ceil(2.0 * extent_sigmas * gamma_rel * max(tau_d, 1.0) / math.pi)
+    return need + 1 + need % 2
 
 
 def _family(width: float, count: int, extent_sigmas: float):

@@ -4,7 +4,8 @@ All mode vectors handled here are samples of the physical input field
 E_in(t) on the kernel's time grid.  Internally the efficiency quadratic form
 acts on the time-reversed field (the retrieval map pairs E_out(t) with
 E_in(tau_r - t')); on the symmetric quadrature grid the reversal is an index
-reversal, applied inside these routines so callers never see it.
+reversal, applied inside these routines so callers never see it.  The
+efficiency matrix is real symmetric, so the optimal mode is real.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _normalize(grid: TimeGrid, samples: np.ndarray) -> np.ndarray:
 
 
 def optimal_mode(kernel: EfficiencyKernel) -> ModeResult:
-    """Top eigenpair of the efficiency matrix, returned in input time."""
+    """Top eigenpair of the efficiency matrix, returned in input time (real)."""
     try:
         evals, evecs = np.linalg.eigh(kernel.matrix)
     except np.linalg.LinAlgError as exc:
@@ -90,7 +91,8 @@ def mode_efficiency(kernel: EfficiencyKernel, e_in) -> float:
         raise ValueError("input mode has zero energy")
     check_time_reversible(kernel.grid)
     phi = np.sqrt(kernel.grid.weights) * e_in[::-1]
-    return float(np.real(phi.conj() @ kernel.matrix @ phi) / norm)
+    m = kernel.matrix   # real symmetric: phi^H m phi = re^T m re + im^T m im
+    return float((phi.real @ m @ phi.real + phi.imag @ m @ phi.imag) / norm)
 
 
 # Deterministic simplex starts: near the end of the free read-in window

@@ -15,22 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from cribmem import kernels, modes
-from cribmem.laplace import talbot_contour
-from cribmem.model import build_detuning_grid, default_schedule, derive_params
+from cribmem.laplace import DEFAULT_CONTOUR_NODES, talbot_contour
+from cribmem.model import (DEFAULT_EXTENT_SIGMAS, DEFAULT_GRID_POINTS, build_detuning_grid,
+                           default_schedule, derive_params, min_safe_classes)
 from cribmem.quadrature import tanh_sinh_grid
-
-DEFAULT_QUAD_LEVEL = 6
-DEFAULT_CONTOUR_NODES = 32
 
 
 @dataclass(frozen=True)
 class GridSettings:
-    """Discretization knobs shared by every sweep point."""
+    """Discretization knobs shared by every sweep point, with their defaults."""
 
-    k: int = 33
-    n: int = 33
-    extent_sigmas: float = 5.0
-    quad_level: int = DEFAULT_QUAD_LEVEL
+    k: int = DEFAULT_GRID_POINTS
+    n: int = DEFAULT_GRID_POINTS
+    extent_sigmas: float = DEFAULT_EXTENT_SIGMAS
+    quad_level: int = 6
     contour_nodes: int = DEFAULT_CONTOUR_NODES
 
     def as_dict(self) -> dict:
@@ -49,6 +47,10 @@ def build_pipeline(d0: float, gamma_rel: float, settings: GridSettings):
     schedule = default_schedule(params)
     grid = build_detuning_grid(params.gamma0_rel, gamma_rel,
                                settings.k, settings.n, settings.extent_sigmas)
+    floor = min_safe_classes(gamma_rel, schedule.tau_d, settings.extent_sigmas)
+    if settings.n < floor:
+        raise ValueError(f"grid_n={settings.n} lets the controlled comb rephase inside "
+                         f"the broadening stages at gamma={gamma_rel:g}; use at least {floor}")
     contour = talbot_contour(settings.contour_nodes, t_scale=1.0)
     tgrid = tanh_sinh_grid(0.0, schedule.tau_r, settings.quad_level)
     kernel = kernels.build_transfer_kernel(

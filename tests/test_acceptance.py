@@ -62,12 +62,12 @@ def sweep():
 
 def test_criterion_1_perturbative_agreement():
     flat = Profile.flat()
-    closed_inf = perturbative_efficiency(flat, 10.0, math.inf).eta
+    closed_inf = perturbative_efficiency(flat, 10.0, math.inf)
     exact = 1.0 - math.sqrt(math.pi) / 10.0
     legs = []
     for tau_d in (1.0, 2.0):
         for gamma in (5.0, 7.0, 10.0):
-            closed = perturbative_efficiency(flat, gamma, tau_d).eta
+            closed = perturbative_efficiency(flat, gamma, tau_d)
             numeric = broadening_stage_efficiency_numeric(flat, gamma, tau_d)
             gap = abs(numeric - closed)
             legs.append((gamma, tau_d, closed, numeric, gap))

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cribmem import build_detuning_grid, derive_params, integrate, tanh_sinh_grid
+from cribmem import (
+    build_detuning_grid,
+    derive_params,
+    integrate,
+    talbot_contour,
+    tanh_sinh_grid,
+)
 from cribmem.analytic import (
     Profile,
     broadening_stage_efficiency_numeric,
@@ -13,6 +19,7 @@ from cribmem.analytic import (
     polarization_decay,
     transmission_spectrum,
 )
+from cribmem.propagators import Stage, stage_action
 
 
 def test_dephasing_envelope_values():
@@ -56,19 +63,19 @@ def test_profile_laplace_polynomial():
 
 def test_perturbative_efficiency_closed_forms():
     flat = Profile.flat()
-    res = perturbative_efficiency(flat, 10.0, math.inf)
-    assert res.eta == pytest.approx(1.0 - math.sqrt(math.pi) / 10.0, abs=1e-10)
-    assert res.eta == pytest.approx(0.82275, abs=1e-5)
-    assert perturbative_efficiency(flat, 5.0, 0.0).eta == 1.0
-    res2 = perturbative_efficiency(flat, 2.0, 2.0)
+    eta = perturbative_efficiency(flat, 10.0, math.inf)
+    assert eta == pytest.approx(1.0 - math.sqrt(math.pi) / 10.0, abs=1e-10)
+    assert eta == pytest.approx(0.82275, abs=1e-5)
+    assert perturbative_efficiency(flat, 5.0, 0.0) == 1.0
+    eta2 = perturbative_efficiency(flat, 2.0, 2.0)
     want = 1.0 - (math.sqrt(math.pi) / 2.0) * math.erf(4.0)
-    assert res2.eta == pytest.approx(want, abs=1e-10)
-    assert res2.eta == pytest.approx(0.1138, abs=1e-4)
+    assert eta2 == pytest.approx(want, abs=1e-10)
+    assert eta2 == pytest.approx(0.1138, abs=1e-4)
 
 
 def test_perturbative_efficiency_monotone_in_gamma():
     flat = Profile.flat()
-    etas = [perturbative_efficiency(flat, g, 1.0).eta for g in (2.0, 5.0, 10.0, 20.0)]
+    etas = [perturbative_efficiency(flat, g, 1.0) for g in (2.0, 5.0, 10.0, 20.0)]
     assert all(b > a for a, b in zip(etas, etas[1:]))
     assert all(e <= 1.0 for e in etas)
 
@@ -87,7 +94,7 @@ def test_perturbative_efficiency_rejects_bad_args():
 
 def test_numeric_matches_perturbative_at_strong_broadening():
     flat = Profile.flat()
-    closed = perturbative_efficiency(flat, 10.0, 1.0).eta
+    closed = perturbative_efficiency(flat, 10.0, 1.0)
     numeric = broadening_stage_efficiency_numeric(flat, 10.0, 1.0)
     assert abs(numeric - closed) <= 0.05
 
@@ -98,10 +105,31 @@ def test_numeric_gap_grows_at_moderate_broadening():
     # full gap, cross-validated against a direct space-time integration of
     # the two stages, is 0.0646.  Pinned here as a regression value.
     flat = Profile.flat()
-    closed = perturbative_efficiency(flat, 5.0, 1.0).eta
+    closed = perturbative_efficiency(flat, 5.0, 1.0)
     numeric = broadening_stage_efficiency_numeric(flat, 5.0, 1.0)
     assert numeric == pytest.approx(0.7101, abs=2e-3)
     assert numeric - closed == pytest.approx(0.0646, abs=3e-3)
+
+
+def full_contour_numeric(p1: Profile, gamma_rel: float, tau_d: float,
+                         n_classes: int = 33, m: int = 32) -> float:
+    """The broadening-stage numeric summed over every contour node."""
+    grid = build_detuning_grid(1.0, gamma_rel, k=1, n=n_classes)
+    out = []
+    for z in p1.grid.nodes:
+        c = talbot_contour(m, float(z))
+        sig = stage_action(Stage.S2, grid, c.nodes, np.ones((n_classes, 1)),
+                           [tau_d]).states[0]
+        sig = stage_action(Stage.S4, grid, c.nodes, sig, [tau_d]).states[0][..., 0]
+        out.append(np.dot(c.derivative_weights,
+                          (sig @ grid.joint_weights) * p1.laplace(c.nodes)))
+    return float(np.sum(p1.grid.weights * np.abs(np.array(out)) ** 2))
+
+
+def test_numeric_equals_full_contour_sum():
+    for profile, gamma in ((Profile.flat(), 5.0), (Profile.from_callable(lambda z: z), 7.0)):
+        half = broadening_stage_efficiency_numeric(profile, gamma, 1.0)
+        assert abs(half - full_contour_numeric(profile, gamma, 1.0)) <= 1e-13
 
 
 def test_numeric_weakly_sensitive_to_stage_duration():
@@ -122,7 +150,7 @@ def test_numeric_reports_perturbative_gap_for_weak_broadening():
     flat = Profile.flat()
     gaps = {}
     for gamma in (1.0, 2.0):
-        closed = perturbative_efficiency(flat, gamma, 1.0).eta
+        closed = perturbative_efficiency(flat, gamma, 1.0)
         numeric = broadening_stage_efficiency_numeric(flat, gamma, 1.0, n_classes=17)
         gaps[gamma] = numeric - closed
     print(f"perturbative-vs-numeric gaps at weak broadening: {gaps}")
@@ -177,6 +205,9 @@ def test_profile_validation():
     grid = tanh_sinh_grid(0.0, 1.0, 4)
     with pytest.raises(ValueError):
         Profile(grid=grid, values=np.ones(grid.size + 2))
-    with pytest.raises(ValueError):
-        perturbative_efficiency(
-            Profile(grid=grid, values=1j * grid.nodes.astype(complex)), 5.0, 1.0)
+    with pytest.raises(ValueError, match="real"):
+        Profile(grid=grid, values=1j * grid.nodes)
+    # Rounding-level imaginary parts are dropped; the samples are stored real.
+    p = Profile(grid=grid, values=grid.nodes + 1e-17j)
+    assert p.values.dtype == np.float64
+    assert np.array_equal(p.values, grid.nodes)

@@ -6,7 +6,9 @@ import pytest
 from cribmem import cli
 from cribmem.errors import NumericsError
 
-TINY = ["--grid-k", "5", "--grid-n", "5", "--quad-level", "4",
+# N = 11 is the smallest controlled comb that does not rephase inside the
+# broadening stages at gamma = 3 (model.min_safe_classes).
+TINY = ["--grid-k", "5", "--grid-n", "11", "--quad-level", "4",
         "--contour-nodes", "16"]
 
 
@@ -89,6 +91,24 @@ def test_perturbative_records_only_the_settings_it_reads(tmp_path, capsys):
     settings = json.loads(path.read_text())["settings"]
     assert not set(unused) & set(settings)
     assert settings["grid_n"] is None and settings["gamma"] == [5.0]
+
+
+def test_aliasing_class_count_exits_2(capsys):
+    # At gamma = 20 the default 33-class comb rephases at 1.005, inside the
+    # tau_d = 1 stages; the smallest safe odd count is 65.
+    code, _, err = run_cli(["sweep-optimal", "--d0", "100", "--gamma", "20"], capsys)
+    assert code == 2
+    assert "configuration error" in err and "at least 65" in err
+
+
+def test_odd_contour_node_count_exits_2(capsys):
+    # An odd midpoint rule puts a node on the real axis, which the
+    # conjugate-half sum would drop.
+    for argv in (["sweep-optimal", "--d0", "10", "--gamma", "3"],
+                 ["perturbative", "--gamma", "5"]):
+        code, _, err = run_cli(argv + ["--contour-nodes", "33"], capsys)
+        assert code == 2, argv
+        assert "even" in err
 
 
 def test_underflowing_detuning_weights_exit_2(capsys):

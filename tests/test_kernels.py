@@ -8,6 +8,7 @@ import scipy.linalg
 from cribmem import build_detuning_grid, derive_params, talbot_contour, tanh_sinh_grid
 from cribmem.analytic import Profile, broadening_stage_efficiency_numeric
 from cribmem.kernels import (
+    EfficiencyKernel,
     _contour_assembly,
     apply_output,
     build_efficiency_kernel,
@@ -79,7 +80,7 @@ def dense_kernel_entry(t: float, t_prime: float, grid: DetuningGrid,
     t_loc = t if t <= td else t - td
     tp_loc = t_prime if t_prime <= td else t_prime - td
     samples = np.array([dense_sample(which, complex(u), t_loc, tp_loc, grid, sched)
-                        for u in contour.nodes])
+                        for u in contour.nodes[contour.conjugate_half()]])
     return invert_at_unit(contour, samples)
 
 
@@ -116,8 +117,8 @@ def test_degenerate_resonant_k4_is_bessel():
         for (t, tp) in ((0.0, 0.0), (0.6, 1.1), (2.0, 2.0)):
             samples = np.array([
                 dense_sample("k4", complex(u), t, tp, grid, sched)
-                for u in contour.nodes])
-            got = invert_at_unit(contour, samples).real
+                for u in contour.nodes[contour.conjugate_half()]])
+            got = invert_at_unit(contour, samples)
             a = t + tp + 2.0 * tau_d + tau_s
             want = -1.0 if a == 0.0 else -j1_series(2.0 * math.sqrt(a)) / math.sqrt(a)
             assert got == pytest.approx(want, abs=1e-8)
@@ -134,8 +135,8 @@ def test_degenerate_resonant_kernel_depends_on_storage_time():
         sched = ProtocolSchedule(tau_p=2.0, tau_d=1.0, tau_s=tau_s)
         samples = np.array([
             dense_sample("k4", complex(u), 0.0, 0.0, grid, sched)
-            for u in contour.nodes])
-        vals.append(invert_at_unit(contour, samples).real)
+            for u in contour.nodes[contour.conjugate_half()]])
+        vals.append(invert_at_unit(contour, samples))
     assert abs(vals[0] - vals[1]) > 0.05
 
 
@@ -204,19 +205,28 @@ def test_kernel_and_perturbative_numeric_decompose_nothing(monkeypatch):
     assert 0.0 < eta < 1.0
 
 
-def test_half_assembly_requires_symmetric_grid():
-    # An asymmetric intrinsic family is allowed; it takes the full contour.
+def test_asymmetric_intrinsic_grid_is_rejected():
+    # Only the conjugate half of the contour is summed, which is exact for
+    # the real kernel of mirror-symmetric families and wrong otherwise.
     params = derive_params(10.0, 3.0)
     sched = default_schedule(params)
-    grid = DetuningGrid(np.array([-0.1, 0.0, 0.3]), np.array([0.3, 0.4, 0.3]),
-                        np.array([0.0]), np.array([1.0]))
-    contour = talbot_contour(16, 1.0)
     tg = tanh_sinh_grid(0.0, sched.tau_r, 3)
-    kern = build_transfer_kernel(params, sched, grid, contour, tg, tg)
-    assert kern.diagnostics["assembly"] == "full"
-    for i, j in ((1, 2), (3, 6), (7, 0)):
-        want = dense_kernel_entry(tg.nodes[i], tg.nodes[j], grid, sched, contour)
-        assert abs(kern.values[i, j] - want) < 1e-10 * max(1.0, abs(want))
+    for nodes, weights in (([-0.1, 0.0, 0.3], [0.3, 0.4, 0.3]),
+                           ([-0.3, 0.0, 0.3], [0.2, 0.4, 0.4])):
+        grid = DetuningGrid(np.array(nodes), np.array(weights),
+                            np.array([0.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="mirror-symmetric"):
+            build_transfer_kernel(params, sched, grid, talbot_contour(16, 1.0), tg, tg)
+
+
+def test_kernel_and_efficiency_matrix_are_real():
+    *_, kern = build_small(k=3, n=3, level=3)
+    assert kern.values.dtype == np.float64
+    assert kern.diagnostics["assembly"] == "half"
+    eff = build_efficiency_kernel(kern)
+    assert eff.matrix.dtype == np.float64
+    with pytest.raises(ValueError, match="real"):
+        EfficiencyKernel(grid=eff.grid, matrix=eff.matrix.astype(complex))
 
 
 def test_asymmetric_controlled_comb_is_rejected():

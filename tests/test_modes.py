@@ -27,11 +27,12 @@ def toy_kernel() -> EfficiencyKernel:
     # Symmetric two-node grid with unit weights; K-tilde diag(0.3, 0.7).
     grid = TimeGrid(nodes=np.array([0.25, 0.75]), weights=np.array([1.0, 1.0]),
                     a=0.0, b=1.0)
-    return EfficiencyKernel(grid=grid, matrix=np.diag([0.3, 0.7]).astype(complex))
+    return EfficiencyKernel(grid=grid, matrix=np.diag([0.3, 0.7]))
 
 
 def test_optimal_mode_toy_diagonal():
     res = optimal_mode(toy_kernel())
+    assert res.mode.dtype == np.float64
     assert res.efficiency == pytest.approx(0.7, abs=1e-12)
     # the top eigenvector sits on the second (reversed-time) node, which is
     # the first node in input time
