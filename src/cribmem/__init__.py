@@ -12,33 +12,3 @@ to the ensemble length.
 """
 
 __version__ = "0.1.0"
-
-from cribmem.errors import NumericsError
-from cribmem.model import (
-    DetuningGrid,
-    PhysicalParams,
-    ProtocolSchedule,
-    build_detuning_grid,
-    default_schedule,
-    derive_params,
-    gaussian_pdf,
-)
-from cribmem.quadrature import TimeGrid, integrate, tanh_sinh_grid
-from cribmem.laplace import LaplaceContour, invert_at_unit, talbot_contour
-
-__all__ = [
-    "DetuningGrid",
-    "LaplaceContour",
-    "NumericsError",
-    "PhysicalParams",
-    "ProtocolSchedule",
-    "TimeGrid",
-    "build_detuning_grid",
-    "default_schedule",
-    "derive_params",
-    "gaussian_pdf",
-    "integrate",
-    "invert_at_unit",
-    "talbot_contour",
-    "tanh_sinh_grid",
-]

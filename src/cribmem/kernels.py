@@ -4,26 +4,29 @@ The retrieved field is a linear functional of the time-reversed input,
 
     E_out(t) = integral_0^tau_r  K_E(t, t') E_in(tau_r - t') dt',
 
-with both times on the read window [0, tau_r].  Every entry follows the
-protocol: a stored state, times exp(M3 tau_s) for the dark storage, times a
-read-out row.  Inputs with t' <= tau_d entered during the dephasing stage
-(the pulse tail) and are stored as exp(M2 t') h; later ones entered during
-the initial free stage and are stored as exp(M2 tau_d) lift exp(M1 s') h.
-Outputs with t <= tau_d are emitted during the rephasing stage through the
-row g^T exp(M4 t); later ones during the final free stage through
-g0^T exp(M1 s) lw exp(M4 tau_d).  Each entry is an inverse Laplace
-transform, along a fixed Talbot contour, of that product; on the
-mirror-symmetric detuning grid it is real, twice the real part of the sum
-over the upper-half contour nodes.
+with both times on the read window [0, tau_r].  Read-out reverses the
+broadening of read-in, so the kernel is symmetric, K_E(t, t') = K_E(t', t),
+and it is sampled on one time grid.  In the Laplace domain every entry is
 
-Every factor is the action of a stage exponential on a few vectors,
-computed for all contour nodes at once by ``stage_action`` before any node
-is assembled: exp(M2 t) h at the times t <= tau_d, exp(M2 tau_d) lift,
-exp(M1 s) h at the later times, and exp(M1 tau_s) on the block sums of the
-stored columns, to which stage 3 reduces exactly.  The read-out rows follow
-from the same arrays, because M2^T = D M2 D^-1 with D = diag(g),
-M1^T = D0 M1 D0^-1 with D0 = diag(g0), and stage 4 is stage 2 reflected
-through the controlled comb.  Nothing is decomposed.
+    K_E-hat(u; t, t') = c(t)^T B c(t'),   B = P D exp(M3 tau_s),
+
+where c(t) is the state stored by an input at t: exp(M2 t) h for
+t <= tau_d (the pulse tail enters during dephasing), and
+exp(M2 tau_d) lift exp(M1 s) h with s = t - tau_d for later inputs
+(read-in).  M2^T = D M2 D^-1 with D = diag(g), and the controlled
+reflection P maps stage 2 onto stage 4 and commutes with D and with the
+stage-3 phases.  So the read-out row of an output at t is (P D c(t))^T, and
+B is complex symmetric.  Each entry is an inverse Laplace transform, along
+a fixed Talbot contour, of that product; on the mirror-symmetric detuning
+grid it is real, twice the real part of the sum over the upper-half nodes.
+
+The stored states are C = V Z, with the basis V = [exp(M2 t) h for
+t <= tau_d | exp(M2 tau_d) lift] and Z = diag(I, F), where F holds the
+stage-1 states exp(M1 s) h.  At each node the kernel is Z^T H Z with the
+small symmetric H = V^T B V.  Every factor is the action of a stage
+exponential on a few vectors, computed for all contour nodes at once by
+``stage_action``; stage 3 reduces exactly onto the stage-1 action on the
+block sums of V.  Nothing is decomposed.
 
 The discretized efficiency kernel is the real symmetric Gram matrix of the
 weighted transfer matrix; its largest eigenvalue is the maximal
@@ -32,7 +35,6 @@ storage-and-retrieval efficiency.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,23 +53,23 @@ from cribmem.quadrature import TimeGrid, check_time_reversible
 
 _WINDOW_SLACK = 1e-9
 
-KERNEL_DUMP_MAGIC = b"CRIBKRN1"
-
 
 @dataclass(frozen=True)
 class TransferKernel:
-    """K_E sampled on out_grid x in_grid, plus assembly diagnostics."""
+    """K_E sampled on grid x grid (a symmetric matrix), plus assembly diagnostics."""
 
-    out_grid: TimeGrid
-    in_grid: TimeGrid
+    grid: TimeGrid
     values: np.ndarray
     schedule: ProtocolSchedule
     diagnostics: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        check_time_reversible(self.grid)
+
 
 @dataclass(frozen=True)
 class EfficiencyKernel:
-    """Real symmetric matrix sqrt(w_i) K_eff(t_i, t_j) sqrt(w_j) on the in-grid."""
+    """Real symmetric matrix sqrt(w_i) K_eff(t_i, t_j) sqrt(w_j) on the time grid."""
 
     grid: TimeGrid
     matrix: np.ndarray
@@ -75,62 +77,49 @@ class EfficiencyKernel:
     def __post_init__(self):
         if np.iscomplexobj(self.matrix):
             raise ValueError("the efficiency matrix must be real")
+        check_time_reversible(self.grid)
 
 
-def _contour_assembly(grid: DetuningGrid, schedule: ProtocolSchedule, us,
-                      t_out, t_in):
+def _contour_assembly(grid: DetuningGrid, schedule: ProtocolSchedule, us, times):
     """Every stage propagation of the kernel, batched over the nodes ``us``.
 
-    Returns ``(assemble, work)``.  ``assemble(i)`` is K_E-hat at ``us[i]`` as
-    two column blocks over all output rows, from products alone: rows are
-    ordered (outputs t <= tau_d, later outputs), the first block holds the
-    inputs t' <= tau_d, the second the later inputs.  ``work`` is the
-    stage-2 (substeps, matvecs).  Two stage-2 actions give the stored
-    states exp(M2 t') h and exp(M2 tau_d) lift; two stage-1 actions give
-    exp(M1 s) h at the later times and the stage-3 correction over tau_s.
+    Returns ``(assemble, work)``.  ``assemble(i)`` is K_E-hat at ``us[i]`` on
+    the increasing ``times``, split into lo (t <= tau_d) and hi (later), as
+    its lo-lo, lo-hi and hi-hi blocks; the hi-lo block is the transpose of
+    lo-hi.  ``work`` is the stage-2 (substeps, matvecs).  Two stage-2
+    actions give the basis V, exp(M2 t) h and exp(M2 tau_d) lift; two
+    stage-1 actions give F, exp(M1 s) h, and the stage-3 correction.
     """
-    td, ts = schedule.tau_d, schedule.tau_s
-    lo_out, lo_in = t_out <= td, t_in <= td
-    t_lo = np.union1d(t_out[lo_out], t_in[lo_in])
-    t_hi = np.union1d(t_out[~lo_out], t_in[~lo_in]) - td
-    out_lo, in_lo = np.searchsorted(t_lo, t_out[lo_out]), np.searchsorted(t_lo, t_in[lo_in])
-    out_hi = np.searchsorted(t_hi, t_out[~lo_out] - td)
-    in_hi = np.searchsorted(t_hi, t_in[~lo_in] - td)
-    stored = stage_action(Stage.S2, grid, us, np.ones((grid.k * grid.n, 1)), t_lo)
+    lo = times <= schedule.tau_d
+    n_lo = int(np.count_nonzero(lo))
+    stored = stage_action(Stage.S2, grid, us, np.ones((grid.k * grid.n, 1)), times[lo])
     lift = np.kron(np.eye(grid.k), np.ones((grid.n, 1)))   # KN x K column lift
-    lifted = stage_action(Stage.S2, grid, us, lift, [td])
-    free = stage_action(Stage.S1, grid, us, np.ones((grid.k, 1)), t_hi).states[..., 0]
+    lifted = stage_action(Stage.S2, grid, us, lift, [schedule.tau_d])
+    free = stage_action(Stage.S1, grid, us, np.ones((grid.k, 1)),
+                        times[~lo] - schedule.tau_d).states[..., 0]
 
-    # Stage 3 through the block sums of the stored columns: the inputs
-    # t' <= tau_d (summed before they are picked out), then the lift.
-    y_in = block_sums(grid, stored.states)[in_lo, :, :, 0].transpose(1, 2, 0)
-    y0 = np.concatenate([y_in, block_sums(grid, lifted.states[0])], axis=2)
-    corr = stage3_correction(grid, us, y0, ts)
-    phase = np.exp(-1j * grid.delta_zero() * ts)
-    g, g0 = grid.joint_weights, grid.intrinsic_weights
+    # exp(M3 ts) X = phase o X - repeat_N(corr) for the columns X of V, and
+    # the N-block sums of the rows (P D V)^T are g0 o Y, Y the block sums of V.
+    y = np.concatenate([block_sums(grid, stored.states)[..., 0].transpose(1, 2, 0),
+                        block_sums(grid, lifted.states[0])], axis=2)
+    corr = stage3_correction(grid, us, y, schedule.tau_s)
+    g0y = grid.intrinsic_weights[:, None] * y
+    phase = np.exp(-1j * grid.delta_zero() * schedule.tau_s)
+    g = grid.joint_weights
     perm = block_reversal_permutation(grid)
-    n_lo = in_lo.size
 
-    def assemble(i: int) -> tuple[np.ndarray, np.ndarray]:
-        s2 = stored.states[:, i, :, 0]
-        e2d_lift = lifted.states[0, i]
-        # Read-out rows.  M2^T = D M2 D^-1 with D = diag(g), so
-        # g^T exp(M2 t) = (g o exp(M2 t) h)^T and, for the K x KN block rows
-        # of controlled weights lw = (D lift diag(1/g0))^T,
-        # lw exp(M2 td) = (D e2d_lift diag(1/g0))^T.  Stage 4 is stage 2
-        # reflected, and the reflection fixes g and lw on the symmetric comb.
-        # Likewise M1^T = D0 M1 D0^-1 with D0 = diag(g0), so
-        # g0^T exp(M1 s) = (g0 o exp(M1 s) h)^T.
-        a4 = (g[None, :] * s2[out_lo])[:, perm]
-        lw_e4 = (g[:, None] * e2d_lift / g0[None, :]).T[:, perm]
-        rows = np.vstack([a4, (g0[None, :] * free[out_hi, i]) @ lw_e4])
-        # exp(M3 ts) X = phase o X - repeat_N(corr); the repeat folds into
-        # the block sums of the rows.
-        sums = (rows.reshape(-1, grid.n) @ np.ones(grid.n)).reshape(-1, grid.k)
-        rows *= phase
-        k_lo = rows @ s2[in_lo].T - sums @ corr[i, :, :n_lo]
-        k_hi = (rows @ e2d_lift - sums @ corr[i, :, n_lo:]) @ free[in_hi, i].T
-        return k_lo, k_hi
+    def assemble(i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        v_lo = stored.states[:, i, :, 0]   # basis columns t <= tau_d, as rows
+        v_hi = lifted.states[0, i]         # exp(M2 tau_d) lift, KN x K
+        b_hi = phase[:, None] * v_hi
+        rows_lo = (g * v_lo)[:, perm]      # (P D V)^T
+        s_lo, s_hi = g0y[i, :, :n_lo].T, g0y[i, :, n_lo:].T
+        c_lo, c_hi = corr[i, :, :n_lo], corr[i, :, n_lo:]
+        h_ll = rows_lo @ (phase * v_lo).T - s_lo @ c_lo
+        h_lh = rows_lo @ b_hi - s_lo @ c_hi
+        h_hh = (g[:, None] * v_hi)[perm].T @ b_hi - s_hi @ c_hi
+        f = free[:, i]                     # F^T
+        return h_ll, h_lh @ f.T, f @ h_hh @ f.T
 
     return assemble, (stored.substeps + lifted.substeps, stored.matvecs + lifted.matvecs)
 
@@ -143,32 +132,38 @@ def build_transfer_kernel(
     out_grid: TimeGrid,
     in_grid: TimeGrid,
 ) -> TransferKernel:
-    """Assemble the real K_E(t_i, t'_j) on the given time grids.
+    """Assemble the real symmetric K_E(t_i, t_j) on one time grid.
 
-    Both detuning families must be mirror-symmetric: stage 4 is obtained
-    from stage 2 by reflecting the controlled comb, and the symmetry makes
-    the kernel real, so only the upper-half contour nodes are evaluated and
-    the real part is doubled.
+    ``out_grid`` and ``in_grid`` must be the same grid, spanning
+    [0, tau_r].  Both detuning families must be mirror-symmetric: stage 4
+    is obtained from stage 2 by reflecting the controlled comb, and the
+    symmetry makes the kernel real, so only the upper-half contour nodes
+    are evaluated and the real part is doubled.
     """
-    for tg, name in ((out_grid, "out_grid"), (in_grid, "in_grid")):
-        if abs(tg.a) > _WINDOW_SLACK or abs(tg.b - schedule.tau_r) > _WINDOW_SLACK * max(1.0, schedule.tau_r):
-            raise ValueError(f"{name} must span [0, tau_r], got [{tg.a}, {tg.b}]")
+    if not (np.array_equal(out_grid.nodes, in_grid.nodes)
+            and np.array_equal(out_grid.weights, in_grid.weights)):
+        raise ValueError("the kernel is symmetric: out_grid and in_grid must be one grid")
+    tg = in_grid
+    if abs(tg.a) > _WINDOW_SLACK or abs(tg.b - schedule.tau_r) > _WINDOW_SLACK * max(1.0, schedule.tau_r):
+        raise ValueError(f"the time grid must span [0, tau_r], got [{tg.a}, {tg.b}]")
     if not grid.is_symmetric():
         raise ValueError("the intrinsic and controlled detuning nodes and "
                          "weights must be mirror-symmetric about zero")
     half = contour.conjugate_half()
     assemble, (substeps, matvecs) = _contour_assembly(
-        grid, schedule, contour.nodes[half], out_grid.nodes, in_grid.nodes)
+        grid, schedule, contour.nodes[half], tg.nodes)
 
-    values = np.zeros((out_grid.size, in_grid.size))
     # Nodes increase, so the t <= tau_d rows and columns lead.
-    n_lo = int(np.count_nonzero(in_grid.nodes <= schedule.tau_d))
+    n_lo = int(np.count_nonzero(tg.nodes <= schedule.tau_d))
+    values = np.zeros((tg.size, tg.size))
+    blocks = (values[:n_lo, :n_lo], values[:n_lo, n_lo:], values[n_lo:, n_lo:])
     for i, idx in enumerate(half):
         u = complex(contour.nodes[idx])
         wu = 2.0 * complex(contour.derivative_weights[idx]) * (-1.0 / (u * u))
-        k_lo, k_hi = assemble(i)
-        values[:, :n_lo] += (wu * k_lo).real
-        values[:, n_lo:] += (wu * k_hi).real
+        for acc, k in zip(blocks, assemble(i)):
+            acc += (wu * k).real
+    values[n_lo:, :n_lo] = values[:n_lo, n_lo:].T
+    values = 0.5 * (values + values.T)   # x + y == y + x: symmetric bit for bit
 
     if not np.all(np.isfinite(values)):
         raise NumericsError("non-finite entries in the transfer kernel")
@@ -180,61 +175,34 @@ def build_transfer_kernel(
         "stage2_matvecs": matvecs,
         "max_abs": float(np.max(np.abs(values))),
     }
-    return TransferKernel(out_grid=out_grid, in_grid=in_grid, values=values,
-                          schedule=schedule, diagnostics=diagnostics)
+    return TransferKernel(grid=tg, values=values, schedule=schedule,
+                          diagnostics=diagnostics)
 
 
 def apply_output(kernel: TransferKernel, e_in) -> np.ndarray:
-    """Retrieved field on out_grid for an input sampled on in_grid.
+    """Retrieved field on the kernel's grid for an input sampled on it.
 
     The input enters time reversed, E_in(tau_r - t'); on the symmetric
     quadrature grid that is an index reversal of the samples.
     """
     e_in = np.asarray(e_in, dtype=complex)
-    if e_in.shape != kernel.in_grid.nodes.shape:
+    if e_in.shape != kernel.grid.nodes.shape:
         raise ValueError(
-            f"input has {e_in.shape} samples, in-grid has {kernel.in_grid.nodes.shape}"
+            f"input has {e_in.shape} samples, grid has {kernel.grid.nodes.shape}"
         )
-    check_time_reversible(kernel.in_grid)
-    x = kernel.in_grid.weights * e_in[::-1]   # parts apart: no complex copy of values
+    x = kernel.grid.weights * e_in[::-1]   # parts apart: no complex copy of values
     return kernel.values @ x.real + 1j * (kernel.values @ x.imag)
 
 
 def build_efficiency_kernel(kernel: TransferKernel) -> EfficiencyKernel:
     """Weight-folded real symmetric efficiency matrix from the transfer kernel.
 
-    With A = sqrt(w_out) K_E sqrt(w_in), the matrix is A^T A, explicitly
+    With A = sqrt(w) K_E sqrt(w), the matrix is A^T A, explicitly
     re-symmetrized; the Rayleigh quotient of sqrt(w)-scaled input samples
     under it is the storage-and-retrieval efficiency.
     """
-    sw_out = np.sqrt(kernel.out_grid.weights)
-    sw_in = np.sqrt(kernel.in_grid.weights)
-    a = sw_out[:, None] * kernel.values * sw_in[None, :]
+    sw = np.sqrt(kernel.grid.weights)
+    a = sw[:, None] * kernel.values * sw[None, :]
     m = a.T @ a
     m = 0.5 * (m + m.T)
-    return EfficiencyKernel(grid=kernel.in_grid, matrix=m)
-
-
-def write_kernel_dump(path, matrix: np.ndarray, tau_r: float) -> None:
-    """Binary dump: 32-byte header (magic, u32 dims, f64 tau_r), c128 data."""
-    matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
-    if matrix.ndim != 2:
-        raise ValueError("kernel dump expects a 2-d matrix")
-    header = struct.pack("<8sIId", KERNEL_DUMP_MAGIC,
-                         matrix.shape[0], matrix.shape[1], float(tau_r))
-    header += b"\x00" * (32 - len(header))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(matrix.astype("<c16").tobytes(order="C"))
-
-
-def read_kernel_dump(path) -> tuple[np.ndarray, float]:
-    with open(path, "rb") as fh:
-        header = fh.read(32)
-        if len(header) != 32 or header[:8] != KERNEL_DUMP_MAGIC:
-            raise ValueError(f"{path!r} is not a kernel dump")
-        rows, cols, tau_r = struct.unpack("<IId", header[8:24])
-        data = np.frombuffer(fh.read(), dtype="<c16")
-    if data.size != rows * cols:
-        raise ValueError("kernel dump payload size mismatch")
-    return data.reshape(rows, cols).astype(np.complex128), float(tau_r)
+    return EfficiencyKernel(grid=kernel.grid, matrix=m)

@@ -19,7 +19,7 @@ import scipy.optimize
 from cribmem.errors import NumericsError
 from cribmem.kernels import EfficiencyKernel
 from cribmem.model import ProtocolSchedule
-from cribmem.quadrature import TimeGrid, check_time_reversible
+from cribmem.quadrature import TimeGrid
 
 _RESIDUAL_TOL = 1e-9
 _MIN_GAUSS_WIDTH = 0.05
@@ -63,7 +63,6 @@ def optimal_mode(kernel: EfficiencyKernel) -> ModeResult:
     resid = float(np.linalg.norm(kernel.matrix @ v - eta * v))
     if resid > _RESIDUAL_TOL * max(1.0, abs(eta)):
         raise NumericsError(f"top eigenpair residual {resid:.3e} too large")
-    check_time_reversible(kernel.grid)
     f = v / np.sqrt(kernel.grid.weights)   # eigenfunction of the reversed argument
     mode = _normalize(kernel.grid, f[::-1])
     return ModeResult(efficiency=eta, mode=mode, label="optimal")
@@ -89,7 +88,6 @@ def mode_efficiency(kernel: EfficiencyKernel, e_in) -> float:
     norm = float(np.sum(kernel.grid.weights * np.abs(e_in) ** 2))
     if norm <= 0.0:
         raise ValueError("input mode has zero energy")
-    check_time_reversible(kernel.grid)
     phi = np.sqrt(kernel.grid.weights) * e_in[::-1]
     m = kernel.matrix   # real symmetric: phi^H m phi = re^T m re + im^T m im
     return float((phi.real @ m @ phi.real + phi.imag @ m @ phi.imag) / norm)

@@ -13,13 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from cribmem import (
-    build_detuning_grid,
-    derive_params,
-    integrate,
-    talbot_contour,
-    tanh_sinh_grid,
-)
 from cribmem.analytic import (
     Profile,
     broadening_stage_efficiency_numeric,
@@ -29,11 +22,12 @@ from cribmem.analytic import (
     transmission_spectrum,
 )
 from cribmem.kernels import apply_output, build_efficiency_kernel, build_transfer_kernel
-from cribmem.laplace import invert_function
-from cribmem.model import default_schedule
+from cribmem.laplace import invert_function, talbot_contour
+from cribmem.model import build_detuning_grid, default_schedule, derive_params
 from cribmem.modes import gaussian_mode
 from cribmem.oracle import FdConfig, fd_solve, resample
 from cribmem.propagators import Stage, stage_action
+from cribmem.quadrature import integrate, tanh_sinh_grid
 from cribmem.sweeps import GridSettings, run_points
 
 D0_LIST = (25.0, 50.0, 100.0)

@@ -3,13 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from cribmem import (
-    build_detuning_grid,
-    derive_params,
-    integrate,
-    talbot_contour,
-    tanh_sinh_grid,
-)
 from cribmem.analytic import (
     Profile,
     broadening_stage_efficiency_numeric,
@@ -19,7 +12,10 @@ from cribmem.analytic import (
     polarization_decay,
     transmission_spectrum,
 )
+from cribmem.laplace import talbot_contour
+from cribmem.model import build_detuning_grid, derive_params
 from cribmem.propagators import Stage, stage_action
+from cribmem.quadrature import integrate, tanh_sinh_grid
 
 
 def test_dephasing_envelope_values():

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,16 @@ def parse_csv(text):
     header = lines[1].split(",")
     rows = [dict(zip(header, ln.split(","))) for ln in lines[2:]]
     return header, rows
+
+
+def test_importing_cli_leaves_numpy_unloaded():
+    # The BLAS pin sets environment variables, which act only if numpy is
+    # not loaded yet when the command starts.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, cribmem.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_transmission_resonance(capsys):
@@ -109,6 +123,15 @@ def test_odd_contour_node_count_exits_2(capsys):
         code, _, err = run_cli(argv + ["--contour-nodes", "33"], capsys)
         assert code == 2, argv
         assert "even" in err
+
+
+def test_too_many_contour_nodes_exit_2(capsys):
+    # The contour's rounding floor grows with m; beyond 64 nodes the
+    # inversion is garbage, so the count is refused.
+    code, _, err = run_cli(["sweep-optimal", "--d0", "10", "--gamma", "3",
+                            "--contour-nodes", "200"], capsys)
+    assert code == 2
+    assert "8 to 64" in err
 
 
 def test_underflowing_detuning_weights_exit_2(capsys):

@@ -1,24 +1,28 @@
 import math
-import struct
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from cribmem import build_detuning_grid, derive_params, talbot_contour, tanh_sinh_grid
 from cribmem.analytic import Profile, broadening_stage_efficiency_numeric
 from cribmem.kernels import (
     EfficiencyKernel,
+    TransferKernel,
     _contour_assembly,
     apply_output,
     build_efficiency_kernel,
     build_transfer_kernel,
-    read_kernel_dump,
-    write_kernel_dump,
 )
-from cribmem.laplace import invert_at_unit
-from cribmem.model import DetuningGrid, ProtocolSchedule, default_schedule
+from cribmem.laplace import invert_at_unit, talbot_contour
+from cribmem.model import (
+    DetuningGrid,
+    ProtocolSchedule,
+    build_detuning_grid,
+    default_schedule,
+    derive_params,
+)
 from cribmem.modes import gaussian_mode
+from cribmem.quadrature import TimeGrid, tanh_sinh_grid
 
 
 def j1_series(x: float) -> float:
@@ -84,10 +88,9 @@ def dense_kernel_entry(t: float, t_prime: float, grid: DetuningGrid,
     return invert_at_unit(contour, samples)
 
 
-def assembled_at(u: complex, grid: DetuningGrid, sched: ProtocolSchedule,
-                 t_out, t_in):
-    """K_E-hat at one contour node, in the kernel's two column blocks."""
-    assemble, _ = _contour_assembly(grid, sched, [u], t_out, t_in)
+def assembled_at(u: complex, grid: DetuningGrid, sched: ProtocolSchedule, times):
+    """K_E-hat at one contour node, as the kernel's lo-lo, lo-hi and hi-hi blocks."""
+    assemble, _ = _contour_assembly(grid, sched, [u], np.asarray(times))
     return assemble(0)
 
 
@@ -97,11 +100,11 @@ def test_kernel_samples_matches_direct_matrix_chain():
     u = complex(contour.nodes[3])
     t, tp = 0.35, 0.45   # inside both the tau_d and tau_p windows
     td = sched.tau_d
-    k_lo, k_hi = assembled_at(u, grid, sched, np.array([t, t + td]),
-                              np.array([tp, tp + td]))
-    # Rows: rephasing output, then read-out output; blocks: dephasing input,
-    # then read-in input.
-    got = {"k1": k_lo[0, 0], "k2": k_hi[0, 0], "k3": k_lo[1, 0], "k4": k_hi[1, 0]}
+    k_ll, k_lh, k_hh = assembled_at(u, grid, sched, [t, tp, t + td, tp + td])
+    # lo: times t, tp (dephasing input, rephasing output); hi: t + td, tp + td
+    # (read-in input, read-out output).  The read-out row of t + td against
+    # the dephasing input tp is the hi-lo entry, the mirror of lo-hi.
+    got = {"k1": k_ll[0, 1], "k2": k_lh[0, 1], "k3": k_lh[1, 0], "k4": k_hh[0, 1]}
     for which, q in got.items():
         expect = dense_sample(which, u, t, tp, grid, sched)
         assert abs(-q / u**2 - expect) < 1e-10 * max(1.0, abs(expect))
@@ -160,12 +163,54 @@ def test_degenerate_k3_continues_k1():
 def test_transfer_kernel_quadrants_match_pointwise_samples():
     params, sched, grid, contour, kern = build_small(k=3, n=3, level=4)
     rng = np.random.default_rng(2)
-    out_n, in_n = kern.out_grid.nodes, kern.in_grid.nodes
+    nodes = kern.grid.nodes
     for _ in range(5):
-        i = rng.integers(0, out_n.size)
-        j = rng.integers(0, in_n.size)
-        want = dense_kernel_entry(out_n[i], in_n[j], grid, sched, contour)
+        i = rng.integers(0, nodes.size)
+        j = rng.integers(0, nodes.size)
+        want = dense_kernel_entry(nodes[i], nodes[j], grid, sched, contour)
         assert abs(kern.values[i, j] - want) < 1e-10 * max(1.0, abs(want))
+
+
+def test_dense_kernel_is_symmetric():
+    # Time reversal, checked on raw expm chains with no shared code: the
+    # read-in -> rephasing piece k2 equals the dephasing -> read-out piece k3
+    # with the times swapped, and k1 and k4 are each symmetric.
+    params, sched, grid, contour, _ = build_small(k=3, n=3, level=3)
+    td, tr = sched.tau_d, sched.tau_r
+    rng = np.random.default_rng(5)
+    for lo_a, hi_a, lo_b, hi_b in ((0, td, td, tr), (0, td, 0, td), (td, tr, td, tr)):
+        for _ in range(2):
+            t, tp = rng.uniform(lo_a, hi_a), rng.uniform(lo_b, hi_b)
+            a = dense_kernel_entry(t, tp, grid, sched, contour)
+            b = dense_kernel_entry(tp, t, grid, sched, contour)
+            assert abs(a - b) < 1e-10 * max(1.0, abs(a))
+
+
+def test_transfer_kernel_is_exactly_symmetric():
+    for k, n, level in ((3, 3, 4), (5, 5, 5)):
+        *_, kern = build_small(k=k, n=n, level=level)
+        assert np.array_equal(kern.values, kern.values.T)
+
+
+def test_unequal_out_and_in_grids_are_rejected():
+    params = derive_params(10.0, 3.0)
+    sched = default_schedule(params)
+    grid = build_detuning_grid(params.gamma0_rel, 3.0, 3, 3)
+    tg3, tg4 = (tanh_sinh_grid(0.0, sched.tau_r, q) for q in (3, 4))
+    with pytest.raises(ValueError, match="one grid"):
+        build_transfer_kernel(params, sched, grid, talbot_contour(16, 1.0), tg3, tg4)
+
+
+def test_time_irreversible_grid_is_rejected_at_construction():
+    # Time reversal is an index reversal only on a grid mirrored about its
+    # midpoint; both kernels check that once, when the grid is attached.
+    grid = TimeGrid(nodes=np.array([0.1, 0.2, 0.9]), weights=np.full(3, 1.0 / 3.0),
+                    a=0.0, b=1.0)
+    sched = ProtocolSchedule(tau_p=0.5, tau_d=0.5, tau_s=0.0)
+    with pytest.raises(ValueError, match="not symmetric"):
+        TransferKernel(grid=grid, values=np.zeros((3, 3)), schedule=sched)
+    with pytest.raises(ValueError, match="not symmetric"):
+        EfficiencyKernel(grid=grid, matrix=np.eye(3))
 
 
 def test_zero_dephasing_kernel_has_empty_low_block():
@@ -177,9 +222,10 @@ def test_zero_dephasing_kernel_has_empty_low_block():
     contour = talbot_contour(32, 1.0)
     tg = tanh_sinh_grid(0.0, sched.tau_r, 3)
     u = complex(contour.nodes[3])
-    k_lo, k_hi = assembled_at(u, grid, sched, tg.nodes, tg.nodes)
-    assert k_lo.shape == (tg.size, 0)
-    assert k_hi.shape == (tg.size, tg.size)
+    k_ll, k_lh, k_hh = assembled_at(u, grid, sched, tg.nodes)
+    assert k_ll.shape == (0, 0)
+    assert k_lh.shape == (0, tg.size)
+    assert k_hh.shape == (tg.size, tg.size)
     kern = build_transfer_kernel(params, sched, grid, contour, tg, tg)
     for i, j in ((0, 0), (2, 7), (8, 4), (16, 16)):
         want = dense_kernel_entry(tg.nodes[i], tg.nodes[j], grid, sched, contour)
@@ -258,7 +304,7 @@ def test_vanishing_input_window_kills_stage5_quadrant():
 
 def test_apply_output_zero_and_linearity():
     *_, kern = build_small(level=4)
-    n = kern.in_grid.size
+    n = kern.grid.size
     assert np.all(apply_output(kern, np.zeros(n)) == 0.0)
     rng = np.random.default_rng(4)
     a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -274,21 +320,21 @@ def test_apply_output_zero_and_linearity():
 def test_output_energy_between_zero_and_one():
     params, sched, grid, contour, kern = build_small(d0=100.0, gamma_rel=10.0,
                                                      k=9, n=33, level=5)
-    e_in = gaussian_mode(kern.in_grid, 0.8 * sched.tau_p, 0.5)
+    e_in = gaussian_mode(kern.grid, 0.8 * sched.tau_p, 0.5)
     e_out = apply_output(kern, e_in)
-    energy = float(np.sum(kern.out_grid.weights * np.abs(e_out) ** 2))
+    energy = float(np.sum(kern.grid.weights * np.abs(e_out) ** 2))
     assert 0.0 < energy < 1.0
 
 
 def test_energy_passivity_random_inputs():
     *_, kern = build_small(d0=25.0, gamma_rel=3.0, k=9, n=9, level=4)
     rng = np.random.default_rng(9)
-    w = kern.in_grid.weights
+    w = kern.grid.weights
     for _ in range(50):
         e = rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
         e /= math.sqrt(float(np.sum(w * np.abs(e) ** 2)))
         out = apply_output(kern, e)
-        energy = float(np.sum(kern.out_grid.weights * np.abs(out) ** 2))
+        energy = float(np.sum(w * np.abs(out) ** 2))
         assert energy <= 1.0 + 1e-6
 
 
@@ -333,25 +379,3 @@ def test_efficiency_kernel_hermitian_psd_contractive():
     evals = np.linalg.eigvalsh(eff.matrix)
     assert evals[0] >= -1e-9
     assert evals[-1] <= 1.0 + 1e-9
-
-
-def test_kernel_dump_roundtrip_and_header(tmp_path):
-    *_, kern = build_small(k=3, n=3, level=3)
-    path = tmp_path / "kernel.bin"
-    write_kernel_dump(path, kern.values, kern.schedule.tau_r)
-    data, tau_r = read_kernel_dump(path)
-    assert tau_r == kern.schedule.tau_r
-    assert np.array_equal(data, kern.values)
-    raw = path.read_bytes()
-    assert raw[:8] == b"CRIBKRN1"
-    rows, cols, tr = struct.unpack("<IId", raw[8:24])
-    assert (rows, cols) == kern.values.shape
-    assert raw[24:32] == b"\x00" * 8
-    assert len(raw) == 32 + 16 * rows * cols
-
-
-def test_kernel_dump_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 24)
-    with pytest.raises(ValueError):
-        read_kernel_dump(path)

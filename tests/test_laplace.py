@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cribmem import LaplaceContour, invert_at_unit, talbot_contour
-from cribmem.laplace import invert_function
+from cribmem.laplace import LaplaceContour, invert_at_unit, invert_function, talbot_contour
 
 
 # Bessel-series oracles for the classic transform pairs
@@ -95,8 +94,8 @@ def test_half_sum_equals_full_contour_sum():
 
 
 def test_rejects_small_m_and_bad_scale():
-    for m in (7, 17, 33):
-        with pytest.raises(ValueError):
+    for m in (7, 17, 33, 66, 200):
+        with pytest.raises(ValueError, match="even integer of 8 to 64"):
             talbot_contour(m, 1.0)
     for m in (16.5, 16.0):
         with pytest.raises(ValueError, match="integer"):

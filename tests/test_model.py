@@ -4,7 +4,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from cribmem import (
+from cribmem.model import (
     DetuningGrid,
     PhysicalParams,
     ProtocolSchedule,
@@ -12,9 +12,8 @@ from cribmem import (
     default_schedule,
     derive_params,
     gaussian_pdf,
-    integrate,
-    tanh_sinh_grid,
 )
+from cribmem.quadrature import integrate, tanh_sinh_grid
 
 # 50-digit references so closed forms are checked against arithmetic that is
 # independent of the float64 evaluation order.

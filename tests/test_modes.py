@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from cribmem import build_detuning_grid, derive_params, talbot_contour, tanh_sinh_grid
 from cribmem.kernels import EfficiencyKernel, build_efficiency_kernel, build_transfer_kernel
-from cribmem.model import default_schedule
+from cribmem.laplace import talbot_contour
+from cribmem.model import build_detuning_grid, default_schedule, derive_params
 from cribmem.modes import gaussian_mode, mode_efficiency, optimal_mode, optimize_gaussian
-from cribmem.quadrature import TimeGrid
+from cribmem.quadrature import TimeGrid, tanh_sinh_grid
 
 
 @pytest.fixture(scope="module")

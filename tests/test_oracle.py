@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cribmem import build_detuning_grid, derive_params
-from cribmem.model import ProtocolSchedule, default_schedule
+from cribmem.model import ProtocolSchedule, build_detuning_grid, default_schedule, derive_params
 from cribmem.oracle import FdConfig, default_fd_config, fd_solve, resample
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cribmem import NumericsError, build_detuning_grid, talbot_contour
-from cribmem.model import DetuningGrid
+from cribmem.errors import NumericsError
+from cribmem.laplace import talbot_contour
+from cribmem.model import DetuningGrid, build_detuning_grid
 from cribmem.propagators import (
     Stage,
     _generator_terms,

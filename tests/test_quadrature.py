@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from cribmem import integrate, tanh_sinh_grid
-from cribmem.quadrature import TimeGrid
+from cribmem.quadrature import TimeGrid, integrate, tanh_sinh_grid
 
 
 def test_constant_integrand():
