@@ -162,8 +162,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg["grid_n"] = settings.n
     if not cfg["d0"] or not cfg["gamma"]:
         raise ValueError("d0 and gamma lists must be non-empty")
-    if cfg["threads"] < 1:
-        raise ValueError("threads must be at least 1")
+    for key in ("threads", "tc_points", "tw_points"):
+        if cfg[key] < 1:
+            raise ValueError(f"{key} must be at least 1")
     if cfg["format"] not in ("csv", "json"):
         raise ValueError(f"unknown format {cfg['format']!r}")
     for key in ("extent", "taud", "d0", "gamma", "omega"):

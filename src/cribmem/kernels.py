@@ -28,9 +28,9 @@ exponential on a few vectors, computed for all contour nodes at once by
 ``stage_action``; stage 3 reduces exactly onto the stage-1 action on the
 block sums of V.  Nothing is decomposed.
 
-The discretized efficiency kernel is the real symmetric Gram matrix of the
-weighted transfer matrix; its largest eigenvalue is the maximal
-storage-and-retrieval efficiency.
+The efficiency kernel is A = sqrt(w) K_E sqrt(w), symmetric bit for bit.
+The efficiency operator A^2 is never formed: an eigenvector of A with
+eigenvalue lambda is an input mode of efficiency lambda^2.
 """
 
 from __future__ import annotations
@@ -69,14 +69,15 @@ class TransferKernel:
 
 @dataclass(frozen=True)
 class EfficiencyKernel:
-    """Real symmetric matrix sqrt(w_i) K_eff(t_i, t_j) sqrt(w_j) on the time grid."""
+    """``weighted`` is A = sqrt(w_i) K_E(t_i, t_j) sqrt(w_j), real symmetric."""
 
     grid: TimeGrid
-    matrix: np.ndarray
+    weighted: np.ndarray
 
     def __post_init__(self):
-        if np.iscomplexobj(self.matrix):
-            raise ValueError("the efficiency matrix must be real")
+        a = self.weighted
+        if np.iscomplexobj(a) or not np.array_equal(a, a.T):
+            raise ValueError("the weighted kernel must be real and symmetric")
         check_time_reversible(self.grid)
 
 
@@ -195,14 +196,11 @@ def apply_output(kernel: TransferKernel, e_in) -> np.ndarray:
 
 
 def build_efficiency_kernel(kernel: TransferKernel) -> EfficiencyKernel:
-    """Weight-folded real symmetric efficiency matrix from the transfer kernel.
+    """A = sqrt(w) K_E sqrt(w): sqrt(w)-scaled reversed input to scaled output.
 
-    With A = sqrt(w) K_E sqrt(w), the matrix is A^T A, explicitly
-    re-symmetrized; the Rayleigh quotient of sqrt(w)-scaled input samples
-    under it is the storage-and-retrieval efficiency.
+    The factor sqrt(w_i) sqrt(w_j) commutes, so A keeps K_E's bit symmetry.
     """
     sw = np.sqrt(kernel.grid.weights)
-    a = sw[:, None] * kernel.values * sw[None, :]
-    m = a.T @ a
-    m = 0.5 * (m + m.T)
-    return EfficiencyKernel(grid=kernel.grid, matrix=m)
+    a = np.outer(sw, sw)
+    a *= kernel.values
+    return EfficiencyKernel(grid=kernel.grid, weighted=a)

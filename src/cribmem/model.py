@@ -197,8 +197,6 @@ def _family(width: float, count: int, extent_sigmas: float):
         return np.array([0.0]), np.array([1.0])
     half = count // 2
     step = extent_sigmas * width / half
-    if step == 0.0:
-        step = np.finfo(float).tiny  # floor for denormal widths
     # Integer multiples of the step give exact +/- symmetry of the nodes.
     nodes = step * np.arange(-half, half + 1, dtype=float)
     weights = step * gaussian_pdf(nodes, width)

@@ -1,11 +1,11 @@
 """Optimal and Gaussian input modes of the efficiency kernel.
 
 All mode vectors handled here are samples of the physical input field
-E_in(t) on the kernel's time grid.  Internally the efficiency quadratic form
-acts on the time-reversed field (the retrieval map pairs E_out(t) with
+E_in(t) on the kernel's time grid.  Internally the weighted kernel A acts on
+the time-reversed field (the retrieval map pairs E_out(t) with
 E_in(tau_r - t')); on the symmetric quadrature grid the reversal is an index
-reversal, applied inside these routines so callers never see it.  The
-efficiency matrix is real symmetric, so the optimal mode is real.
+reversal, applied inside these routines so callers never see it.  The modes
+are the real eigenvectors of A, each of efficiency lambda^2.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ _MIN_GAUSS_WIDTH = 0.05
 class ModeResult:
     """An input mode with its storage-and-retrieval efficiency.
 
-    ``mode`` is quadrature-normalized to unit energy and phase-rotated so its
-    largest-magnitude sample is real positive.  ``gaussian_params`` holds
+    ``mode`` is real, quadrature-normalized to unit energy, and signed so its
+    largest-magnitude sample is positive.  ``gaussian_params`` holds
     (t_c, t_w) for Gaussian modes, None for the optimal mode.  ``converged``
     is False when a Gaussian optimization failed to improve on its starts.
     """
@@ -43,29 +43,27 @@ class ModeResult:
 
 
 def _normalize(grid: TimeGrid, samples: np.ndarray) -> np.ndarray:
-    energy = float(np.sum(grid.weights * np.abs(samples) ** 2))
-    if energy <= 0.0 or not math.isfinite(energy):
+    energy = float(np.sum(grid.weights * samples ** 2))
+    if not (energy > 0.0 and math.isfinite(energy)):
         raise ValueError("mode has zero or non-finite energy")
     out = samples / math.sqrt(energy)
-    peak = np.argmax(np.abs(out))
-    phase = out[peak] / abs(out[peak])
-    return out / phase
+    return out if out[np.argmax(np.abs(out))] > 0.0 else -out
 
 
 def optimal_mode(kernel: EfficiencyKernel) -> ModeResult:
-    """Top eigenpair of the efficiency matrix, returned in input time (real)."""
+    """Eigenpair of A with the largest |lambda|: efficiency lambda^2, real mode."""
     try:
-        evals, evecs = np.linalg.eigh(kernel.matrix)
+        evals, evecs = np.linalg.eigh(kernel.weighted)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"efficiency eigensolve failed: {exc}") from exc
-    eta = float(evals[-1])
-    v = evecs[:, -1]
-    resid = float(np.linalg.norm(kernel.matrix @ v - eta * v))
-    if resid > _RESIDUAL_TOL * max(1.0, abs(eta)):
+    top = int(np.argmax(np.abs(evals)))   # the dominant lambda is often negative
+    lam, v = float(evals[top]), evecs[:, top]
+    resid = float(np.linalg.norm(kernel.weighted @ v - lam * v))
+    if resid > _RESIDUAL_TOL * max(1.0, abs(lam)):
         raise NumericsError(f"top eigenpair residual {resid:.3e} too large")
     f = v / np.sqrt(kernel.grid.weights)   # eigenfunction of the reversed argument
     mode = _normalize(kernel.grid, f[::-1])
-    return ModeResult(efficiency=eta, mode=mode, label="optimal")
+    return ModeResult(efficiency=lam * lam, mode=mode, label="optimal")
 
 
 def gaussian_mode(grid: TimeGrid, t_c: float, t_w: float) -> np.ndarray:
@@ -74,23 +72,23 @@ def gaussian_mode(grid: TimeGrid, t_c: float, t_w: float) -> np.ndarray:
         raise ValueError(f"t_w must be positive, got {t_w!r}")
     amp = (2.0 * math.pi * t_w * t_w) ** -0.25
     samples = amp * np.exp(-((grid.nodes - t_c) ** 2) / (4.0 * t_w * t_w))
-    return _normalize(grid, samples.astype(complex))
+    return _normalize(grid, samples)
 
 
 def mode_efficiency(kernel: EfficiencyKernel, e_in) -> float:
-    """Rayleigh quotient of an input mode under the efficiency matrix.
+    """||A phi||^2 / ||phi||^2 for phi = sqrt(w) E_in reversed; scale invariant.
 
-    Accepts unnormalized input; the quotient is scale invariant.
+    A is real: a complex input costs one product per part, a real one only one.
     """
-    e_in = np.asarray(e_in, dtype=complex)
+    e_in = np.asarray(e_in)
     if e_in.shape != kernel.grid.nodes.shape:
         raise ValueError("input samples do not match the kernel grid")
     norm = float(np.sum(kernel.grid.weights * np.abs(e_in) ** 2))
-    if norm <= 0.0:
-        raise ValueError("input mode has zero energy")
+    if not (norm > 0.0 and math.isfinite(norm)):
+        raise ValueError("input mode has zero or non-finite energy")
     phi = np.sqrt(kernel.grid.weights) * e_in[::-1]
-    m = kernel.matrix   # real symmetric: phi^H m phi = re^T m re + im^T m im
-    return float((phi.real @ m @ phi.real + phi.imag @ m @ phi.imag) / norm)
+    parts = [kernel.weighted @ p for p in (phi.real, phi.imag) if p.any()]
+    return float(sum(ap @ ap for ap in parts) / norm)
 
 
 # Deterministic simplex starts: near the end of the free read-in window

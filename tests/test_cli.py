@@ -239,7 +239,8 @@ def test_bad_config_exits_2(tmp_path, capsys):
     for bad in ({"no_such_key": 1}, {"command": "modes"}, {"threads": 0},
                 {"grid_k": "15"}, {"quad_level": 2.5}, {"grid_k": 5.0},
                 {"grid_k": True}, {"d0": ["25"]}, {"extent": None}, [1, 2],
-                {"omega": [math.nan]}, {"taud": math.inf}, {"extent": math.nan}):
+                {"omega": [math.nan]}, {"taud": math.inf}, {"extent": math.nan},
+                {"tc_points": 0}, {"tw_points": -1}):
         path.write_text(json.dumps(bad))
         code, _, err = run_cli(["sweep-optimal", "--config", str(path)], capsys)
         assert code == 2, bad
@@ -247,7 +248,9 @@ def test_bad_config_exits_2(tmp_path, capsys):
     for argv in (["transmission", "--d0", "5", "--omega", "nan"],
                  ["perturbative", "--gamma", "inf"],
                  ["perturbative", "--gamma", "5", "--taud", "inf"],
-                 ["sweep-optimal", "--d0=-inf"]):
+                 ["sweep-optimal", "--d0=-inf"],
+                 ["gaussian-map", "--d0", "10", "--gamma", "1", "--tc-points", "0"],
+                 ["gaussian-map", "--d0", "10", "--gamma", "1", "--tw-points", "0"]):
         code, _, err = run_cli(argv, capsys)
         assert code == 2, argv
         assert "configuration error" in err

@@ -210,7 +210,7 @@ def test_time_irreversible_grid_is_rejected_at_construction():
     with pytest.raises(ValueError, match="not symmetric"):
         TransferKernel(grid=grid, values=np.zeros((3, 3)), schedule=sched)
     with pytest.raises(ValueError, match="not symmetric"):
-        EfficiencyKernel(grid=grid, matrix=np.eye(3))
+        EfficiencyKernel(grid=grid, weighted=np.eye(3))
 
 
 def test_zero_dephasing_kernel_has_empty_low_block():
@@ -270,9 +270,11 @@ def test_kernel_and_efficiency_matrix_are_real():
     assert kern.values.dtype == np.float64
     assert kern.diagnostics["assembly"] == "half"
     eff = build_efficiency_kernel(kern)
-    assert eff.matrix.dtype == np.float64
+    assert eff.weighted.dtype == np.float64
     with pytest.raises(ValueError, match="real"):
-        EfficiencyKernel(grid=eff.grid, matrix=eff.matrix.astype(complex))
+        EfficiencyKernel(grid=eff.grid, weighted=eff.weighted.astype(complex))
+    with pytest.raises(ValueError, match="symmetric"):
+        EfficiencyKernel(grid=eff.grid, weighted=np.triu(eff.weighted))
 
 
 def test_asymmetric_controlled_comb_is_rejected():
@@ -375,7 +377,7 @@ def test_storage_decay_follows_intrinsic_dephasing():
 def test_efficiency_kernel_hermitian_psd_contractive():
     *_, kern = build_small(level=5)
     eff = build_efficiency_kernel(kern)
-    assert np.array_equal(eff.matrix, eff.matrix.conj().T)
-    evals = np.linalg.eigvalsh(eff.matrix)
+    assert np.array_equal(eff.weighted, eff.weighted.T)
+    evals = np.sort(np.linalg.eigvalsh(eff.weighted) ** 2)   # spectrum of A^2
     assert evals[0] >= -1e-9
     assert evals[-1] <= 1.0 + 1e-9

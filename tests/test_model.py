@@ -185,6 +185,15 @@ def test_grid_rejects_underflowing_weights():
     assert np.all(g.intrinsic_weights > 0.0) and np.all(g.controlled_weights > 0.0)
 
 
+def test_grid_rejects_denormal_width():
+    # A denormal width underflows the variance, so the density is 0/0 and
+    # the weights are NaN, not positive numbers; the grid refuses them.
+    for width in (5e-324, 1e-320, 1e-310):
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match="controlled weights must be positive"):
+            build_detuning_grid(0.1, width, k=3, n=9)
+
+
 def test_grid_coarse_riemann_sum_reported_not_hidden():
     # At K = 5 the node-centered Riemann sum overshoots one (comb aliasing);
     # the deficit diagnostic reports it rather than renormalizing it away.

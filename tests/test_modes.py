@@ -23,15 +23,15 @@ def pipeline():
     return params, sched, build_efficiency_kernel(kern)
 
 
-def toy_kernel() -> EfficiencyKernel:
-    # Symmetric two-node grid with unit weights; K-tilde diag(0.3, 0.7).
+def toy_kernel(diagonal) -> EfficiencyKernel:
+    # Symmetric two-node grid with unit weights; A = diag(diagonal).
     grid = TimeGrid(nodes=np.array([0.25, 0.75]), weights=np.array([1.0, 1.0]),
                     a=0.0, b=1.0)
-    return EfficiencyKernel(grid=grid, matrix=np.diag([0.3, 0.7]))
+    return EfficiencyKernel(grid=grid, weighted=np.diag(diagonal))
 
 
 def test_optimal_mode_toy_diagonal():
-    res = optimal_mode(toy_kernel())
+    res = optimal_mode(toy_kernel([math.sqrt(0.3), math.sqrt(0.7)]))
     assert res.mode.dtype == np.float64
     assert res.efficiency == pytest.approx(0.7, abs=1e-12)
     # the top eigenvector sits on the second (reversed-time) node, which is
@@ -39,6 +39,15 @@ def test_optimal_mode_toy_diagonal():
     assert abs(res.mode[0]) == pytest.approx(1.0, abs=1e-12)
     assert abs(res.mode[1]) < 1e-12
     assert res.label == "optimal"
+
+
+def test_optimal_mode_takes_largest_magnitude_eigenvalue():
+    # The dominant eigenvalue of A may be negative: its square, not the
+    # largest signed eigenvalue, is the maximal efficiency.
+    res = optimal_mode(toy_kernel([0.5, -0.8]))
+    assert res.efficiency == pytest.approx(0.64, abs=1e-12)
+    assert res.mode[0] == pytest.approx(1.0, abs=1e-12)
+    assert abs(res.mode[1]) < 1e-12
 
 
 def test_optimal_mode_normalization_and_quotient(pipeline):
@@ -58,8 +67,18 @@ def test_optimal_mode_eigen_residual(pipeline):
     res = optimal_mode(eff)
     v = np.sqrt(eff.grid.weights) * res.mode[::-1]
     v /= np.linalg.norm(v)
-    resid = np.linalg.norm(eff.matrix @ v - res.efficiency * v)
-    assert resid <= 1e-9
+    lam = math.sqrt(res.efficiency)
+    av = eff.weighted @ v
+    assert min(np.linalg.norm(av - lam * v), np.linalg.norm(av + lam * v)) <= 1e-9
+
+
+def test_optimal_mode_matches_formed_gram_reference(pipeline):
+    # Reference: the efficiency operator A^T A formed explicitly.
+    _, _, eff = pipeline
+    evals = np.linalg.eigvalsh(eff.weighted.T @ eff.weighted)
+    assert optimal_mode(eff).efficiency == pytest.approx(evals[-1], abs=1e-13)
+    assert evals[0] >= -1e-9
+    assert evals[-1] <= 1.0 + 1e-9
 
 
 def test_optimal_mode_peaks_before_broadening(pipeline):
@@ -77,6 +96,7 @@ def test_gaussian_mode_shape_and_normalization():
     grid = tanh_sinh_grid(0.0, 6.0, 6)
     for t_c, t_w in ((3.0, 0.5), (5.0, 1.0), (1.0, 0.2)):
         m = gaussian_mode(grid, t_c, t_w)
+        assert m.dtype == np.float64
         assert float(np.sum(grid.weights * np.abs(m) ** 2)) == pytest.approx(1.0, abs=1e-12)
         peak_node = grid.nodes[np.argmax(np.abs(m))]
         # peak sits at the node nearest the center
@@ -116,7 +136,7 @@ def test_mode_efficiency_scale_invariance(pipeline):
 
 def test_mode_efficiency_orthogonal_complement(pipeline):
     _, _, eff = pipeline
-    evals, evecs = np.linalg.eigh(eff.matrix)
+    second = np.sort(np.linalg.eigvalsh(eff.weighted) ** 2)[-2]
     res = optimal_mode(eff)
     rng = np.random.default_rng(0)
     w = eff.grid.weights
@@ -125,13 +145,14 @@ def test_mode_efficiency_orthogonal_complement(pipeline):
         e = rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
         overlap = np.sum(w * np.conj(top) * e) / np.sum(w * np.abs(top) ** 2)
         e = e - overlap * top
-        assert mode_efficiency(eff, e) <= evals[-2] + 1e-9
+        assert mode_efficiency(eff, e) <= second + 1e-9
 
 
 def test_mode_efficiency_rejects_zero_and_mismatch(pipeline):
     _, _, eff = pipeline
-    with pytest.raises(ValueError):
-        mode_efficiency(eff, np.zeros(eff.grid.size))
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="energy"):
+            mode_efficiency(eff, np.full(eff.grid.size, bad))
     with pytest.raises(ValueError):
         mode_efficiency(eff, np.ones(eff.grid.size + 1))
 
