@@ -87,9 +87,14 @@ def _contour_assembly(grid: DetuningGrid, schedule: ProtocolSchedule, us, times)
     Returns ``(assemble, work)``.  ``assemble(i)`` is K_E-hat at ``us[i]`` on
     the increasing ``times``, split into lo (t <= tau_d) and hi (later), as
     its lo-lo, lo-hi and hi-hi blocks; the hi-lo block is the transpose of
-    lo-hi.  ``work`` is the stage-2 (substeps, matvecs).  Two stage-2
-    actions give the basis V, exp(M2 t) h and exp(M2 tau_d) lift; two
-    stage-1 actions give F, exp(M1 s) h, and the stage-3 correction.
+    lo-hi.  Two stage-2 actions give the basis V, exp(M2 t) h and
+    exp(M2 tau_d) lift; two stage-1 actions give F, exp(M1 s) h, and the
+    stage-3 correction.  Each action collocates its scalar field at
+    n = max(24, ceil(beta*T) + 16) Gauss-Legendre nodes on [0, T], T its
+    last time and beta the stage's max-norm bound, so the cost follows the
+    stage bandwidth and the lift's K columns share one solve per node.
+    ``work`` is the node count n of the two stage-2 actions (stored
+    states, lift).
     """
     lo = times <= schedule.tau_d
     n_lo = int(np.count_nonzero(lo))
@@ -122,7 +127,7 @@ def _contour_assembly(grid: DetuningGrid, schedule: ProtocolSchedule, us, times)
         f = free[:, i]                     # F^T
         return h_ll, h_lh @ f.T, f @ h_hh @ f.T
 
-    return assemble, (stored.substeps + lifted.substeps, stored.matvecs + lifted.matvecs)
+    return assemble, (stored.collocation_nodes, lifted.collocation_nodes)
 
 
 def build_transfer_kernel(
@@ -151,7 +156,7 @@ def build_transfer_kernel(
         raise ValueError("the intrinsic and controlled detuning nodes and "
                          "weights must be mirror-symmetric about zero")
     half = contour.conjugate_half()
-    assemble, (substeps, matvecs) = _contour_assembly(
+    assemble, (states_nodes, lift_nodes) = _contour_assembly(
         grid, schedule, contour.nodes[half], tg.nodes)
 
     # Nodes increase, so the t <= tau_d rows and columns lead.
@@ -172,8 +177,8 @@ def build_transfer_kernel(
         "assembly": "half",
         "contour_nodes": int(contour.size),
         "rephasing_time": grid.rephasing_time(),
-        "stage2_substeps": substeps,
-        "stage2_matvecs": matvecs,
+        "stage2_states_collocation_nodes": states_nodes,
+        "stage2_lift_collocation_nodes": lift_nodes,
         "max_abs": float(np.max(np.abs(values))),
     }
     return TransferKernel(grid=tg, values=values, schedule=schedule,

@@ -88,6 +88,8 @@ def gaussian_pdf(x, width: float):
     """Normalized Gaussian density (1/sqrt(2 pi w^2)) exp(-x^2 / 2 w^2)."""
     if not (width > 0.0 and math.isfinite(width)):
         raise ValueError(f"width must be positive, got {width!r}")
+    if width * width == 0.0:
+        raise ValueError(f"width {width!r} is so small that its variance underflows to zero")
     x = np.asarray(x, dtype=float)
     out = np.exp(-(x * x) / (2.0 * width * width)) / math.sqrt(2.0 * math.pi * width * width)
     return out if out.ndim else float(out)

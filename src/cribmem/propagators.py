@@ -5,9 +5,11 @@ form ``-i*diag(phases) - (1/u) * ones * weights^T`` (a diagonal matrix plus a
 rank-one coupling through the radiated field).  Stage 1 acts on the K
 intrinsic classes, stages 2-4 on the K*N joint classes.  ``stage_action``
 applies the exponential of any stage to blocks of vectors without forming
-it, for a whole batch of contour nodes at once: a product with the
-diagonal-plus-rank-one generator costs O(dimension) per vector, and each
-Taylor step has a degree fixed in advance by a norm bound.  Stage 3 is
+it, for a whole batch of contour nodes at once.  The rank-one coupling
+reduces each action to one scalar convolution Volterra equation for the
+radiated field, solved by Gauss-Legendre collocation on one n x n matrix
+shared by every node, with n set by the bandwidth of the stage; the states
+then follow from Duhamel's formula at O(dimension * n) per time.  Stage 3 is
 reduced exactly onto the stage-1 action (``stage3_correction``), and stage
 4 follows from stage 2 by the controlled-detuning reflection wherever both
 are needed.  Nothing is decomposed.
@@ -30,7 +32,8 @@ import numpy as np
 from cribmem.errors import NumericsError
 from cribmem.model import DetuningGrid
 
-_TAYLOR_TOL = 2.0 ** -53 / math.e
+_MARGIN = 16       # collocation nodes beyond the bandwidth beta*T
+_CHUNK = 2 ** 15   # entries of the largest temporary array
 
 
 class Stage(enum.Enum):
@@ -67,14 +70,13 @@ def stage_matrix(stage: Stage, u: complex, grid: DetuningGrid) -> np.ndarray:
 class StagePropagation:
     """exp(M(u) t) x at each requested time t and contour node u.
 
-    ``states`` has shape (times, nodes, dimension, m); ``substeps`` counts
-    Taylor substeps and ``matvecs`` generator products, each over the whole
-    batch.
+    ``states`` has shape (times, nodes, dimension, m); ``collocation_nodes``
+    is the number of Gauss-Legendre nodes on [0, max(times)] (0 when no time
+    is positive).
     """
 
     states: np.ndarray
-    substeps: int
-    matvecs: int
+    collocation_nodes: int
 
 
 def stage_action(stage: Stage, grid: DetuningGrid, us, x, times) -> StagePropagation:
@@ -82,13 +84,31 @@ def stage_action(stage: Stage, grid: DetuningGrid, us, x, times) -> StagePropaga
 
     ``x`` is a (dimension, m) block shared by every node or a
     (nodes, dimension, m) stack.  M(u) = -i diag(phi) - (1/u) 1 w^T is never
-    formed.  The state is carried from one time to the next by truncated
-    Taylor substeps h with beta*h <= 1, where beta = max|phi| + max|1/u| sum(w)
-    bounds the max-norm of every generator in the batch.  The k-th term is
-    then at most (beta h)^k / k! of the state at the step's start, and the
-    state after the step at least e^-1 of it, so each step adds the m terms
-    of the smallest m with (beta h)^m / m! <= 2^-53 / e: its last term is
-    below 2^-53 of the state.  A non-finite result raises NumericsError.
+    formed.  By Duhamel's formula the state is
+
+        x(t) = e^{-i phi t} o [x - (1/u) int_0^t e^{i phi s} f(s) ds],
+
+    where the scalar field f = w^T x(t) solves the convolution Volterra
+    equation
+
+        f(t) + (1/u) int_0^t chi(t - s) f(s) ds = (w o e^{-i phi t})^T x,
+        chi(tau) = sum_i w_i e^{-i phi_i tau},
+
+    one per node and column.  f is collocated at the n Gauss-Legendre
+    nodes s_q on [0, T = max(times)]: the integral at s_q is an n-node
+    Gauss-Legendre rule on [0, s_q] applied to the barycentric Lagrange
+    interpolant of f, which gives one n x n matrix A for every node, and
+    each node solves (I + A/u) F = R.  The states at every time follow from
+    the same inner rule on [0, t].  All of it is resolved when n exceeds
+    the bandwidth beta*T, with beta = max|phi| + max|1/u| sum(w) the
+    max-norm bound of every generator in the batch; n = max(24,
+    ceil(beta*T) + 16) leaves 16 nodes of margin, and n + 16 nodes change
+    the states by rounding only.  Nodes and times are taken in chunks so
+    that a temporary holds about 2^15 entries (one time's dimension x n
+    exponentials at least): large arrays, once freed, raise the
+    allocator's mmap threshold and with it the peak resident memory.  A
+    singular collocation system or a non-finite result raises
+    NumericsError.
     """
     us = np.asarray(us, dtype=complex).ravel()
     times = np.asarray(times, dtype=float)
@@ -105,50 +125,106 @@ def stage_action(stage: Stage, grid: DetuningGrid, us, x, times) -> StagePropaga
     if x.ndim != 3 or x.shape[1] != phi.size or x.shape[0] not in (1, us.size):
         raise ValueError(f"x must be (dim, m) or (nodes, dim, m) with dim = {phi.size}, "
                          f"got {x.shape}")
-    state = np.array(np.broadcast_to(x, (us.size,) + x.shape[1:]), order="C")
-    term = np.empty_like(state)
-    inv_u = 1.0 / us
-    beta = float(np.max(np.abs(phi))) + float(np.max(np.abs(inv_u))) * float(w.sum())
-    out = np.empty((times.size,) + state.shape, dtype=complex)
-    substeps = matvecs = 0
-    t_now = 0.0
-    for i, t in enumerate(times):
-        count = math.ceil(beta * (t - t_now))
-        h = (t - t_now) / max(count, 1)
-        degree = _taylor_degree(beta * h)
-        for _ in range(count):
-            _taylor_step(state, term, phi, w, inv_u, h, degree)
-        substeps += count
-        matvecs += count * degree
-        out[i] = state
-        t_now = t
-    # A non-finite entry stays non-finite under the in-place additions of
-    # every later step, so the final state shows any an output holds.
-    bad = ~np.isfinite(state).all(axis=(1, 2))
+    out = np.empty((times.size, us.size) + x.shape[1:], dtype=complex)
+    if times.size == 0:
+        return StagePropagation(out, 0)
+    t_end = float(times[-1])
+    n_q = 0
+    if t_end == 0.0:
+        out[...] = x
+    else:
+        inv_u = 1.0 / us
+        beta = float(np.max(np.abs(phi))) + float(np.max(np.abs(inv_u))) * float(w.sum())
+        n_q = max(24, math.ceil(beta * t_end) + _MARGIN)
+        rule = _Collocation(n_q, t_end)
+        waves = np.exp(-1j * np.multiply.outer(rule.nodes, phi))   # e^{-i phi s_q}
+        a = _volterra_matrix(rule, waves @ w)
+        sources = w * waves
+        step = max(1, _CHUNK // (n_q * max(n_q, x.shape[2])))
+        for j0 in range(0, us.size, step):
+            j = slice(j0, j0 + step)
+            xj = x if x.shape[0] == 1 else x[j]
+            f = _solve(stage, a, us[j], sources @ xj)
+            _evaluate(out[:, j], phi, inv_u[j], xj, f, rule, times)
+    bad = ~np.isfinite(out).all(axis=(0, 2, 3))
     if bad.any():
         raise NumericsError(f"stage-{stage.value} action gave non-finite values at "
                             f"u={complex(us[np.flatnonzero(bad)[0]])!r}")
-    return StagePropagation(out, substeps, matvecs)
+    return StagePropagation(out, n_q)
 
 
-def _taylor_degree(beta_h: float) -> int:
-    """Smallest m with beta_h^m / m! <= 2^-53 / e (19 at beta_h = 1)."""
-    m, bound = 1, beta_h
-    while bound > _TAYLOR_TOL:
-        m += 1
-        bound *= beta_h / m
-    return m
+class _Collocation:
+    """n Gauss-Legendre nodes on [0, end], with barycentric weights."""
+
+    def __init__(self, n: int, end: float):
+        self.xi, self.weights = np.polynomial.legendre.leggauss(n)
+        self.bary = (-1.0) ** np.arange(n) * np.sqrt((1.0 - self.xi ** 2) * self.weights)
+        self.end = end
+        self.nodes = 0.5 * end * (1.0 + self.xi)
+
+    def inner(self, t: np.ndarray):
+        """The rule on [0, t] for each t: nodes and weights, (t.size, n) each."""
+        return 0.5 * t[:, None] * (1.0 + self.xi), 0.5 * t[:, None] * self.weights
+
+    def interpolation(self, points: np.ndarray) -> np.ndarray:
+        """(..., n) values at ``points`` of the Lagrange basis on the nodes."""
+        diff = (2.0 * points / self.end - 1.0)[..., None] - self.xi
+        hit = diff == 0.0
+        diff[hit] = 1.0
+        basis = self.bary / diff
+        basis /= basis.sum(axis=-1, keepdims=True)
+        rows = hit.any(axis=-1)
+        basis[rows] = hit[rows]
+        return basis
 
 
-def _taylor_step(state, term, phi, w, inv_u, h, degree) -> None:
-    """state <- exp(M h) state in place, by the Taylor polynomial of ``degree``."""
-    term[...] = state
-    coupling = (h * inv_u)[:, None]
-    for k in range(1, degree + 1):
-        field = coupling * (w @ term) / k           # (h/k)(1/u) w^T term
-        term *= (-1j * h / k) * phi[:, None]
-        term -= field[:, None, :]
-        state += term
+def _volterra_matrix(rule: _Collocation, chi_nodes: np.ndarray) -> np.ndarray:
+    """A[q, p] = sum_m omega_qm chi(s_q - sigma_qm) L_p(sigma_qm), the rule on [0, s_q].
+
+    chi has the bandwidth of the field, so it is interpolated from its
+    values at the nodes s_q.
+    """
+    n = rule.nodes.size
+    a = np.empty((n, n), dtype=complex)
+    rows = max(1, _CHUNK // (n * n))
+    for q0 in range(0, n, rows):
+        s = rule.nodes[q0:q0 + rows]
+        sigma, omega = rule.inner(s)
+        chi = rule.interpolation(s[:, None] - sigma) @ chi_nodes
+        a[q0:q0 + rows] = np.einsum("qm,qmp->qp", omega * chi, rule.interpolation(sigma))
+    return a
+
+
+def _solve(stage, a, us, rhs) -> np.ndarray:
+    """Field values F, (nodes, n, m), from (I + A/u) F = R at each node."""
+    system = a / us[:, None, None]
+    system += np.eye(a.shape[0])
+    try:
+        return np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        u = us[np.argmin(np.abs(np.linalg.det(system)))]
+        raise NumericsError(f"stage-{stage.value} collocation system is singular at "
+                            f"u={complex(u)!r}") from None
+
+
+def _evaluate(out, phi, inv_u, x, f, rule: _Collocation, times) -> None:
+    """out[i] = e^{-i phi t_i} o (x - (1/u) int_0^t_i e^{i phi s} f(s) ds), in place."""
+    n = rule.nodes.size
+    per_time = n * max(phi.size, n, f.shape[0] * f.shape[2])
+    step = max(1, _CHUNK // per_time)
+    for i0 in range(0, times.size, step):
+        t = times[i0:i0 + step]
+        sigma, omega = rule.inner(t)
+        # Field at the inner nodes, weighted: (times, nodes, n, m).
+        field = np.matmul(rule.interpolation(sigma)[:, None], f[None])
+        field *= omega[:, None, :, None]
+        kernel = sigma[:, None, :] * (1j * phi)[:, None]            # (times, dim, n)
+        np.exp(kernel, out=kernel)
+        chunk = out[i0:i0 + step]
+        np.matmul(kernel[:, None], field, out=chunk)
+        chunk *= -inv_u[:, None, None]
+        chunk += x
+        chunk *= np.exp(-1j * np.multiply.outer(t, phi))[:, None, :, None]
 
 
 # ---------------------------------------------------------------------------

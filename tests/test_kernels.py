@@ -234,7 +234,7 @@ def test_zero_dephasing_kernel_has_empty_low_block():
 
 def test_kernel_reports_stage2_work():
     *_, kern = build_small(k=3, n=3, level=3)
-    for key in ("stage2_substeps", "stage2_matvecs"):
+    for key in ("stage2_states_collocation_nodes", "stage2_lift_collocation_nodes"):
         assert isinstance(kern.diagnostics[key], int)
         assert kern.diagnostics[key] > 0
 

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from cribmem import propagators
 from cribmem.errors import NumericsError
 from cribmem.laplace import talbot_contour
-from cribmem.model import DetuningGrid, build_detuning_grid
+from cribmem.model import DetuningGrid, build_detuning_grid, default_schedule, derive_params
 from cribmem.propagators import (
     Stage,
     _generator_terms,
@@ -14,6 +17,7 @@ from cribmem.propagators import (
     stage_action,
     stage_matrix,
 )
+from cribmem.quadrature import tanh_sinh_grid
 
 
 def action_expm(stage: Stage, u, grid: DetuningGrid, duration: float) -> np.ndarray:
@@ -219,24 +223,87 @@ def test_stage2_action_matches_dense_exponential():
             assert err <= 1e-12
 
 
-@pytest.mark.parametrize("stage", [Stage.S1, Stage.S2, Stage.S4])
-def test_one_full_substep_matches_expm(stage):
-    # beta*h just below 1 is the longest substep and needs the highest
-    # Taylor degree; the fixed degree must still give float64 accuracy.
-    g = build_detuning_grid(0.3, 2.0, k=3, n=5)
-    phi, w = _generator_terms(stage, g)
+def extreme_nodes():
+    # The left-most Talbot node and the one of largest |1/u|.
     nodes = talbot_contour(32, 1.0).nodes
     left = nodes[np.argmin(nodes.real)]
-    nearest = nodes[np.argmax(np.abs(1.0 / nodes))]
     assert left.real < 0.0
-    for u in (left, nearest):
-        beta = np.abs(phi).max() + abs(1.0 / u) * w.sum()
-        t = 0.999 / beta
-        got = stage_action(stage, g, [u], np.eye(phi.size), [t])
-        assert got.substeps == 1
-        want = scipy.linalg.expm(stage_matrix(stage, u, g) * t)
-        err = np.abs(got.states[0, 0] - want).max() / np.abs(want).max()
-        assert err <= 1e-14, (stage, u, err)
+    return [left, nodes[np.argmax(np.abs(1.0 / nodes))]]
+
+
+@pytest.mark.parametrize("stage, d0, gamma, k, n, duration", [
+    (Stage.S2, 100.0, 10.0, 3, 33, 1.0),           # tau_d at gamma = 10
+    (Stage.S4, 100.0, 10.0, 3, 33, 1.0),
+    (Stage.S1, 800.0, 10.0, 33, 33, 39.894228),    # tau_p at d0 = 800
+], ids=["S2", "S4", "S1"])
+def test_action_at_widest_default_bandwidths_matches_expm(stage, d0, gamma, k, n, duration):
+    params = derive_params(d0, gamma)
+    g = build_detuning_grid(params.gamma0_rel, gamma, k, n)
+    dim = _generator_terms(stage, g)[0].size
+    for u in extreme_nodes():
+        got = stage_action(stage, g, [u], np.eye(dim), [0.5 * duration, duration]).states
+        for i, t in enumerate((0.5 * duration, duration)):
+            want = scipy.linalg.expm(stage_matrix(stage, u, g) * t)
+            err = np.abs(got[i, 0] - want).max() / np.abs(want).max()
+            assert err <= 1e-13, (stage, u, t, err)
+
+
+@pytest.mark.parametrize("d0", [100.0, 800.0])
+def test_lift_unchanged_by_sixteen_more_collocation_nodes(d0, monkeypatch):
+    params = derive_params(d0, 10.0)
+    g = build_detuning_grid(params.gamma0_rel, 10.0, 33, 33)
+    contour = talbot_contour(32, 1.0)
+    us = contour.nodes[contour.conjugate_half()]
+    lift = np.kron(np.eye(g.k), np.ones((g.n, 1)))
+    base = stage_action(Stage.S2, g, us, lift, [1.0])
+    monkeypatch.setattr(propagators, "_MARGIN", propagators._MARGIN + 16)
+    more = stage_action(Stage.S2, g, us, lift, [1.0])
+    assert more.collocation_nodes == base.collocation_nodes + 16
+    err = np.abs(more.states - base.states).max() / np.abs(base.states).max()
+    assert err <= 1e-13
+
+
+def test_stored_state_action_memory_stays_near_its_output():
+    # modes-q9's stored states: K = 9, N = 15, the q9 times t <= tau_d and
+    # the 16 upper-half contour nodes.  Chunked temporaries keep the traced
+    # peak within twice the output array.
+    params = derive_params(100.0, 3.0)
+    schedule = default_schedule(params)
+    g = build_detuning_grid(params.gamma0_rel, 3.0, 9, 15)
+    contour = talbot_contour(32, 1.0)
+    us = contour.nodes[contour.conjugate_half()]
+    nodes = tanh_sinh_grid(0.0, schedule.tau_r, 9).nodes
+    times = nodes[nodes <= schedule.tau_d]
+    x = np.ones((g.k * g.n, 1))
+    tracemalloc.start()
+    try:
+        states = stage_action(Stage.S2, g, us, x, times).states
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.shape == (times.size, 16, 135, 1)
+    assert peak <= 2 * states.nbytes, (peak, states.nbytes)
+
+
+def test_action_without_positive_time_returns_x():
+    g = build_detuning_grid(0.3, 2.0, k=3, n=5)
+    us = stage2_nodes()
+    x = np.arange(30.0).reshape(15, 2)
+    empty = stage_action(Stage.S2, g, us, x, [])
+    assert empty.states.shape == (0, 3, 15, 2)
+    zero = stage_action(Stage.S2, g, us, x, [0.0, 0.0])
+    assert zero.collocation_nodes == 0
+    assert np.array_equal(zero.states, np.broadcast_to(x, (2, 3, 15, 2)))
+
+
+def test_singular_collocation_system_raises_numerics_error(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    g = build_detuning_grid(0.3, 2.0, k=3, n=5)
+    with pytest.raises(NumericsError, match="stage-2 collocation system is singular at u="):
+        stage_action(Stage.S2, g, stage2_nodes(), np.ones((15, 1)), [0.5])
 
 
 def test_stage2_action_batch_equals_single_nodes():
