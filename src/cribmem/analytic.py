@@ -11,9 +11,9 @@ surviving norm gives
 
 valid to first order in 1/gamma.  The companion numeric routine evolves the
 same two stages non-perturbatively through the Laplace-domain machinery:
-``stage_action`` on a K = 1 detuning grid, for the upper-half contour nodes
-of every z node in one batch; each z node's inverse is twice the real part
-of its upper-half sum, since the profile is real and the comb symmetric.
+one stage-2 ``stage_action`` on a K = 1 detuning grid, at the contour
+nodes of every z node in one batch, with stage 4 by the controlled-detuning
+reflection; the profile is real and the comb symmetric, so each inverse is real.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.interpolate
 
-from cribmem.laplace import DEFAULT_CONTOUR_NODES, talbot_contour
+from cribmem.laplace import DEFAULT_CONTOUR_NODES, invert, talbot_contour
 from cribmem.model import (DEFAULT_EXTENT_SIGMAS, DEFAULT_GRID_POINTS, PhysicalParams,
                            build_detuning_grid, gaussian_pdf, min_safe_classes)
-from cribmem.propagators import Stage, stage_action
+from cribmem.propagators import Stage, block_reversal_permutation, stage_action
 from cribmem.quadrature import TimeGrid, tanh_sinh_grid
 
 _DEFAULT_Z_LEVEL = 5
@@ -130,9 +130,10 @@ def broadening_stage_efficiency_numeric(
     Evolves the polarization through exp(M2 tau_d) then exp(M4 tau_d) in the
     spatial Laplace domain on a K = 1 detuning grid (the intrinsic
     broadening collapsed to the single resonant class), inverts onto the
-    profile's z-grid (one Talbot contour per node) and integrates P(z)^2.
-    Both stages run through ``stage_action`` on the upper-half contour nodes
-    of every z node at once.
+    profile's z-grid (the unit Talbot contour divided by each z) and
+    integrates P(z)^2.  Only stage 2 runs, in one ``stage_action``: on the
+    mirror-symmetric comb g^T exp(M4 tau_d) = (P D exp(M2 tau_d) 1)^T, with
+    D = diag(g) and P the comb reflection.
 
     When ``n_classes`` is omitted it is chosen so the discrete-comb
     rephasing time 2*pi/step stays at least twice the stage duration;
@@ -156,17 +157,15 @@ def broadening_stage_efficiency_numeric(
     grid = build_detuning_grid(1.0, gamma_rel, k=1, n=n_classes,
                                extent_sigmas=extent_sigmas)
 
-    # One Talbot contour per z node, all (z, u) upper-half nodes in one batch.
+    # The contour at z is the unit one divided by z: all (u, z) nodes at once.
     zg = p1.grid
-    contours = [talbot_contour(contour_nodes, t_scale=float(z)) for z in zg.nodes]
-    half = contours[0].conjugate_half()
-    nodes = np.array([c.nodes[half] for c in contours])
-    weights = np.array([c.derivative_weights[half] for c in contours])
+    contour = talbot_contour(contour_nodes, t_scale=1.0)
+    nodes = np.divide.outer(contour.nodes, zg.nodes)
     sig = stage_action(Stage.S2, grid, nodes.ravel(), np.ones((n_classes, 1)),
-                       [tau_d]).states[0]
-    sig = stage_action(Stage.S4, grid, nodes.ravel(), sig, [tau_d]).states[0][..., 0]
-    samples = (sig @ grid.joint_weights).reshape(nodes.shape) * p1.laplace(nodes)
-    p4 = 2.0 * np.einsum("ij,ij->i", weights, samples).real
+                       [tau_d]).states[0][..., 0]
+    rows = (grid.joint_weights * sig)[:, block_reversal_permutation(grid)]
+    samples = np.sum(rows * sig, axis=1).reshape(nodes.shape) * p1.laplace(nodes)
+    p4 = invert(contour, samples) / zg.nodes
     return float(np.sum(zg.weights * p4 ** 2))
 
 

@@ -12,7 +12,8 @@ Output is CSV (default) or JSON; a leading comment line records the
 resolved settings so runs are reproducible (perturbative records only those
 it reads).  Standard output is reserved for data when the output path is
 "-"; errors go to standard error.  Exit codes: 0 success, 2 configuration
-error, 3 numerical failure.
+error (among them a taud for any command but perturbative, the only one
+that reads it), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -136,6 +137,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     cfg = {**_DEFAULTS, **settings.as_dict(),
            "grid_n": None,   # settings.n, except that perturbative lets the library choose
            "gamma": [float(x) for x in np.geomspace(0.1, 10.0, 25)]}
+    loaded = {}
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
@@ -160,6 +162,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg["omega"] = _parse_float_list(args.omega)
     if cfg["grid_n"] is None and cfg["command"] != "perturbative":
         cfg["grid_n"] = settings.n
+    if cfg["command"] != "perturbative" and (args.taud is not None or "taud" in loaded):
+        raise ValueError(f"taud is read only by perturbative; {cfg['command']} "
+                         "uses the default schedule's tau_d")
     if not cfg["d0"] or not cfg["gamma"]:
         raise ValueError("d0 and gamma lists must be non-empty")
     for key in ("threads", "tc_points", "tw_points"):

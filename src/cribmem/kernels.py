@@ -18,7 +18,8 @@ reflection P maps stage 2 onto stage 4 and commutes with D and with the
 stage-3 phases.  So the read-out row of an output at t is (P D c(t))^T, and
 B is complex symmetric.  Each entry is an inverse Laplace transform, along
 a fixed Talbot contour, of that product; on the mirror-symmetric detuning
-grid it is real, twice the real part of the sum over the upper-half nodes.
+grid it is real, the real part of the weighted sum over the contour's
+upper-half nodes.
 
 The stored states are C = V Z, with the basis V = [exp(M2 t) h for
 t <= tau_d | exp(M2 tau_d) lift] and Z = diag(I, F), where F holds the
@@ -143,8 +144,8 @@ def build_transfer_kernel(
     ``out_grid`` and ``in_grid`` must be the same grid, spanning
     [0, tau_r].  Both detuning families must be mirror-symmetric: stage 4
     is obtained from stage 2 by reflecting the controlled comb, and the
-    symmetry makes the kernel real, so only the upper-half contour nodes
-    are evaluated and the real part is doubled.
+    symmetry makes the kernel real, so the contour's upper-half nodes
+    suffice and the real part of their weighted sum is kept.
     """
     if not (np.array_equal(out_grid.nodes, in_grid.nodes)
             and np.array_equal(out_grid.weights, in_grid.weights)):
@@ -155,17 +156,15 @@ def build_transfer_kernel(
     if not grid.is_symmetric():
         raise ValueError("the intrinsic and controlled detuning nodes and "
                          "weights must be mirror-symmetric about zero")
-    half = contour.conjugate_half()
     assemble, (states_nodes, lift_nodes) = _contour_assembly(
-        grid, schedule, contour.nodes[half], tg.nodes)
+        grid, schedule, contour.nodes, tg.nodes)
 
     # Nodes increase, so the t <= tau_d rows and columns lead.
     n_lo = int(np.count_nonzero(tg.nodes <= schedule.tau_d))
     values = np.zeros((tg.size, tg.size))
     blocks = (values[:n_lo, :n_lo], values[:n_lo, n_lo:], values[n_lo:, n_lo:])
-    for i, idx in enumerate(half):
-        u = complex(contour.nodes[idx])
-        wu = 2.0 * complex(contour.derivative_weights[idx]) * (-1.0 / (u * u))
+    for i, (u, w) in enumerate(zip(contour.nodes, contour.weights)):
+        wu = w * (-1.0 / (u * u))
         for acc, k in zip(blocks, assemble(i)):
             acc += (wu * k).real
     values[n_lo:, :n_lo] = values[:n_lo, n_lo:].T
@@ -175,7 +174,7 @@ def build_transfer_kernel(
         raise NumericsError("non-finite entries in the transfer kernel")
     diagnostics = {
         "assembly": "half",
-        "contour_nodes": int(contour.size),
+        "contour_nodes": contour.m,
         "rephasing_time": grid.rephasing_time(),
         "stage2_states_collocation_nodes": states_nodes,
         "stage2_lift_collocation_nodes": lift_nodes,

@@ -1,13 +1,15 @@
 """Numerical inverse Laplace transform on a fixed Talbot contour.
 
 The contour is Weideman's optimized cotangent deformation of the Bromwich
-line, sampled with the midpoint rule at an even number of nodes, which come
-in conjugate pairs.  Every transform inverted is of a real function, so the
-inverse is twice the real part of the sum over the upper-half nodes alone.
-Because the node set depends only on the node count and the evaluation
-abscissa (not on the transform), one contour serves every kernel entry: the
-stage propagations at a node are computed once and applied to the whole
-time grid.
+line, sampled with the midpoint rule at an even number m of nodes, which
+come in conjugate pairs.  Every transform inverted is of a real function,
+so each pair sums to twice the real part of its upper term: a contour keeps
+only its m/2 upper-half nodes, with the pair's factor 2 in its weights, and
+``invert`` takes the real part of the weighted sum.  Because the node set
+depends only on the node count and the evaluation abscissa (not on the
+transform), one contour serves every kernel entry: the stage propagations
+at a node are computed once and applied to the whole time grid.  The
+contour at abscissa z is the one at 1 with nodes and weights divided by z.
 """
 
 from __future__ import annotations
@@ -30,25 +32,18 @@ MAX_CONTOUR_NODES = 64
 
 @dataclass(frozen=True)
 class LaplaceContour:
-    """Talbot contour nodes with premultiplied inversion weights.
+    """Upper-half Talbot nodes of an m-node contour, with inversion weights.
 
-    ``derivative_weights`` already contain the parametrization derivative,
-    the midpoint-rule step, the 1/(2*pi*i) prefactor and the exp(u*t_scale)
-    factor, so the inverse transform at t_scale is a plain dot product with
-    the transform samples.
+    ``weights`` already contain the parametrization derivative, the
+    midpoint-rule step, the 1/(2*pi*i) prefactor, the exp(u*t_scale) factor
+    and the factor 2 of the conjugate pair, so the inverse transform at
+    t_scale is the real part of a plain dot product with the samples.
     """
 
     nodes: np.ndarray
-    derivative_weights: np.ndarray
+    weights: np.ndarray
     t_scale: float
-
-    @property
-    def size(self) -> int:
-        return self.nodes.size
-
-    def conjugate_half(self) -> np.ndarray:
-        """Indices of the upper-half-plane nodes, the only ones evaluated."""
-        return np.where(self.nodes.imag > 0.0)[0]
+    m: int
 
 
 # (y - sin y)/y^3 = sum_n (-1)^n y^2n / (2n + 3)!, to rounding for |y| < 1.
@@ -68,13 +63,14 @@ def _sigma(theta: np.ndarray):
 
 
 def talbot_contour(m: int, t_scale: float) -> LaplaceContour:
-    """Modified Talbot contour with m nodes, scaled for inversion at t_scale.
+    """Upper half of the modified Talbot contour with m nodes, scaled for
+    inversion at t_scale.
 
     m must be even, so that no node lies on the real axis, outside the
-    upper half, and at most 64.  The optimized geometry's error reaches the
-    float64 cancellation floor by m ~ 24, and that floor grows like
-    e^{0.34 m} (1/(u + a) inverts to 4e-15 at m = 32, 3e-11 at 64, 0.2 at
-    200), so larger m would return garbage.
+    conjugate pairs, and at most 64.  The optimized geometry's error
+    reaches the float64 cancellation floor by m ~ 24, and that floor grows
+    like e^{0.34 m} (1/(u + a) inverts to 4e-15 at m = 32, 3e-11 at 64, 0.2
+    at 200), so larger m would return garbage.
     """
     if (isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 8
             or m > MAX_CONTOUR_NODES or m % 2):
@@ -82,24 +78,21 @@ def talbot_contour(m: int, t_scale: float) -> LaplaceContour:
                          f"nodes, got {m!r}")
     if not (t_scale > 0.0 and math.isfinite(t_scale)):
         raise ValueError(f"t_scale must be positive, got {t_scale!r}")
-    # Half-integer multiples of the step: exact conjugate pairs, accurate near 0.
-    theta = (np.arange(m) + 0.5 - m // 2) * (2.0 * math.pi / m)
+    # Positive half-integer multiples of the step: the upper half of exact
+    # conjugate pairs, accurate near 0.
+    theta = (np.arange(m // 2) + 0.5) * (2.0 * math.pi / m)
     sig, dsig = _sigma(theta)
     scale = m / t_scale
     nodes = scale * sig
-    weights = (scale / (1j * m)) * dsig * np.exp(nodes * t_scale)
-    return LaplaceContour(nodes=nodes, derivative_weights=weights, t_scale=t_scale)
+    weights = (2.0 * scale / (1j * m)) * dsig * np.exp(nodes * t_scale)
+    return LaplaceContour(nodes=nodes, weights=weights, t_scale=t_scale, m=int(m))
 
 
-def invert_at_unit(contour: LaplaceContour, samples) -> float:
-    """Inverse transform at z = t_scale of a real function from its samples
-    F(u) at the upper-half nodes ``contour.nodes[contour.conjugate_half()]``."""
-    half = contour.conjugate_half()
-    if np.shape(samples) != half.shape:
-        raise ValueError(f"got {np.shape(samples)} samples for {half.size} upper-half nodes")
-    return 2.0 * float(np.dot(contour.derivative_weights[half], samples).real)
-
-
-def invert_function(contour: LaplaceContour, transform) -> float:
-    """Convenience wrapper: evaluate a vectorized transform and invert."""
-    return invert_at_unit(contour, transform(contour.nodes[contour.conjugate_half()]))
+def invert(contour: LaplaceContour, samples):
+    """Inverse transform at t_scale of real functions from their samples F(u)
+    at ``contour.nodes``, along the leading axis of ``samples``: a float for
+    one function, an array over the trailing axes for several."""
+    samples = np.asarray(samples)
+    if samples.shape[:1] != contour.nodes.shape:
+        raise ValueError(f"got {samples.shape} samples for {contour.nodes.size} nodes")
+    return np.tensordot(contour.weights, samples, axes=1).real[()]

@@ -11,8 +11,10 @@ radiated field, solved by Gauss-Legendre collocation on one n x n matrix
 shared by every node, with n set by the bandwidth of the stage; the states
 then follow from Duhamel's formula at O(dimension * n) per time.  Stage 3 is
 reduced exactly onto the stage-1 action (``stage3_correction``), and stage
-4 follows from stage 2 by the controlled-detuning reflection wherever both
-are needed.  Nothing is decomposed.
+4 always follows from stage 2 by the controlled-detuning reflection
+(``block_reversal_permutation``): nothing in the package runs a stage-4
+action, whose generator serves only the dense reference ``stage_matrix``.
+Nothing is decomposed.
 
 The stage-1 rank-one term carries the sum of the controlled Riemann weights,
 which equals one only in the continuum limit: with it, the K-dimensional
@@ -33,6 +35,7 @@ from cribmem.errors import NumericsError
 from cribmem.model import DetuningGrid
 
 _MARGIN = 16       # collocation nodes beyond the bandwidth beta*T
+_MAX_NODES = 1024  # most collocation nodes: the complex n x n A is then 16 MB
 _CHUNK = 2 ** 15   # entries of the largest temporary array
 
 
@@ -103,11 +106,12 @@ def stage_action(stage: Stage, grid: DetuningGrid, us, x, times) -> StagePropaga
     the bandwidth beta*T, with beta = max|phi| + max|1/u| sum(w) the
     max-norm bound of every generator in the batch; n = max(24,
     ceil(beta*T) + 16) leaves 16 nodes of margin, and n + 16 nodes change
-    the states by rounding only.  Nodes and times are taken in chunks so
-    that a temporary holds about 2^15 entries (one time's dimension x n
-    exponentials at least): large arrays, once freed, raise the
-    allocator's mmap threshold and with it the peak resident memory.  A
-    singular collocation system or a non-finite result raises
+    the states by rounding only.  An n above 1024 raises NumericsError
+    before anything of size n is built.  Nodes and times are taken in
+    chunks so that a temporary holds about 2^15 entries (one time's
+    dimension x n exponentials at least): large arrays, once freed, raise
+    the allocator's mmap threshold and with it the peak resident memory.
+    A singular collocation system or a non-finite result raises
     NumericsError.
     """
     us = np.asarray(us, dtype=complex).ravel()
@@ -136,6 +140,10 @@ def stage_action(stage: Stage, grid: DetuningGrid, us, x, times) -> StagePropaga
         inv_u = 1.0 / us
         beta = float(np.max(np.abs(phi))) + float(np.max(np.abs(inv_u))) * float(w.sum())
         n_q = max(24, math.ceil(beta * t_end) + _MARGIN)
+        if n_q > _MAX_NODES:
+            raise NumericsError(f"stage-{stage.value} action over T={t_end!r} at "
+                                f"beta={beta!r} needs {n_q} collocation nodes, "
+                                f"more than {_MAX_NODES}")
         rule = _Collocation(n_q, t_end)
         waves = np.exp(-1j * np.multiply.outer(rule.nodes, phi))   # e^{-i phi s_q}
         a = _volterra_matrix(rule, waves @ w)

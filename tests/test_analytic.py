@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cribmem import analytic
 from cribmem.analytic import (
     Profile,
     broadening_stage_efficiency_numeric,
@@ -13,7 +14,8 @@ from cribmem.analytic import (
     transmission_spectrum,
 )
 from cribmem.laplace import talbot_contour
-from cribmem.model import build_detuning_grid, derive_params
+from cribmem.model import (DEFAULT_EXTENT_SIGMAS, DEFAULT_GRID_POINTS, build_detuning_grid,
+                           derive_params, min_safe_classes)
 from cribmem.propagators import Stage, stage_action
 from cribmem.quadrature import integrate, tanh_sinh_grid
 
@@ -109,16 +111,18 @@ def test_numeric_gap_grows_at_moderate_broadening():
 
 def full_contour_numeric(p1: Profile, gamma_rel: float, tau_d: float,
                          n_classes: int = 33, m: int = 32) -> float:
-    """The broadening-stage numeric summed over every contour node."""
+    """The broadening-stage numeric summed over every contour node, the
+    lower half built from the conjugates of the upper."""
     grid = build_detuning_grid(1.0, gamma_rel, k=1, n=n_classes)
     out = []
     for z in p1.grid.nodes:
         c = talbot_contour(m, float(z))
-        sig = stage_action(Stage.S2, grid, c.nodes, np.ones((n_classes, 1)),
+        nodes = np.concatenate([c.nodes, np.conj(c.nodes)])
+        weights = 0.5 * np.concatenate([c.weights, np.conj(c.weights)])
+        sig = stage_action(Stage.S2, grid, nodes, np.ones((n_classes, 1)),
                            [tau_d]).states[0]
-        sig = stage_action(Stage.S4, grid, c.nodes, sig, [tau_d]).states[0][..., 0]
-        out.append(np.dot(c.derivative_weights,
-                          (sig @ grid.joint_weights) * p1.laplace(c.nodes)))
+        sig = stage_action(Stage.S4, grid, nodes, sig, [tau_d]).states[0][..., 0]
+        out.append(np.dot(weights, (sig @ grid.joint_weights) * p1.laplace(nodes)))
     return float(np.sum(p1.grid.weights * np.abs(np.array(out)) ** 2))
 
 
@@ -126,6 +130,49 @@ def test_numeric_equals_full_contour_sum():
     for profile, gamma in ((Profile.flat(), 5.0), (Profile.from_callable(lambda z: z), 7.0)):
         half = broadening_stage_efficiency_numeric(profile, gamma, 1.0)
         assert abs(half - full_contour_numeric(profile, gamma, 1.0)) <= 1e-13
+
+
+def stage4_route_numeric(p1: Profile, gamma_rel: float, tau_d: float, n_classes: int,
+                         m: int = 32) -> float:
+    """The numeric by one Talbot contour per z node and a stage-4 action
+    after the stage-2 one, on all their nodes at once."""
+    grid = build_detuning_grid(1.0, gamma_rel, k=1, n=n_classes)
+    contours = [talbot_contour(m, float(z)) for z in p1.grid.nodes]
+    nodes = np.array([c.nodes for c in contours])
+    weights = np.array([c.weights for c in contours])
+    sig = stage_action(Stage.S2, grid, nodes.ravel(), np.ones((n_classes, 1)),
+                       [tau_d]).states[0]
+    sig = stage_action(Stage.S4, grid, nodes.ravel(), sig, [tau_d]).states[0][..., 0]
+    samples = (sig @ grid.joint_weights).reshape(nodes.shape) * p1.laplace(nodes)
+    p4 = np.einsum("ij,ij->i", weights, samples).real
+    return float(np.sum(p1.grid.weights * p4 ** 2))
+
+
+@pytest.mark.parametrize("gamma", [5.0, 7.0, 10.0])
+@pytest.mark.parametrize("tau_d", [1.0, 2.0])
+def test_numeric_matches_per_z_contours_and_stage4_action(gamma, tau_d):
+    # One unit contour divided by z, and stage 4 by reflecting stage 2.
+    n = max(DEFAULT_GRID_POINTS, min_safe_classes(gamma, tau_d, DEFAULT_EXTENT_SIGMAS))
+    flat = Profile.flat()
+    got = broadening_stage_efficiency_numeric(flat, gamma, tau_d, n_classes=n)
+    assert abs(got - stage4_route_numeric(flat, gamma, tau_d, n)) <= 1e-13
+
+
+def test_numeric_runs_one_contour_and_one_stage2_action(monkeypatch):
+    calls = []
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[0] if name == "stage_action" else None))
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(analytic, "talbot_contour",
+                        counted("talbot_contour", analytic.talbot_contour))
+    monkeypatch.setattr(analytic, "stage_action",
+                        counted("stage_action", analytic.stage_action))
+    broadening_stage_efficiency_numeric(Profile.flat(), 7.0, 1.0)
+    assert calls == [("talbot_contour", None), ("stage_action", Stage.S2)]
 
 
 def test_numeric_weakly_sensitive_to_stage_duration():

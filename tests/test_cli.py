@@ -107,6 +107,19 @@ def test_perturbative_records_only_the_settings_it_reads(tmp_path, capsys):
     assert settings["grid_n"] is None and settings["gamma"] == [5.0]
 
 
+def test_taud_for_a_command_that_ignores_it_exits_2(tmp_path, capsys):
+    # Only perturbative reads tau_d; the others use the default schedule.
+    path = tmp_path / "taud.json"
+    path.write_text(json.dumps({"taud": 1.0}))
+    for argv in (["sweep-optimal", "--d0", "10", "--gamma", "3", "--taud", "2"] + TINY,
+                 ["transmission", "--d0", "5", "--omega", "0", "--taud", "1"],
+                 ["modes", "--d0", "10", "--gamma", "3", "--config", str(path)] + TINY):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert "configuration error: taud is read only by perturbative" in err
+
+
 def test_aliasing_class_count_exits_2(capsys):
     # At gamma = 20 the default 33-class comb rephases at 1.005, inside the
     # tau_d = 1 stages; the smallest safe odd count is 65.

@@ -13,7 +13,7 @@ from cribmem.kernels import (
     build_efficiency_kernel,
     build_transfer_kernel,
 )
-from cribmem.laplace import invert_at_unit, talbot_contour
+from cribmem.laplace import invert, talbot_contour
 from cribmem.model import (
     DetuningGrid,
     ProtocolSchedule,
@@ -84,8 +84,8 @@ def dense_kernel_entry(t: float, t_prime: float, grid: DetuningGrid,
     t_loc = t if t <= td else t - td
     tp_loc = t_prime if t_prime <= td else t_prime - td
     samples = np.array([dense_sample(which, complex(u), t_loc, tp_loc, grid, sched)
-                        for u in contour.nodes[contour.conjugate_half()]])
-    return invert_at_unit(contour, samples)
+                        for u in contour.nodes])
+    return invert(contour, samples)
 
 
 def assembled_at(u: complex, grid: DetuningGrid, sched: ProtocolSchedule, times):
@@ -97,7 +97,7 @@ def assembled_at(u: complex, grid: DetuningGrid, sched: ProtocolSchedule, times)
 def test_kernel_samples_matches_direct_matrix_chain():
     # Independent re-derivation: raw dense products at one Laplace moment.
     params, sched, grid, contour, _ = build_small(k=3, n=3, level=3)
-    u = complex(contour.nodes[3])
+    u = complex(contour.nodes[12])
     t, tp = 0.35, 0.45   # inside both the tau_d and tau_p windows
     td = sched.tau_d
     k_ll, k_lh, k_hh = assembled_at(u, grid, sched, [t, tp, t + td, tp + td])
@@ -119,9 +119,8 @@ def test_degenerate_resonant_k4_is_bessel():
         sched = ProtocolSchedule(tau_p=2.0, tau_d=tau_d, tau_s=tau_s)
         for (t, tp) in ((0.0, 0.0), (0.6, 1.1), (2.0, 2.0)):
             samples = np.array([
-                dense_sample("k4", complex(u), t, tp, grid, sched)
-                for u in contour.nodes[contour.conjugate_half()]])
-            got = invert_at_unit(contour, samples)
+                dense_sample("k4", complex(u), t, tp, grid, sched) for u in contour.nodes])
+            got = invert(contour, samples)
             a = t + tp + 2.0 * tau_d + tau_s
             want = -1.0 if a == 0.0 else -j1_series(2.0 * math.sqrt(a)) / math.sqrt(a)
             assert got == pytest.approx(want, abs=1e-8)
@@ -137,9 +136,8 @@ def test_degenerate_resonant_kernel_depends_on_storage_time():
     for tau_s in (0.0, 1.0):
         sched = ProtocolSchedule(tau_p=2.0, tau_d=1.0, tau_s=tau_s)
         samples = np.array([
-            dense_sample("k4", complex(u), 0.0, 0.0, grid, sched)
-            for u in contour.nodes[contour.conjugate_half()]])
-        vals.append(invert_at_unit(contour, samples))
+            dense_sample("k4", complex(u), 0.0, 0.0, grid, sched) for u in contour.nodes])
+        vals.append(invert(contour, samples))
     assert abs(vals[0] - vals[1]) > 0.05
 
 
@@ -150,7 +148,7 @@ def test_degenerate_k3_continues_k1():
     grid = build_detuning_grid(0.25, 0.0, k=3, n=1)
     sched = ProtocolSchedule(tau_p=1.5, tau_d=0.8, tau_s=0.0)
     contour = talbot_contour(24, 1.0)
-    for u in contour.nodes[:4]:
+    for u in contour.nodes[-4:]:
         u = complex(u)
         got = dense_sample("k3", u, 0.3, 0.5, grid, sched)
         m1 = -1j * np.diag(grid.intrinsic_nodes.astype(complex)) \
@@ -221,7 +219,7 @@ def test_zero_dephasing_kernel_has_empty_low_block():
     grid = build_detuning_grid(params.gamma0_rel, 3.0, 3, 3)
     contour = talbot_contour(32, 1.0)
     tg = tanh_sinh_grid(0.0, sched.tau_r, 3)
-    u = complex(contour.nodes[3])
+    u = complex(contour.nodes[12])
     k_ll, k_lh, k_hh = assembled_at(u, grid, sched, tg.nodes)
     assert k_ll.shape == (0, 0)
     assert k_lh.shape == (0, tg.size)
@@ -234,6 +232,9 @@ def test_zero_dephasing_kernel_has_empty_low_block():
 
 def test_kernel_reports_stage2_work():
     *_, kern = build_small(k=3, n=3, level=3)
+    # The full node count m, of which the "half" assembly evaluates m/2.
+    assert kern.diagnostics["contour_nodes"] == 32
+    assert kern.diagnostics["assembly"] == "half"
     for key in ("stage2_states_collocation_nodes", "stage2_lift_collocation_nodes"):
         assert isinstance(kern.diagnostics[key], int)
         assert kern.diagnostics[key] > 0

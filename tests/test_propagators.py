@@ -202,7 +202,7 @@ def test_stage3_action_zero_duration_is_identity():
 def stage2_nodes():
     # Three Talbot nodes, one of them in the left half plane.
     contour = talbot_contour(16, 1.0)
-    us = contour.nodes[[0, 5, 8]]
+    us = contour.nodes[[7, 2, 0]]
     assert us[0].real < 0.0 < us[2].real
     return us
 
@@ -253,7 +253,7 @@ def test_lift_unchanged_by_sixteen_more_collocation_nodes(d0, monkeypatch):
     params = derive_params(d0, 10.0)
     g = build_detuning_grid(params.gamma0_rel, 10.0, 33, 33)
     contour = talbot_contour(32, 1.0)
-    us = contour.nodes[contour.conjugate_half()]
+    us = contour.nodes
     lift = np.kron(np.eye(g.k), np.ones((g.n, 1)))
     base = stage_action(Stage.S2, g, us, lift, [1.0])
     monkeypatch.setattr(propagators, "_MARGIN", propagators._MARGIN + 16)
@@ -271,7 +271,7 @@ def test_stored_state_action_memory_stays_near_its_output():
     schedule = default_schedule(params)
     g = build_detuning_grid(params.gamma0_rel, 3.0, 9, 15)
     contour = talbot_contour(32, 1.0)
-    us = contour.nodes[contour.conjugate_half()]
+    us = contour.nodes
     nodes = tanh_sinh_grid(0.0, schedule.tau_r, 9).nodes
     times = nodes[nodes <= schedule.tau_d]
     x = np.ones((g.k * g.n, 1))
@@ -304,6 +304,22 @@ def test_singular_collocation_system_raises_numerics_error(monkeypatch):
     g = build_detuning_grid(0.3, 2.0, k=3, n=5)
     with pytest.raises(NumericsError, match="stage-2 collocation system is singular at u="):
         stage_action(Stage.S2, g, stage2_nodes(), np.ones((15, 1)), [0.5])
+
+
+def test_collocation_count_above_the_cap_raises_before_building(monkeypatch):
+    # A duration whose bandwidth asks for about 1100 nodes, just over the
+    # cap of 1024; the check must come before the rule of that size.
+    def never(*args, **kwargs):
+        raise AssertionError("collocation rule built past the cap")
+
+    monkeypatch.setattr(propagators, "_Collocation", never)
+    g = build_detuning_grid(0.3, 2.0, k=3, n=5)
+    phi, w = _generator_terms(Stage.S1, g)
+    beta = np.max(np.abs(phi)) + w.sum()   # u = 1
+    duration = (1100 - propagators._MARGIN) / beta
+    with pytest.raises(NumericsError, match=r"stage-1 action over T=.* at beta=.* "
+                                            r"needs 110[01] collocation nodes, more than 1024"):
+        stage_action(Stage.S1, g, [1.0], np.ones((3, 1)), [duration])
 
 
 def test_stage2_action_batch_equals_single_nodes():
