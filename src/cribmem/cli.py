@@ -9,11 +9,11 @@ Commands
     transmission    unbroadened intensity transmission spectrum
 
 Output is CSV (default) or JSON; a leading comment line records the
-resolved settings so runs are reproducible (perturbative records only those
-it reads).  Standard output is reserved for data when the output path is
-"-"; errors go to standard error.  Exit codes: 0 success, 2 configuration
-error (among them a taud for any command but perturbative, the only one
-that reads it), 3 numerical failure.
+resolved settings the command reads, so runs are reproducible.  Standard
+output is reserved for data when the output path is "-"; errors go to
+standard error.  Exit codes: 0 success, 2 configuration error (among them
+a flag or config key the command does not read, such as a taud for any
+command but perturbative), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -50,6 +50,21 @@ _COLUMNS = {
     "modes": ("d0", "gamma_rel", "t", "mode_re", "mode_im", "mode_abs"),
     "perturbative": ("gamma_rel", "eta_eq_closed", "eta_numeric"),
     "transmission": ("omega_rel", "transmission"),
+}
+
+
+# The settings each command reads, in the order they are recorded in the
+# CSV comment and the JSON output.  Setting any other one by flag or config
+# key is a configuration error.
+_GRID = ("grid_k", "grid_n", "extent", "quad_level", "contour_nodes")
+_SWEEP = _GRID + ("threads", "d0", "gamma")
+_READS = {
+    "sweep-optimal": _SWEEP,
+    "sweep-gaussian": _SWEEP,
+    "gaussian-map": _GRID + ("d0", "gamma", "tc_points", "tw_points"),
+    "modes": _SWEEP,
+    "perturbative": ("grid_n", "extent", "contour_nodes", "taud", "gamma"),
+    "transmission": ("d0", "gamma", "omega"),
 }
 
 
@@ -162,9 +177,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg["omega"] = _parse_float_list(args.omega)
     if cfg["grid_n"] is None and cfg["command"] != "perturbative":
         cfg["grid_n"] = settings.n
-    if cfg["command"] != "perturbative" and (args.taud is not None or "taud" in loaded):
-        raise ValueError(f"taud is read only by perturbative; {cfg['command']} "
-                         "uses the default schedule's tau_d")
+    for key in _KINDS:
+        if key in ("format", "out") or key in _READS[args.command]:
+            continue
+        if getattr(args, key) is not None or key in loaded:
+            readers = ", ".join(c for c in _COMMANDS if key in _READS[c])
+            raise ValueError(f"{key} is read only by {readers}; "
+                             f"{args.command} ignores it")
     if not cfg["d0"] or not cfg["gamma"]:
         raise ValueError("d0 and gamma lists must be non-empty")
     for key in ("threads", "tc_points", "tw_points"):
@@ -262,20 +281,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# Settings recorded in the CSV comment and the JSON output.  A command
-# listed in _READS records only the settings it reads.
-_RECORDED = ("grid_k", "grid_n", "extent", "quad_level", "contour_nodes",
-             "threads", "taud", "d0", "gamma")
-_READS = {"perturbative": ("grid_n", "extent", "contour_nodes", "taud", "gamma")}
-
-
-def _recorded(cfg: dict) -> tuple[str, ...]:
-    return _READS.get(cfg["command"], _RECORDED)
-
-
 def _settings_comment(cfg: dict) -> str:
     parts = []
-    for k in _recorded(cfg):
+    for k in _READS[cfg["command"]]:
         if isinstance(cfg[k], list):
             parts.append(f"{k}=" + "|".join(_fmt(x) for x in cfg[k]))
         else:
@@ -292,7 +300,7 @@ def _emit(cfg: dict, rows: list[dict]) -> None:
     else:
         payload = {
             "command": cfg["command"],
-            "settings": {k: cfg[k] for k in _recorded(cfg)},
+            "settings": {k: cfg[k] for k in _READS[cfg["command"]]},
             "rows": [{c: row[c] for c in columns} for row in rows],
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

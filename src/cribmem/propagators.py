@@ -9,12 +9,14 @@ it, for a whole batch of contour nodes at once.  The rank-one coupling
 reduces each action to one scalar convolution Volterra equation for the
 radiated field, solved by Gauss-Legendre collocation on one n x n matrix
 shared by every node, with n set by the bandwidth of the stage; the states
-then follow from Duhamel's formula at O(dimension * n) per time.  Stage 3 is
-reduced exactly onto the stage-1 action (``stage3_correction``), and stage
-4 always follows from stage 2 by the controlled-detuning reflection
-(``block_reversal_permutation``): nothing in the package runs a stage-4
-action, whose generator serves only the dense reference ``stage_matrix``.
-Nothing is decomposed.
+then follow from Duhamel's formula.  The phase of class (j, k) is an
+intrinsic part plus a controlled one (``_phase_factors``), so each time
+takes (K + N) * n exponentials and one matrix product for all contour
+nodes.  Stage 3 is reduced exactly onto the stage-1 action
+(``stage3_correction``), and stage 4 always follows from stage 2 by the
+controlled-detuning reflection (``block_reversal_permutation``): nothing in
+the package runs a stage-4 action, whose generator serves only the dense
+reference ``stage_matrix``.  Nothing is decomposed.
 
 The stage-1 rank-one term carries the sum of the controlled Riemann weights,
 which equals one only in the continuum limit: with it, the K-dimensional
@@ -46,17 +48,41 @@ class Stage(enum.Enum):
     S4 = 4
 
 
+def _phase_factors(stage: Stage, grid: DetuningGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with phases = (a[:, None] + b[None, :]).ravel(), a the intrinsic part.
+
+    The phase of class (j, k) is the sum of its intrinsic detuning and the
+    controlled one the stage applies, so e^{i phi s} factors into a K-vector
+    times an N-vector.  x + 0.0 == x and a - b == a + (-b) in IEEE
+    arithmetic, so the sums equal ``grid.delta_*`` bit for bit.
+    """
+    if stage is Stage.S1:
+        return grid.intrinsic_nodes, np.zeros(1)
+    if stage is Stage.S2:
+        return grid.intrinsic_nodes, grid.controlled_nodes
+    if stage is Stage.S4:
+        return grid.intrinsic_nodes, -grid.controlled_nodes
+    return grid.intrinsic_nodes, np.zeros(grid.n)
+
+
 def _generator_terms(stage: Stage, grid: DetuningGrid) -> tuple[np.ndarray, np.ndarray]:
     """(phases, weights) of M = -i diag(phases) - (1/u) 1 weights^T."""
+    a, b = _phase_factors(stage, grid)
+    phases = (a[:, None] + b[None, :]).ravel()
     if stage is Stage.S1:
-        return grid.intrinsic_nodes, grid.controlled_weight_sum * grid.intrinsic_weights
-    if stage is Stage.S2:
-        phases = grid.delta_plus()
-    elif stage is Stage.S4:
-        phases = grid.delta_minus()
-    else:
-        phases = grid.delta_zero()
+        return phases, grid.controlled_weight_sum * grid.intrinsic_weights
     return phases, grid.joint_weights
+
+
+def _class_exponentials(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """e^{i (a_j + b_k) s} in joint layout, (s.shape..., K*N).
+
+    Only K + N exponentials per s are evaluated; their outer product gives
+    the K*N classes.
+    """
+    s = np.asarray(s, dtype=float)[..., None]
+    ea, eb = np.exp(1j * a * s), np.exp(1j * b * s)
+    return (ea[..., :, None] * eb[..., None, :]).reshape(s.shape[:-1] + (a.size * b.size,))
 
 
 def stage_matrix(stage: Stage, u: complex, grid: DetuningGrid) -> np.ndarray:
@@ -102,15 +128,18 @@ def stage_action(stage: Stage, grid: DetuningGrid, us, x, times) -> StagePropaga
     Gauss-Legendre rule on [0, s_q] applied to the barycentric Lagrange
     interpolant of f, which gives one n x n matrix A for every node, and
     each node solves (I + A/u) F = R.  The states at every time follow from
-    the same inner rule on [0, t].  All of it is resolved when n exceeds
+    the same inner rule on [0, t]: its table e^{i phi (sigma - t)} is the
+    outer product of the K intrinsic and N controlled exponentials, (K + N)
+    * n of them per time, and one product with the weighted field of every
+    node and column gives the integral.  All of it is resolved when n exceeds
     the bandwidth beta*T, with beta = max|phi| + max|1/u| sum(w) the
     max-norm bound of every generator in the batch; n = max(24,
     ceil(beta*T) + 16) leaves 16 nodes of margin, and n + 16 nodes change
     the states by rounding only.  An n above 1024 raises NumericsError
     before anything of size n is built.  Nodes and times are taken in
     chunks so that a temporary holds about 2^15 entries (one time's
-    dimension x n exponentials at least): large arrays, once freed, raise
-    the allocator's mmap threshold and with it the peak resident memory.
+    dimension x n table at least): large arrays, once freed, raise the
+    allocator's mmap threshold and with it the peak resident memory.
     A singular collocation system or a non-finite result raises
     NumericsError.
     """
@@ -122,6 +151,7 @@ def stage_action(stage: Stage, grid: DetuningGrid, us, x, times) -> StagePropaga
         raise ValueError("times must be non-negative and non-decreasing")
     if np.any(us == 0):
         raise ValueError("u = 0 is a singular Laplace moment (1/u coupling)")
+    factors = _phase_factors(stage, grid)
     phi, w = _generator_terms(stage, grid)
     x = np.asarray(x, dtype=complex)
     if x.ndim == 2:
@@ -145,15 +175,16 @@ def stage_action(stage: Stage, grid: DetuningGrid, us, x, times) -> StagePropaga
                                 f"beta={beta!r} needs {n_q} collocation nodes, "
                                 f"more than {_MAX_NODES}")
         rule = _Collocation(n_q, t_end)
-        waves = np.exp(-1j * np.multiply.outer(rule.nodes, phi))   # e^{-i phi s_q}
-        a = _volterra_matrix(rule, waves @ w)
-        sources = w * waves
+        sources = _class_exponentials(*factors, -rule.nodes)    # e^{-i phi s_q}
+        a = _volterra_matrix(rule, sources @ w)
+        sources *= w
+        f_rows = np.empty((us.size, x.shape[2], n_q), dtype=complex)   # -F^T/u per node
         step = max(1, _CHUNK // (n_q * max(n_q, x.shape[2])))
         for j0 in range(0, us.size, step):
             j = slice(j0, j0 + step)
-            xj = x if x.shape[0] == 1 else x[j]
-            f = _solve(stage, a, us[j], sources @ xj)
-            _evaluate(out[:, j], phi, inv_u[j], xj, f, rule, times)
+            f = _solve(stage, a, us[j], sources @ (x if x.shape[0] == 1 else x[j]))
+            np.multiply(f.transpose(0, 2, 1), -inv_u[j][:, None, None], out=f_rows[j])
+        _evaluate(out, factors, x, f_rows, rule, times)
     bad = ~np.isfinite(out).all(axis=(0, 2, 3))
     if bad.any():
         raise NumericsError(f"stage-{stage.value} action gave non-finite values at "
@@ -215,24 +246,32 @@ def _solve(stage, a, us, rhs) -> np.ndarray:
                             f"u={complex(u)!r}") from None
 
 
-def _evaluate(out, phi, inv_u, x, f, rule: _Collocation, times) -> None:
-    """out[i] = e^{-i phi t_i} o (x - (1/u) int_0^t_i e^{i phi s} f(s) ds), in place."""
-    n = rule.nodes.size
-    per_time = n * max(phi.size, n, f.shape[0] * f.shape[2])
-    step = max(1, _CHUNK // per_time)
+def _evaluate(out, factors, x, f_rows, rule: _Collocation, times) -> None:
+    """out[i] = e^{-i phi t_i} o x - (1/u) int_0^t_i e^{i phi (s - t_i)} f(s) ds, in place.
+
+    ``f_rows`` holds -F^T/u, (nodes, m, n).  The inner rule's table
+    e^{i phi (sigma - t)} at one time is the outer product of its K- and
+    N-factors, and it serves every contour node: the integral is one
+    product of the weighted field of all nodes and columns with it.
+    """
+    nodes, m, n = f_rows.shape
+    dim = out.shape[2]
+    f_rows = f_rows.reshape(nodes * m, n)
+    step = max(1, _CHUNK // (n * max(dim, n)))
     for i0 in range(0, times.size, step):
         t = times[i0:i0 + step]
         sigma, omega = rule.inner(t)
-        # Field at the inner nodes, weighted: (times, nodes, n, m).
-        field = np.matmul(rule.interpolation(sigma)[:, None], f[None])
-        field *= omega[:, None, :, None]
-        kernel = sigma[:, None, :] * (1j * phi)[:, None]            # (times, dim, n)
-        np.exp(kernel, out=kernel)
-        chunk = out[i0:i0 + step]
-        np.matmul(kernel[:, None], field, out=chunk)
-        chunk *= -inv_u[:, None, None]
-        chunk += x
-        chunk *= np.exp(-1j * np.multiply.outer(t, phi))[:, None, :, None]
+        # omega_p L_q(sigma_p) as (times, q, p): the field at the inner nodes, weighted.
+        weighted = (rule.interpolation(sigma) * omega[:, :, None]).transpose(0, 2, 1)
+        table = _class_exponentials(*factors, sigma - t[:, None])   # (times, n, dim)
+        phase = _class_exponentials(*factors, -t)[:, None, :, None]
+        node_step = max(1, _CHUNK // (t.size * m * max(dim, n)))
+        for j0 in range(0, nodes, node_step):
+            j = slice(j0, j0 + node_step)
+            field = f_rows[j0 * m:(j0 + node_step) * m] @ weighted
+            integral = (field @ table).reshape(t.size, -1, m, dim).swapaxes(2, 3)
+            np.add(integral, phase * (x if x.shape[0] == 1 else x[j]),
+                   out=out[i0:i0 + step, j])
 
 
 # ---------------------------------------------------------------------------

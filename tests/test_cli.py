@@ -200,7 +200,7 @@ def test_json_output_mirrors_csv(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out_json.read_text())
     assert payload["command"] == "transmission"
-    assert payload["settings"]["grid_k"] == 33
+    assert payload["settings"] == {"d0": [5.0], "gamma": [1.0], "omega": [0.0, 1.0]}
     assert len(payload["rows"]) == 2
     assert set(payload["rows"][0]) == {"omega_rel", "transmission"}
 
@@ -217,13 +217,13 @@ def test_deterministic_csv_single_thread(tmp_path, capsys):
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):
-    cfg = {"d0": [5.0], "gamma": [1.0], "grid_k": 5, "grid_n": 5,
-           "quad_level": 4, "contour_nodes": 16}
+    cfg = {"d0": [7.0], "gamma": [1.0], "omega": [1.0]}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     code, out, _ = run_cli(["transmission", "--config", str(path),
-                            "--omega", "0"], capsys)
+                            "--d0", "5", "--omega", "0"], capsys)
     assert code == 0
+    assert out.splitlines()[0] == "# cribmem transmission d0=5 gamma=1 omega=0"
     _, rows = parse_csv(out)
     assert float(rows[0]["transmission"]) == pytest.approx(math.exp(-5.0), rel=1e-12)
 
@@ -232,19 +232,27 @@ def test_unknown_command_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
 
 
-def test_config_file_sets_output_format_and_threads(tmp_path, capsys):
+def no_points(monkeypatch):
+    """Stub the sweep so a sweep command prints its settings and header only."""
+    import cribmem.sweeps as sweeps
+
+    monkeypatch.setattr(sweeps, "run_points", lambda *args, **kwargs: [])
+
+
+def test_config_file_sets_output_format_and_threads(tmp_path, monkeypatch, capsys):
     # --out, --format and --threads come from the file unless a flag is given.
+    no_points(monkeypatch)
     out = tmp_path / "x.json"
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"format": "json", "out": str(out), "threads": 2}))
-    argv = ["transmission", "--d0", "5", "--omega", "0", "--config", str(path)]
+    argv = ["sweep-optimal", "--d0", "5", "--gamma", "1", "--config", str(path)]
     code, stdout, _ = run_cli(argv, capsys)
     assert code == 0 and stdout == ""
     payload = json.loads(out.read_text())
     assert payload["settings"]["threads"] == 2
     code, stdout, _ = run_cli(argv + ["--format", "csv", "--out", "-"], capsys)
     assert code == 0
-    assert stdout.startswith("# cribmem transmission ") and "threads=2" in stdout
+    assert stdout.startswith("# cribmem sweep-optimal ") and "threads=2" in stdout
 
 
 def test_bad_config_exits_2(tmp_path, capsys):
@@ -308,10 +316,68 @@ def test_invalid_grid_setting_exits_2(capsys):
     assert "configuration error" in err
 
 
-def test_settings_comment_records_resolved_settings(capsys):
-    code, out, _ = run_cli(["transmission", "--d0", "5", "--gamma", "1",
-                            "--omega", "0"], capsys)
-    first = out.splitlines()[0]
-    for token in ("grid_k=33", "grid_n=33", "extent=5.0", "quad_level=6",
-                  "contour_nodes=32", "threads=1"):
-        assert token in first
+def test_settings_comment_records_resolved_settings(monkeypatch, capsys):
+    no_points(monkeypatch)
+    code, out, _ = run_cli(["sweep-optimal", "--d0", "5", "--gamma", "1"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == ("# cribmem sweep-optimal grid_k=33 grid_n=33 extent=5.0 "
+                                   "quad_level=6 contour_nodes=32 threads=1 d0=5 gamma=1")
+
+
+@pytest.mark.parametrize("argv, recorded", [
+    (["sweep-gaussian", "--d0", "5", "--gamma", "1"],
+     ["grid_k", "grid_n", "extent", "quad_level", "contour_nodes", "threads", "d0", "gamma"]),
+    (["modes", "--d0", "5", "--gamma", "1"],
+     ["grid_k", "grid_n", "extent", "quad_level", "contour_nodes", "threads", "d0", "gamma"]),
+    (["gaussian-map", "--d0", "5", "--gamma", "1"],
+     ["grid_k", "grid_n", "extent", "quad_level", "contour_nodes", "d0", "gamma",
+      "tc_points", "tw_points"]),
+    (["transmission", "--d0", "5", "--omega", "0"], ["d0", "gamma", "omega"]),
+], ids=["sweep-gaussian", "modes", "gaussian-map", "transmission"])
+def test_each_command_records_the_settings_it_reads(argv, recorded, tmp_path,
+                                                    monkeypatch, capsys):
+    import cribmem.sweeps as sweeps
+
+    no_points(monkeypatch)
+    monkeypatch.setattr(sweeps, "gaussian_map", lambda *args, **kwargs: [])
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert [t.split("=")[0] for t in out.splitlines()[0].split()[3:]] == recorded
+    path = tmp_path / "s.json"
+    code, _, _ = run_cli(argv + ["--format", "json", "--out", str(path)], capsys)
+    assert code == 0
+    assert list(json.loads(path.read_text())["settings"]) == sorted(recorded)
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["transmission", "--d0", "5", "--omega", "0", "--grid-k", "7"], "grid_k"),
+    (["transmission", "--d0", "5", "--omega", "0", "--quad-level", "9"], "quad_level"),
+    (["transmission", "--d0", "5", "--omega", "0", "--contour-nodes", "8"], "contour_nodes"),
+    (["transmission", "--d0", "5", "--omega", "0", "--threads", "2"], "threads"),
+    (["perturbative", "--gamma", "5", "--d0", "10"], "d0"),
+    (["perturbative", "--gamma", "5", "--grid-k", "7"], "grid_k"),
+    (["perturbative", "--gamma", "5", "--quad-level", "9"], "quad_level"),
+    (["perturbative", "--gamma", "5", "--threads", "2"], "threads"),
+    (["gaussian-map", "--d0", "5", "--gamma", "1", "--threads", "2"], "threads"),
+    (["sweep-optimal", "--d0", "5", "--gamma", "1", "--omega", "0"], "omega"),
+    (["modes", "--d0", "5", "--gamma", "1", "--tc-points", "4"], "tc_points"),
+])
+def test_setting_a_command_ignores_exits_2(argv, key, tmp_path, monkeypatch, capsys):
+    # The same setting from the config file is refused as well.
+    import cribmem.analytic as analytic
+
+    def never(*args, **kwargs):
+        raise AssertionError("computed although a setting is ignored")
+
+    no_points(monkeypatch)
+    monkeypatch.setattr(analytic, "broadening_stage_efficiency_numeric", never)
+    flag = "--" + key.replace("_", "-")
+    i = argv.index(flag)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: json.loads(argv[i + 1])}))
+    for args in (argv, argv[:i] + argv[i + 2:] + ["--config", str(path)]):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2, args
+        assert out == ""
+        assert f"configuration error: {key} is read only by " in err
+        assert f"{argv[0]} ignores it" in err

@@ -11,6 +11,7 @@ from cribmem.model import DetuningGrid, build_detuning_grid, default_schedule, d
 from cribmem.propagators import (
     Stage,
     _generator_terms,
+    _phase_factors,
     block_reversal_permutation,
     block_sums,
     stage3_correction,
@@ -283,6 +284,86 @@ def test_stored_state_action_memory_stays_near_its_output():
         tracemalloc.stop()
     assert states.shape == (times.size, 16, 135, 1)
     assert peak <= 2 * states.nbytes, (peak, states.nbytes)
+
+
+def test_lift_action_memory_stays_near_its_output():
+    # The lift of a K = N = 33, gamma = 10 kernel: one time and K columns on
+    # the 16 upper-half contour nodes, so the node chunks bound the products.
+    params = derive_params(100.0, 10.0)
+    g = build_detuning_grid(params.gamma0_rel, 10.0, 33, 33)
+    us = talbot_contour(32, 1.0).nodes
+    lift = np.kron(np.eye(g.k), np.ones((g.n, 1)))
+    tracemalloc.start()
+    try:
+        states = stage_action(Stage.S2, g, us, lift, [1.0]).states
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.shape == (1, 16, 1089, 33)
+    assert peak <= 2 * states.nbytes, (peak, states.nbytes)
+
+
+@pytest.mark.parametrize("stage", list(Stage))
+def test_phase_factors_sum_to_the_generator_phases(stage):
+    # Asymmetric nodes, so a reflected comb differs from a negated one.
+    g = DetuningGrid(np.array([-0.3, 0.1, 0.45]), np.full(3, 0.3),
+                     np.array([-1.1, 0.2, 0.7, 2.5]), np.full(4, 0.2))
+    a, b = _phase_factors(stage, g)
+    want = {Stage.S1: g.intrinsic_nodes, Stage.S2: g.delta_plus(),
+            Stage.S3: g.delta_zero(), Stage.S4: g.delta_minus()}[stage]
+    got = (a[:, None] + b[None, :]).ravel()
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == _generator_terms(stage, g)[0].tobytes()
+
+
+def unfactored_action(stage: Stage, grid: DetuningGrid, us, x, times) -> np.ndarray:
+    """The stage action with a full K*N exponential table at each time's inner
+    nodes and one product per (time, node): the route the phase factors replaced."""
+    phi, w = _generator_terms(stage, grid)
+    x = np.asarray(x, dtype=complex)
+    x = x[None] if x.ndim == 2 else x
+    beta = np.max(np.abs(phi)) + np.max(np.abs(1.0 / us)) * w.sum()
+    n = max(24, int(np.ceil(beta * times[-1])) + propagators._MARGIN)
+    rule = propagators._Collocation(n, times[-1])
+    waves = np.exp(-1j * np.multiply.outer(rule.nodes, phi))
+    a = propagators._volterra_matrix(rule, waves @ w)
+    fields = [np.linalg.solve(np.eye(n) + a / u, (w * waves) @ x[j % x.shape[0]])
+              for j, u in enumerate(us)]
+    out = np.empty((len(times), len(us)) + x.shape[1:], dtype=complex)
+    for i, t in enumerate(times):
+        sigma, omega = rule.inner(np.array([t]))
+        interp = omega[0][:, None] * rule.interpolation(sigma[0])
+        table = np.exp(1j * np.multiply.outer(phi, sigma[0]))
+        for j, u in enumerate(us):
+            integral = table @ (interp @ fields[j])
+            out[i, j] = np.exp(-1j * phi * t)[:, None] * (x[j % x.shape[0]] - integral / u)
+    return out
+
+
+def kn33_gamma10():
+    params = derive_params(100.0, 10.0)
+    schedule = default_schedule(params)
+    g = build_detuning_grid(params.gamma0_rel, 10.0, 33, 33)
+    nodes = tanh_sinh_grid(0.0, schedule.tau_r, 6).nodes
+    return g, talbot_contour(32, 1.0).nodes, nodes[nodes <= schedule.tau_d]
+
+
+@pytest.mark.parametrize("case", ["stored", "lift", "k1-batch"])
+def test_action_matches_the_unfactored_route(case):
+    if case == "k1-batch":
+        # The perturbative numeric's shape: K = 1, about a thousand nodes.
+        g = build_detuning_grid(1.0, 10.0, k=1, n=33)
+        us = np.divide.outer(talbot_contour(32, 1.0).nodes, np.linspace(0.05, 1.0, 64)).ravel()
+        x, times = np.ones((33, 1)), np.array([1.0])
+    else:
+        g, us, times = kn33_gamma10()
+        if case == "stored":
+            x = np.ones((g.k * g.n, 1))
+        else:
+            x, times = np.kron(np.eye(g.k), np.ones((g.n, 1))), np.array([1.0])
+    got = stage_action(Stage.S2, g, us, x, times).states
+    want = unfactored_action(Stage.S2, g, us, x, times)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_action_without_positive_time_returns_x():
