@@ -64,7 +64,7 @@ _READS = {
     "gaussian-map": _GRID + ("d0", "gamma", "tc_points", "tw_points"),
     "modes": _SWEEP,
     "perturbative": ("grid_n", "extent", "contour_nodes", "taud", "gamma"),
-    "transmission": ("d0", "gamma", "omega"),
+    "transmission": ("d0", "omega"),
 }
 
 
@@ -261,7 +261,7 @@ def _compute_rows(cfg: dict) -> list[dict]:
         omegas = cfg["omega"]
         out = []
         for d0 in cfg["d0"]:
-            params = derive_params(d0, cfg["gamma"][0])
+            params = derive_params(d0, 0.0)   # the spectrum reads only gamma0
             if omegas is None:
                 span = 4.0 * params.gamma0_rel
                 omegas_here = [span * (i / 40.0 - 1.0) for i in range(81)]

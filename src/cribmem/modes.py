@@ -5,7 +5,9 @@ E_in(t) on the kernel's time grid.  Internally the weighted kernel A acts on
 the time-reversed field (the retrieval map pairs E_out(t) with
 E_in(tau_r - t')); on the symmetric quadrature grid the reversal is an index
 reversal, applied inside these routines so callers never see it.  The modes
-are the real eigenvectors of A, each of efficiency lambda^2.
+are the real eigenvectors of A, each of efficiency lambda^2.  Gaussian inputs
+are scored many at a time by gaussian_efficiencies; the best one comes from
+one Nelder-Mead search started at the best point of gaussian_lattice.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import scipy.optimize
 from cribmem.errors import NumericsError
 from cribmem.kernels import EfficiencyKernel
 from cribmem.model import ProtocolSchedule
+from cribmem.propagators import _CHUNK
 from cribmem.quadrature import TimeGrid
 
 _RESIDUAL_TOL = 1e-9
@@ -32,12 +35,12 @@ class ModeResult:
     ``mode`` is real, quadrature-normalized to unit energy, and signed so its
     largest-magnitude sample is positive.  ``gaussian_params`` holds
     (t_c, t_w) for Gaussian modes, None for the optimal mode.  ``converged``
-    is False when a Gaussian optimization failed to improve on its starts.
+    is True when the Gaussian search met its Nelder-Mead tolerances within
+    ``maxiter``, and always for the optimal mode.
     """
 
     efficiency: float
     mode: np.ndarray
-    label: str
     gaussian_params: tuple[float, float] | None = None
     converged: bool = True
 
@@ -63,7 +66,7 @@ def optimal_mode(kernel: EfficiencyKernel) -> ModeResult:
         raise NumericsError(f"top eigenpair residual {resid:.3e} too large")
     f = v / np.sqrt(kernel.grid.weights)   # eigenfunction of the reversed argument
     mode = _normalize(kernel.grid, f[::-1])
-    return ModeResult(efficiency=lam * lam, mode=mode, label="optimal")
+    return ModeResult(efficiency=lam * lam, mode=mode)
 
 
 def gaussian_mode(grid: TimeGrid, t_c: float, t_w: float) -> np.ndarray:
@@ -91,58 +94,60 @@ def mode_efficiency(kernel: EfficiencyKernel, e_in) -> float:
     return float(sum(ap @ ap for ap in parts) / norm)
 
 
-# Deterministic simplex starts: near the end of the free read-in window
-# (where the optimum sits for strong broadening) plus wide fallbacks for the
-# weak-broadening regime where the landscape flattens.
-def _starts(schedule: ProtocolSchedule) -> list[tuple[float, float]]:
-    tp, tr = schedule.tau_p, schedule.tau_r
-    return [
-        (tp, 0.5),
-        (tp, 2.0),
-        (tp - 3.0, 1.0),
-        (tr / 2.0, tp / 4.0),
-        (tp - 1.0, 1.0),
-    ]
+def gaussian_lattice(schedule: ProtocolSchedule, tc_points: int = 25,
+                     tw_points: int = 20) -> tuple[np.ndarray, np.ndarray]:
+    """(t_c, t_w) axes of the Gaussian lattice: t_c linear on [0, tau_r], t_w
+    geometric on [0.05, tau_r] (narrower pulses are unresolvable on the grid)."""
+    tr = schedule.tau_r
+    return np.linspace(0.0, tr, tc_points), np.geomspace(_MIN_GAUSS_WIDTH, tr, tw_points)
+
+
+def gaussian_efficiencies(kernel: EfficiencyKernel, t_c, t_w) -> np.ndarray:
+    """mode_efficiency of the Gaussian input at each broadcast (t_c, t_w).
+
+    Column phi is sqrt(w) times the reversed Gaussian samples; columns pass
+    through A about _CHUNK entries at a time, so no nodes x inputs array is
+    formed.  A column of zero or non-finite energy raises ValueError.
+    """
+    t_c, t_w = np.broadcast_arrays(np.asarray(t_c, dtype=float), np.asarray(t_w, dtype=float))
+    centers, widths = t_c.ravel(), t_w.ravel()
+    times = kernel.grid.nodes[::-1, None]
+    root_w = np.sqrt(kernel.grid.weights)[:, None]
+    eta = np.empty(centers.size)
+    step = max(1, _CHUNK // times.size)
+    for j0 in range(0, eta.size, step):
+        j = slice(j0, j0 + step)
+        phi = root_w * np.exp(-((times - centers[j]) ** 2) / (4.0 * widths[j] ** 2))
+        norm = np.einsum("ij,ij->j", phi, phi)
+        if not np.all((norm > 0.0) & np.isfinite(norm)):
+            raise ValueError("a Gaussian input has zero or non-finite energy")
+        a_phi = kernel.weighted @ phi
+        eta[j] = np.einsum("ij,ij->j", a_phi, a_phi) / norm
+    return eta.reshape(t_c.shape)
 
 
 def optimize_gaussian(kernel: EfficiencyKernel, schedule: ProtocolSchedule) -> ModeResult:
     """Maximize the Gaussian-mode efficiency over (t_c, t_w).
 
-    Multi-start Nelder-Mead with the search clipped to t_c in [0, tau_r] and
-    t_w in [0.05, tau_r] (narrower pulses are unresolvable on the grid).
+    One Nelder-Mead search from the best point of the default gaussian_lattice,
+    clipped to the lattice's box: t_c in [0, tau_r], t_w in [0.05, tau_r].
     """
-    grid = kernel.grid
-    tr = schedule.tau_r
-    lo = np.array([0.0, _MIN_GAUSS_WIDTH])
-    hi = np.array([tr, tr])
+    tcs, tws = gaussian_lattice(schedule)
+    lattice = gaussian_efficiencies(kernel, tcs[:, None], tws[None, :])
+    i, j = np.unravel_index(np.argmax(lattice), lattice.shape)
+    lo, hi = np.array([tcs[0], tws[0]]), np.array([tcs[-1], tws[-1]])
 
     def objective(x) -> float:
-        t_c, t_w = np.clip(x, lo, hi)
-        return -mode_efficiency(kernel, gaussian_mode(grid, t_c, t_w))
+        return -float(gaussian_efficiencies(kernel, *np.clip(x, lo, hi)))
 
-    starts = [np.clip(np.asarray(s, dtype=float), lo, hi) for s in _starts(schedule)]
-
-    best_x, best_eta = None, -np.inf
-    improved = False
-    for x0 in starts:
-        eta_start = -objective(x0)
-        res = scipy.optimize.minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"fatol": 1e-9, "xatol": 1e-6, "maxiter": 400},
-        )
-        eta = -float(res.fun)
-        if eta > eta_start + 1e-12:
-            improved = True
-        if eta > best_eta:
-            best_eta = eta
-            best_x = np.clip(res.x, lo, hi)
-    if best_x is None:
-        raise NumericsError("gaussian optimization produced no evaluations")
-    t_c, t_w = float(best_x[0]), float(best_x[1])
+    res = scipy.optimize.minimize(
+        objective, [tcs[i], tws[j]], method="Nelder-Mead",
+        options={"fatol": 1e-9, "xatol": 1e-6, "maxiter": 400},
+    )
+    t_c, t_w = (float(v) for v in np.clip(res.x, lo, hi))
     return ModeResult(
-        efficiency=best_eta,
-        mode=gaussian_mode(grid, t_c, t_w),
-        label="gaussian",
+        efficiency=-float(res.fun),
+        mode=gaussian_mode(kernel.grid, t_c, t_w),
         gaussian_params=(t_c, t_w),
-        converged=improved,
+        converged=bool(res.success),
     )

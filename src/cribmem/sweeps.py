@@ -12,8 +12,6 @@ import concurrent.futures
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from cribmem import kernels, modes
 from cribmem.laplace import DEFAULT_CONTOUR_NODES, talbot_contour
 from cribmem.model import (DEFAULT_EXTENT_SIGMAS, DEFAULT_GRID_POINTS, build_detuning_grid,
@@ -105,13 +103,8 @@ def gaussian_map(d0: float, gamma_rel: float, settings: GridSettings,
                  tc_points: int = 25, tw_points: int = 20) -> list[dict]:
     """The (t_c, t_w) -> efficiency surface for Gaussian inputs."""
     params, schedule, kernel, eff = build_pipeline(d0, gamma_rel, settings)
-    tr = schedule.tau_r
-    tcs = np.linspace(0.0, tr, tc_points)
-    tws = np.geomspace(0.05, tr, tw_points)
-    rows = []
-    for tc in tcs:
-        for tw in tws:
-            eta = modes.mode_efficiency(eff, modes.gaussian_mode(eff.grid, tc, tw))
-            rows.append({"d0": d0, "gamma_rel": gamma_rel,
-                         "t_c": float(tc), "t_w": float(tw), "eta": eta})
-    return rows
+    tcs, tws = modes.gaussian_lattice(schedule, tc_points, tw_points)
+    etas = modes.gaussian_efficiencies(eff, tcs[:, None], tws[None, :])
+    return [{"d0": d0, "gamma_rel": gamma_rel, "t_c": float(tc), "t_w": float(tw),
+             "eta": float(eta)}
+            for tc, row in zip(tcs, etas) for tw, eta in zip(tws, row)]

@@ -41,8 +41,7 @@ def test_importing_cli_leaves_numpy_unloaded():
 
 
 def test_transmission_resonance(capsys):
-    code, out, _ = run_cli(["transmission", "--d0", "5", "--gamma", "1",
-                            "--omega", "0"], capsys)
+    code, out, _ = run_cli(["transmission", "--d0", "5", "--omega", "0"], capsys)
     assert code == 0
     header, rows = parse_csv(out)
     assert header == ["omega_rel", "transmission"]
@@ -194,13 +193,13 @@ def test_modes_tiny(capsys):
 
 def test_json_output_mirrors_csv(tmp_path, capsys):
     out_json = tmp_path / "t.json"
-    code, _, _ = run_cli(["transmission", "--d0", "5", "--gamma", "1",
+    code, _, _ = run_cli(["transmission", "--d0", "5",
                           "--omega", "0,1", "--format", "json",
                           "--out", str(out_json)], capsys)
     assert code == 0
     payload = json.loads(out_json.read_text())
     assert payload["command"] == "transmission"
-    assert payload["settings"] == {"d0": [5.0], "gamma": [1.0], "omega": [0.0, 1.0]}
+    assert payload["settings"] == {"d0": [5.0], "omega": [0.0, 1.0]}
     assert len(payload["rows"]) == 2
     assert set(payload["rows"][0]) == {"omega_rel", "transmission"}
 
@@ -217,13 +216,13 @@ def test_deterministic_csv_single_thread(tmp_path, capsys):
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):
-    cfg = {"d0": [7.0], "gamma": [1.0], "omega": [1.0]}
+    cfg = {"d0": [7.0], "omega": [1.0]}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     code, out, _ = run_cli(["transmission", "--config", str(path),
                             "--d0", "5", "--omega", "0"], capsys)
     assert code == 0
-    assert out.splitlines()[0] == "# cribmem transmission d0=5 gamma=1 omega=0"
+    assert out.splitlines()[0] == "# cribmem transmission d0=5 omega=0"
     _, rows = parse_csv(out)
     assert float(rows[0]["transmission"]) == pytest.approx(math.exp(-5.0), rel=1e-12)
 
@@ -332,7 +331,7 @@ def test_settings_comment_records_resolved_settings(monkeypatch, capsys):
     (["gaussian-map", "--d0", "5", "--gamma", "1"],
      ["grid_k", "grid_n", "extent", "quad_level", "contour_nodes", "d0", "gamma",
       "tc_points", "tw_points"]),
-    (["transmission", "--d0", "5", "--omega", "0"], ["d0", "gamma", "omega"]),
+    (["transmission", "--d0", "5", "--omega", "0"], ["d0", "omega"]),
 ], ids=["sweep-gaussian", "modes", "gaussian-map", "transmission"])
 def test_each_command_records_the_settings_it_reads(argv, recorded, tmp_path,
                                                     monkeypatch, capsys):
@@ -361,6 +360,7 @@ def test_each_command_records_the_settings_it_reads(argv, recorded, tmp_path,
     (["gaussian-map", "--d0", "5", "--gamma", "1", "--threads", "2"], "threads"),
     (["sweep-optimal", "--d0", "5", "--gamma", "1", "--omega", "0"], "omega"),
     (["modes", "--d0", "5", "--gamma", "1", "--tc-points", "4"], "tc_points"),
+    (["transmission", "--d0", "5", "--omega", "0", "--gamma", "7"], "gamma"),
 ])
 def test_setting_a_command_ignores_exits_2(argv, key, tmp_path, monkeypatch, capsys):
     # The same setting from the config file is refused as well.

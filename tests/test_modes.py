@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from cribmem.kernels import EfficiencyKernel, build_efficiency_kernel, build_transfer_kernel
 from cribmem.laplace import talbot_contour
 from cribmem.model import build_detuning_grid, default_schedule, derive_params
-from cribmem.modes import gaussian_mode, mode_efficiency, optimal_mode, optimize_gaussian
+from cribmem.modes import (gaussian_efficiencies, gaussian_lattice, gaussian_mode,
+                           mode_efficiency, optimal_mode, optimize_gaussian)
 from cribmem.quadrature import TimeGrid, tanh_sinh_grid
+from cribmem.sweeps import GridSettings, build_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +42,7 @@ def test_optimal_mode_toy_diagonal():
     # the first node in input time
     assert abs(res.mode[0]) == pytest.approx(1.0, abs=1e-12)
     assert abs(res.mode[1]) < 1e-12
-    assert res.label == "optimal"
+    assert res.gaussian_params is None
 
 
 def test_optimal_mode_takes_largest_magnitude_eigenvalue():
@@ -163,11 +167,13 @@ def test_optimize_gaussian_below_optimal_and_stable(pipeline):
     gauss = optimize_gaussian(eff, sched)
     assert gauss.efficiency <= best.efficiency + 1e-9
     assert gauss.converged
-    assert gauss.label == "gaussian"
-    # restarting from the optimizer's answer changes nothing measurable
+    assert gauss.gaussian_params is not None
+    # a local maximum: no neighbour 1e-3 away in the clipped box does better
     t_c, t_w = gauss.gaussian_params
-    again = optimize_gaussian(eff, sched)
-    assert abs(again.efficiency - gauss.efficiency) < 1e-6
+    steps = np.array([-1e-3, 0.0, 1e-3])
+    near = gaussian_efficiencies(eff, np.clip(t_c + steps, 0.0, sched.tau_r)[:, None],
+                                 np.clip(t_w + steps, 0.05, sched.tau_r)[None, :])
+    assert near.max() <= gauss.efficiency + 1e-12
     # center lands just before the broadening switches on
     assert t_c <= sched.tau_p + 1.0
     assert t_c >= sched.tau_p - 5.0
@@ -180,3 +186,80 @@ def test_optimize_gaussian_mode_is_normalized(pipeline):
     energy = float(np.sum(eff.grid.weights * np.abs(gauss.mode) ** 2))
     assert energy == pytest.approx(1.0, abs=1e-10)
     assert mode_efficiency(eff, gauss.mode) == pytest.approx(gauss.efficiency, abs=1e-10)
+
+
+def five_start_gaussian(eff, sched):
+    """The former optimizer: Nelder-Mead from five fixed starts, best result.
+
+    Returns (efficiency, (t_c, t_w)).
+    """
+    tp, tr = sched.tau_p, sched.tau_r
+    lo, hi = np.array([0.0, 0.05]), np.array([tr, tr])
+
+    def objective(x):
+        t_c, t_w = np.clip(x, lo, hi)
+        return -mode_efficiency(eff, gaussian_mode(eff.grid, t_c, t_w))
+
+    best_eta, best_x = -np.inf, None
+    for x0 in [(tp, 0.5), (tp, 2.0), (tp - 3.0, 1.0), (tr / 2.0, tp / 4.0), (tp - 1.0, 1.0)]:
+        res = scipy.optimize.minimize(
+            objective, np.clip(np.asarray(x0, dtype=float), lo, hi), method="Nelder-Mead",
+            options={"fatol": 1e-9, "xatol": 1e-6, "maxiter": 400})
+        if -res.fun > best_eta:
+            best_eta, best_x = -float(res.fun), np.clip(res.x, lo, hi)
+    return best_eta, (float(best_x[0]), float(best_x[1]))
+
+
+def test_gaussian_efficiencies_match_mode_efficiency(pipeline):
+    _, sched, eff = pipeline
+    tcs, tws = gaussian_lattice(sched)
+    got = gaussian_efficiencies(eff, tcs[:, None], tws[None, :])
+    assert got.shape == (25, 20)
+    want = np.array([[mode_efficiency(eff, gaussian_mode(eff.grid, tc, tw)) for tw in tws]
+                     for tc in tcs])
+    assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+def test_gaussian_efficiencies_rejects_zero_energy(pipeline):
+    # A narrow pulse centred far outside [0, tau_r] underflows to zero samples.
+    _, sched, eff = pipeline
+    with pytest.raises(ValueError, match="energy"):
+        gaussian_efficiencies(eff, np.array([1.0, 100.0 * sched.tau_r]), 0.05)
+    with pytest.raises(ValueError, match="energy"):
+        gaussian_efficiencies(eff, math.nan, 1.0)
+
+
+def test_gaussian_efficiencies_memory_is_chunked():
+    # modes-q9 size: 1025 time nodes and the 25 x 20 lattice.  Unchunked, every
+    # nodes x lattice temporary would take 4.1 MB.
+    sched = default_schedule(derive_params(100.0, 3.0))
+    tg = tanh_sinh_grid(0.0, sched.tau_r, 9)
+    assert tg.size == 1025
+    a = np.random.default_rng(1).standard_normal((tg.size, tg.size))
+    eff = EfficiencyKernel(grid=tg, weighted=a + a.T)
+    tcs, tws = gaussian_lattice(sched)
+    tracemalloc.start()
+    try:
+        gaussian_efficiencies(eff, tcs[:, None], tws[None, :])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
+
+
+@pytest.fixture(scope="module", params=["pipeline", (25.0, 0.5), (100.0, 10.0)],
+                ids=["pipeline", "25-0.5", "100-10"])
+def gaussian_case(request):
+    if request.param == "pipeline":
+        _, sched, eff = request.getfixturevalue("pipeline")
+        return sched, eff
+    _, sched, _, eff = build_pipeline(*request.param, GridSettings(k=33, n=33, quad_level=6))
+    return sched, eff
+
+
+def test_optimize_gaussian_matches_five_start_search(gaussian_case):
+    sched, eff = gaussian_case
+    eta, (t_c, t_w) = five_start_gaussian(eff, sched)
+    gauss = optimize_gaussian(eff, sched)
+    assert gauss.efficiency == pytest.approx(eta, abs=1e-10)
+    assert gauss.gaussian_params == pytest.approx((t_c, t_w), abs=1e-4)
