@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.interpolate
 
 from cribmem.laplace import DEFAULT_CONTOUR_NODES, invert, talbot_contour
 from cribmem.model import (DEFAULT_EXTENT_SIGMAS, DEFAULT_GRID_POINTS, PhysicalParams,
@@ -69,6 +68,8 @@ class Profile:
             # Uniform profile: II = c^2 * integral z dz = c^2 / 2, exactly.
             c = float(self.values[0])
             return c * c * 0.5
+        import scipy.interpolate   # the package's only use of scipy, kept out of start-up
+
         spline = scipy.interpolate.CubicSpline(z, self.values)
         inner = spline.antiderivative()
         outer = self.grid.weights * self.values * (inner(z) - inner(0.0))

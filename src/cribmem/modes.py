@@ -7,7 +7,8 @@ E_in(tau_r - t')); on the symmetric quadrature grid the reversal is an index
 reversal, applied inside these routines so callers never see it.  The modes
 are the real eigenvectors of A, each of efficiency lambda^2.  Gaussian inputs
 are scored many at a time by gaussian_efficiencies; the best one comes from
-one Nelder-Mead search started at the best point of gaussian_lattice.
+one Nelder-Mead search, implemented here, started at the best point of
+gaussian_lattice.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from cribmem.errors import NumericsError
 from cribmem.kernels import EfficiencyKernel
@@ -126,6 +126,57 @@ def gaussian_efficiencies(kernel: EfficiencyKernel, t_c, t_w) -> np.ndarray:
     return eta.reshape(t_c.shape)
 
 
+def _nelder_mead(func, x0, maxiter: int = 400) -> tuple[np.ndarray, float, bool]:
+    """Minimize func from x0 by the Nelder-Mead simplex search.
+
+    Nelder & Mead, Comput. J. 7, 308 (1965): reflection 1, expansion 2,
+    contraction and shrink 1/2, step for step as scipy's unbounded
+    minimize(method="Nelder-Mead") with fatol 1e-9 and xatol 1e-6, so the
+    floats are the same.  The first simplex is x0 and, per coordinate, x0
+    with that coordinate times 1.05 (0.00025 if it is zero).  Returns
+    (x, func(x), converged); converged is False after maxiter iterations.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([func(x) for x in sim], dtype=float)
+    iterations = 1
+    while True:
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+        if iterations >= maxiter or (np.max(np.abs(sim[1:] - sim[0])) <= 1e-6
+                                     and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-9):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:   # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = func(xc)
+                accept = fxc <= fxr
+            else:                # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = func(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:                # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+        iterations += 1
+    return sim[0], float(np.min(fsim)), iterations < maxiter
+
+
 def optimize_gaussian(kernel: EfficiencyKernel, schedule: ProtocolSchedule) -> ModeResult:
     """Maximize the Gaussian-mode efficiency over (t_c, t_w).
 
@@ -140,14 +191,11 @@ def optimize_gaussian(kernel: EfficiencyKernel, schedule: ProtocolSchedule) -> M
     def objective(x) -> float:
         return -float(gaussian_efficiencies(kernel, *np.clip(x, lo, hi)))
 
-    res = scipy.optimize.minimize(
-        objective, [tcs[i], tws[j]], method="Nelder-Mead",
-        options={"fatol": 1e-9, "xatol": 1e-6, "maxiter": 400},
-    )
-    t_c, t_w = (float(v) for v in np.clip(res.x, lo, hi))
+    x, fun, converged = _nelder_mead(objective, [tcs[i], tws[j]])
+    t_c, t_w = (float(v) for v in np.clip(x, lo, hi))
     return ModeResult(
-        efficiency=-float(res.fun),
+        efficiency=-fun,
         mode=gaussian_mode(kernel.grid, t_c, t_w),
         gaussian_params=(t_c, t_w),
-        converged=bool(res.success),
+        converged=converged,
     )

@@ -40,6 +40,34 @@ def test_importing_cli_leaves_numpy_unloaded():
     assert done.stdout.strip() == "False"
 
 
+_WITHOUT_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(name + " is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from cribmem import analytic, cli, kernels, modes, oracle, sweeps
+row = sweeps.evaluate_point(25, 1, sweeps.GridSettings(k=5, n=9),
+                            include_gaussian=True, include_mode=True)
+assert 0.0 < row["eta_gauss"] <= row["eta_max"] + 1e-9
+assert 0.0 < analytic.broadening_stage_efficiency_numeric(analytic.Profile.flat(), 5.0, 1.0) < 1.0
+sys.exit(cli.main(["sweep-gaussian", "--d0", "25", "--gamma", "1",
+                   "--grid-k", "5", "--grid-n", "9"]))
+"""
+
+
+def test_package_runs_without_scipy():
+    # scipy is needed only by the spline branch of Profile.double_integral.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("# cribmem ")
+
+
 def test_transmission_resonance(capsys):
     code, out, _ = run_cli(["transmission", "--d0", "5", "--omega", "0"], capsys)
     assert code == 0

@@ -8,7 +8,8 @@ import scipy.optimize
 from cribmem.kernels import EfficiencyKernel, build_efficiency_kernel, build_transfer_kernel
 from cribmem.laplace import talbot_contour
 from cribmem.model import build_detuning_grid, default_schedule, derive_params
-from cribmem.modes import (gaussian_efficiencies, gaussian_lattice, gaussian_mode,
+from cribmem import modes
+from cribmem.modes import (_nelder_mead, gaussian_efficiencies, gaussian_lattice, gaussian_mode,
                            mode_efficiency, optimal_mode, optimize_gaussian)
 from cribmem.quadrature import TimeGrid, tanh_sinh_grid
 from cribmem.sweeps import GridSettings, build_pipeline
@@ -247,13 +248,15 @@ def test_gaussian_efficiencies_memory_is_chunked():
     assert peak <= 2 * 2 ** 20
 
 
-@pytest.fixture(scope="module", params=["pipeline", (25.0, 0.5), (100.0, 10.0)],
-                ids=["pipeline", "25-0.5", "100-10"])
+@pytest.fixture(scope="module",
+                params=["pipeline", (25.0, 0.5, 33), (100.0, 10.0, 33), (100.0, 3.0, 21)],
+                ids=["pipeline", "25-0.5", "100-10", "point-kn441"])
 def gaussian_case(request):
     if request.param == "pipeline":
         _, sched, eff = request.getfixturevalue("pipeline")
         return sched, eff
-    _, sched, _, eff = build_pipeline(*request.param, GridSettings(k=33, n=33, quad_level=6))
+    d0, gamma_rel, kn = request.param
+    _, sched, _, eff = build_pipeline(d0, gamma_rel, GridSettings(k=kn, n=kn, quad_level=6))
     return sched, eff
 
 
@@ -263,3 +266,36 @@ def test_optimize_gaussian_matches_five_start_search(gaussian_case):
     gauss = optimize_gaussian(eff, sched)
     assert gauss.efficiency == pytest.approx(eta, abs=1e-10)
     assert gauss.gaussian_params == pytest.approx((t_c, t_w), abs=1e-4)
+
+
+def assert_nelder_mead_matches_scipy(func, x0, maxiter=400) -> bool:
+    """_nelder_mead and scipy's Nelder-Mead agree bit for bit; returns success."""
+    x, fun, success = _nelder_mead(func, x0, maxiter=maxiter)
+    res = scipy.optimize.minimize(func, x0, method="Nelder-Mead",
+                                  options={"fatol": 1e-9, "xatol": 1e-6, "maxiter": maxiter})
+    assert x.tobytes() == res.x.tobytes()
+    assert fun.hex() == float(res.fun).hex()
+    assert success is bool(res.success)
+    return success
+
+
+def test_nelder_mead_matches_scipy_on_rosenbrock():
+    # A zero coordinate takes the 0.00025 step of the first simplex.
+    assert assert_nelder_mead_matches_scipy(scipy.optimize.rosen, np.array([0.0, 1.5]))
+    assert not assert_nelder_mead_matches_scipy(scipy.optimize.rosen, np.array([0.0, 1.5]),
+                                                maxiter=10)
+
+
+def test_nelder_mead_matches_scipy_on_the_gaussian_objective(gaussian_case, monkeypatch):
+    sched, eff = gaussian_case
+    searches = []
+
+    def record(func, x0):
+        searches.append((func, np.array(x0)))
+        return _nelder_mead(func, x0)
+
+    monkeypatch.setattr(modes, "_nelder_mead", record)
+    gauss = optimize_gaussian(eff, sched)
+    (func, x0), = searches
+    assert assert_nelder_mead_matches_scipy(func, x0)
+    assert gauss.efficiency == -_nelder_mead(func, x0)[1]
