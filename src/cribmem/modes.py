@@ -7,8 +7,7 @@ E_in(tau_r - t')); on the symmetric quadrature grid the reversal is an index
 reversal, applied inside these routines so callers never see it.  The modes
 are the real eigenvectors of A, each of efficiency lambda^2.  Gaussian inputs
 are scored many at a time by gaussian_efficiencies; the best one comes from
-one Nelder-Mead search, implemented here, started at the best point of
-gaussian_lattice.
+refining the best point of gaussian_lattice on ever finer 5 x 5 lattices.
 """
 
 from __future__ import annotations
@@ -26,6 +25,12 @@ from cribmem.quadrature import TimeGrid
 
 _RESIDUAL_TOL = 1e-9
 _MIN_GAUSS_WIDTH = 0.05
+# Gaussian samples below this are zeroed: their squares underflow anyway, and
+# their products with A would be subnormal, which the CPU handles far slower.
+_SAMPLE_FLOOR = 1e-200
+_SEARCH_POINTS = 5     # lattice points per coordinate in one refinement round
+_SEARCH_TOL = 1e-7     # half-widths at which the Gaussian search stops
+_SEARCH_ROUNDS = 100   # refinement rounds before the search gives up
 
 
 @dataclass(frozen=True)
@@ -35,8 +40,8 @@ class ModeResult:
     ``mode`` is real, quadrature-normalized to unit energy, and signed so its
     largest-magnitude sample is positive.  ``gaussian_params`` holds
     (t_c, t_w) for Gaussian modes, None for the optimal mode.  ``converged``
-    is True when the Gaussian search met its Nelder-Mead tolerances within
-    ``maxiter``, and always for the optimal mode.
+    is True when the Gaussian search narrowed to _SEARCH_TOL in both
+    coordinates within _SEARCH_ROUNDS rounds, and always for the optimal mode.
     """
 
     efficiency: float
@@ -117,7 +122,8 @@ def gaussian_efficiencies(kernel: EfficiencyKernel, t_c, t_w) -> np.ndarray:
     step = max(1, _CHUNK // times.size)
     for j0 in range(0, eta.size, step):
         j = slice(j0, j0 + step)
-        phi = root_w * np.exp(-((times - centers[j]) ** 2) / (4.0 * widths[j] ** 2))
+        phi = np.exp(-((times - centers[j]) ** 2) / (4.0 * widths[j] ** 2))
+        phi = root_w * np.where(phi < _SAMPLE_FLOOR, 0.0, phi)
         norm = np.einsum("ij,ij->j", phi, phi)
         if not np.all((norm > 0.0) & np.isfinite(norm)):
             raise ValueError("a Gaussian input has zero or non-finite energy")
@@ -126,76 +132,40 @@ def gaussian_efficiencies(kernel: EfficiencyKernel, t_c, t_w) -> np.ndarray:
     return eta.reshape(t_c.shape)
 
 
-def _nelder_mead(func, x0, maxiter: int = 400) -> tuple[np.ndarray, float, bool]:
-    """Minimize func from x0 by the Nelder-Mead simplex search.
-
-    Nelder & Mead, Comput. J. 7, 308 (1965): reflection 1, expansion 2,
-    contraction and shrink 1/2, step for step as scipy's unbounded
-    minimize(method="Nelder-Mead") with fatol 1e-9 and xatol 1e-6, so the
-    floats are the same.  The first simplex is x0 and, per coordinate, x0
-    with that coordinate times 1.05 (0.00025 if it is zero).  Returns
-    (x, func(x), converged); converged is False after maxiter iterations.
-    """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n = x0.size
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([func(x) for x in sim], dtype=float)
-    iterations = 1
-    while True:
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
-        if iterations >= maxiter or (np.max(np.abs(sim[1:] - sim[0])) <= 1e-6
-                                     and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-9):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = func(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = func(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:   # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = func(xc)
-                accept = fxc <= fxr
-            else:                # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = func(xc)
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:                # shrink towards the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = func(sim[j])
-        iterations += 1
-    return sim[0], float(np.min(fsim)), iterations < maxiter
-
-
 def optimize_gaussian(kernel: EfficiencyKernel, schedule: ProtocolSchedule) -> ModeResult:
-    """Maximize the Gaussian-mode efficiency over (t_c, t_w).
+    """Maximize the Gaussian-mode efficiency over (t_c, t_w) by lattice refinement.
 
-    One Nelder-Mead search from the best point of the default gaussian_lattice,
-    clipped to the lattice's box: t_c in [0, tau_r], t_w in [0.05, tau_r].
+    The search starts at the best point of the default gaussian_lattice, with
+    half-widths of one coarse cell per coordinate (the t_w cell above the
+    start).  Each round scores the 5 x 5 lattice of +-half-width around the
+    current point, clipped to the lattice's box (t_c in [0, tau_r], t_w in
+    [0.05, tau_r]), and moves to its best point unless that is worse.  A
+    coordinate's half-width halves unless the point moved to that
+    coordinate's lattice edge strictly inside the box.  ``converged`` means
+    both half-widths fell to _SEARCH_TOL within _SEARCH_ROUNDS rounds.
     """
     tcs, tws = gaussian_lattice(schedule)
     lattice = gaussian_efficiencies(kernel, tcs[:, None], tws[None, :])
     i, j = np.unravel_index(np.argmax(lattice), lattice.shape)
     lo, hi = np.array([tcs[0], tws[0]]), np.array([tcs[-1], tws[-1]])
-
-    def objective(x) -> float:
-        return -float(gaussian_efficiencies(kernel, *np.clip(x, lo, hi)))
-
-    x, fun, converged = _nelder_mead(objective, [tcs[i], tws[j]])
-    t_c, t_w = (float(v) for v in np.clip(x, lo, hi))
+    x, eta = np.array([tcs[i], tws[j]]), float(lattice[i, j])
+    half = np.array([tcs[1] - tcs[0], tws[j] * (tws[1] / tws[0] - 1.0)])
+    steps = np.linspace(-1.0, 1.0, _SEARCH_POINTS)
+    for _ in range(_SEARCH_ROUNDS):
+        axes = np.clip(x[:, None] + half[:, None] * steps, lo[:, None], hi[:, None])
+        etas = gaussian_efficiencies(kernel, axes[0][:, None], axes[1][None, :])
+        best = np.unravel_index(np.argmax(etas), etas.shape)
+        keep = np.zeros(2, dtype=bool)   # half-widths that do not halve
+        if etas[best] >= eta:
+            x, eta = axes[[0, 1], best], float(etas[best])
+            keep = np.array([b in (0, _SEARCH_POINTS - 1) for b in best]) & (lo < x) & (x < hi)
+        half = np.where(keep, half, 0.5 * half)
+        if np.all(half <= _SEARCH_TOL):
+            break
+    t_c, t_w = (float(v) for v in x)
     return ModeResult(
-        efficiency=-fun,
+        efficiency=eta,
         mode=gaussian_mode(kernel.grid, t_c, t_w),
         gaussian_params=(t_c, t_w),
-        converged=converged,
+        converged=bool(np.all(half <= _SEARCH_TOL)),
     )

@@ -15,8 +15,7 @@ takes (K + N) * n exponentials and one matrix product for all contour
 nodes.  Stage 3 is reduced exactly onto the stage-1 action
 (``stage3_correction``), and stage 4 always follows from stage 2 by the
 controlled-detuning reflection (``block_reversal_permutation``): nothing in
-the package runs a stage-4 action, whose generator serves only the dense
-reference ``stage_matrix``.  Nothing is decomposed.
+the package runs a stage-4 action.  Nothing forms or decomposes a generator.
 
 The stage-1 rank-one term carries the sum of the controlled Riemann weights,
 which equals one only in the continuum limit: with it, the K-dimensional
@@ -83,16 +82,6 @@ def _class_exponentials(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarr
     s = np.asarray(s, dtype=float)[..., None]
     ea, eb = np.exp(1j * a * s), np.exp(1j * b * s)
     return (ea[..., :, None] * eb[..., None, :]).reshape(s.shape[:-1] + (a.size * b.size,))
-
-
-def stage_matrix(stage: Stage, u: complex, grid: DetuningGrid) -> np.ndarray:
-    """Assemble the generator of one stage at Laplace moment u (a dense reference)."""
-    if u == 0:
-        raise ValueError("u = 0 is a singular Laplace moment (1/u coupling)")
-    phases, weights = _generator_terms(stage, grid)
-    m = -1j * np.diag(phases.astype(complex))
-    m -= (1.0 / complex(u)) * np.outer(np.ones(phases.size), weights)
-    return m
 
 
 @dataclass(frozen=True)

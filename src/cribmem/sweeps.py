@@ -100,7 +100,7 @@ def run_points(points, settings: GridSettings, threads: int = 1,
 
 
 def gaussian_map(d0: float, gamma_rel: float, settings: GridSettings,
-                 tc_points: int = 25, tw_points: int = 20) -> list[dict]:
+                 tc_points: int, tw_points: int) -> list[dict]:
     """The (t_c, t_w) -> efficiency surface for Gaussian inputs."""
     params, schedule, kernel, eff = build_pipeline(d0, gamma_rel, settings)
     tcs, tws = modes.gaussian_lattice(schedule, tc_points, tw_points)

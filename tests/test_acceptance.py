@@ -76,9 +76,10 @@ def test_criterion_1_perturbative_agreement():
     assert ok_closed
     for gamma, tau_d, closed, numeric, gap in legs:
         # The gamma = 5 legs exceed the stated tolerance: the first-order
-        # formula omits the c^2/3 = 0.042 quadratic term (c = sqrt(pi)/5)
-        # and the true gap, cross-validated by two independent solvers,
-        # is 0.0646.  See the decisions ledger.
+        # formula omits the quadratic term a2 c^2 (c = sqrt(pi)/5; a2 ~ 0.589
+        # fitted to the numeric over gamma = 7-50, not derived, so about
+        # 0.074 here) and the true gap, cross-validated by two independent
+        # solvers, is 0.0646.  See the decisions ledger.
         assert gap <= 0.05, (
             f"gamma={gamma}, tau_d={tau_d}: |{numeric:.4f} - {closed:.4f}| "
             f"= {gap:.4f} > 0.05")

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -54,13 +55,16 @@ row = sweeps.evaluate_point(25, 1, sweeps.GridSettings(k=5, n=9),
                             include_gaussian=True, include_mode=True)
 assert 0.0 < row["eta_gauss"] <= row["eta_max"] + 1e-9
 assert 0.0 < analytic.broadening_stage_efficiency_numeric(analytic.Profile.flat(), 5.0, 1.0) < 1.0
+ramp = analytic.Profile.from_callable(lambda z: z)
+assert abs(ramp.double_integral() - 0.125) < 1e-12
+assert 0.0 < analytic.perturbative_efficiency(ramp, 5.0, 1.0) < 1.0
 sys.exit(cli.main(["sweep-gaussian", "--d0", "25", "--gamma", "1",
                    "--grid-k", "5", "--grid-n", "9"]))
 """
 
 
 def test_package_runs_without_scipy():
-    # scipy is needed only by the spline branch of Profile.double_integral.
+    # scipy is a test dependency only: no module of the package imports it.
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src})
@@ -153,6 +157,21 @@ def test_aliasing_class_count_exits_2(capsys):
     code, _, err = run_cli(["sweep-optimal", "--d0", "100", "--gamma", "20"], capsys)
     assert code == 2
     assert "configuration error" in err and "at least 65" in err
+
+
+def test_too_fine_quadrature_level_exits_2(capsys):
+    # Level 45 would ask np.arange for 2^45 nodes; the level is refused first.
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(["sweep-optimal", "--d0", "25", "--gamma", "1", "--grid-k", "5",
+                                "--grid-n", "9", "--quad-level", "45"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "configuration error" in err and "1 to 12" in err
+    assert "Traceback" not in err
+    assert peak <= 2 ** 20
 
 
 def test_odd_contour_node_count_exits_2(capsys):

@@ -8,8 +8,7 @@ import scipy.optimize
 from cribmem.kernels import EfficiencyKernel, build_efficiency_kernel, build_transfer_kernel
 from cribmem.laplace import talbot_contour
 from cribmem.model import build_detuning_grid, default_schedule, derive_params
-from cribmem import modes
-from cribmem.modes import (_nelder_mead, gaussian_efficiencies, gaussian_lattice, gaussian_mode,
+from cribmem.modes import (gaussian_efficiencies, gaussian_lattice, gaussian_mode,
                            mode_efficiency, optimal_mode, optimize_gaussian)
 from cribmem.quadrature import TimeGrid, tanh_sinh_grid
 from cribmem.sweeps import GridSettings, build_pipeline
@@ -268,34 +267,15 @@ def test_optimize_gaussian_matches_five_start_search(gaussian_case):
     assert gauss.gaussian_params == pytest.approx((t_c, t_w), abs=1e-4)
 
 
-def assert_nelder_mead_matches_scipy(func, x0, maxiter=400) -> bool:
-    """_nelder_mead and scipy's Nelder-Mead agree bit for bit; returns success."""
-    x, fun, success = _nelder_mead(func, x0, maxiter=maxiter)
-    res = scipy.optimize.minimize(func, x0, method="Nelder-Mead",
-                                  options={"fatol": 1e-9, "xatol": 1e-6, "maxiter": maxiter})
-    assert x.tobytes() == res.x.tobytes()
-    assert fun.hex() == float(res.fun).hex()
-    assert success is bool(res.success)
-    return success
-
-
-def test_nelder_mead_matches_scipy_on_rosenbrock():
-    # A zero coordinate takes the 0.00025 step of the first simplex.
-    assert assert_nelder_mead_matches_scipy(scipy.optimize.rosen, np.array([0.0, 1.5]))
-    assert not assert_nelder_mead_matches_scipy(scipy.optimize.rosen, np.array([0.0, 1.5]),
-                                                maxiter=10)
-
-
-def test_nelder_mead_matches_scipy_on_the_gaussian_objective(gaussian_case, monkeypatch):
-    sched, eff = gaussian_case
-    searches = []
-
-    def record(func, x0):
-        searches.append((func, np.array(x0)))
-        return _nelder_mead(func, x0)
-
-    monkeypatch.setattr(modes, "_nelder_mead", record)
-    gauss = optimize_gaussian(eff, sched)
-    (func, x0), = searches
-    assert assert_nelder_mead_matches_scipy(func, x0)
-    assert gauss.efficiency == -_nelder_mead(func, x0)[1]
+@pytest.mark.parametrize("peak", ["interior", "box-edge"])
+def test_optimize_gaussian_finds_a_known_peak(peak):
+    # A = v v^T with v = sqrt(w) times the reversed Gaussian samples at
+    # (t_c0, t_w0): by Cauchy-Schwarz eta peaks there, at exactly 1.
+    sched = default_schedule(derive_params(50.0, 3.0))
+    tg = tanh_sinh_grid(0.0, sched.tau_r, 6)
+    t_c0, t_w0 = (0.43 * sched.tau_r, 0.37) if peak == "interior" else (sched.tau_r, 0.8)
+    v = np.sqrt(tg.weights) * gaussian_mode(tg, t_c0, t_w0)[::-1]
+    gauss = optimize_gaussian(EfficiencyKernel(grid=tg, weighted=np.outer(v, v)), sched)
+    assert gauss.converged
+    assert gauss.gaussian_params == pytest.approx((t_c0, t_w0), abs=1e-6)
+    assert gauss.efficiency == pytest.approx(1.0, abs=1e-12)

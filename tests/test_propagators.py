@@ -16,9 +16,18 @@ from cribmem.propagators import (
     block_sums,
     stage3_correction,
     stage_action,
-    stage_matrix,
 )
 from cribmem.quadrature import tanh_sinh_grid
+
+
+def stage_matrix(stage: Stage, u: complex, grid: DetuningGrid) -> np.ndarray:
+    """Assemble the generator of one stage at Laplace moment u (a dense reference)."""
+    if u == 0:
+        raise ValueError("u = 0 is a singular Laplace moment (1/u coupling)")
+    phases, weights = _generator_terms(stage, grid)
+    m = -1j * np.diag(phases.astype(complex))
+    m -= (1.0 / complex(u)) * np.outer(np.ones(phases.size), weights)
+    return m
 
 
 def action_expm(stage: Stage, u, grid: DetuningGrid, duration: float) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cribmem.quadrature import TimeGrid, integrate, tanh_sinh_grid
+from cribmem.quadrature import MAX_LEVEL, TimeGrid, integrate, tanh_sinh_grid
 
 
 def test_constant_integrand():
@@ -68,6 +68,9 @@ def test_grid_rejects_bad_interval_and_level():
         tanh_sinh_grid(2.0, 1.0, 5)
     with pytest.raises(ValueError):
         tanh_sinh_grid(0.0, 1.0, 0)
+    assert MAX_LEVEL == 12   # 8193 nodes
+    with pytest.raises(ValueError, match="1 to 12"):
+        tanh_sinh_grid(0.0, 1.0, MAX_LEVEL + 1)
     for level in (2.5, 5.0, True):
         with pytest.raises(ValueError, match="integer"):
             tanh_sinh_grid(0.0, 1.0, level)
