@@ -8,12 +8,13 @@ Commands
     perturbative    broadening-stage efficiency, closed form vs numeric
     transmission    unbroadened intensity transmission spectrum
 
-Output is CSV (default) or JSON; a leading comment line records the
+--format is csv (default) or json; a leading comment line records the
 resolved settings the command reads, so runs are reproducible.  Standard
 output is reserved for data when the output path is "-"; errors go to
 standard error.  Exit codes: 0 success, 2 configuration error (among them
 a flag or config key the command does not read, such as a taud for any
-command but perturbative), 3 numerical failure.
+command but perturbative, an empty --out, and an empty list from a flag
+or a config file), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_COMMANDS = ("sweep-optimal", "sweep-gaussian", "gaussian-map", "modes",
-             "perturbative", "transmission")
-
 _COLUMNS = {
     "sweep-optimal": ("d0", "gamma_rel", "eta_max"),
     "sweep-gaussian": ("d0", "gamma_rel", "t_c_opt", "t_w_opt", "eta_gauss"),
@@ -51,12 +49,36 @@ _COLUMNS = {
     "perturbative": ("gamma_rel", "eta_eq_closed", "eta_numeric"),
     "transmission": ("omega_rel", "transmission"),
 }
+_COMMANDS = tuple(_COLUMNS)
+
+# One row per setting, given as --key (- for _) or as a config-file key:
+# (value type, default, flag help).  Every list must be non-empty and every
+# float and list finite; an integer with a default here is a count of at
+# least 1, the others are checked where they are used.  resolve_config fills
+# the None defaults: the discretization from sweeps.GridSettings and gamma
+# log-spaced; omega None lets transmission choose its span.
+_SETTINGS = {
+    "out": (str, "-", "output path, '-' for stdout (default)"),
+    "format": (str, "csv", "csv (default) or json"),
+    "threads": (int, 1, None),
+    "d0": (list, [25.0, 50.0, 100.0], "comma-separated optical depths"),
+    "gamma": (list, None, "comma-separated controlled widths gamma/mu"),
+    "grid_k": (int, None, None),
+    "grid_n": (int, None, None),
+    "extent": (float, None, None),
+    "quad_level": (int, None, None),
+    "contour_nodes": (int, None, None),
+    "taud": (float, 1.0, "broadening duration (perturbative)"),
+    "omega": (list, None, "comma-separated omega/mu (transmission)"),
+    "tc_points": (int, 25, None),
+    "tw_points": (int, 20, None),
+}
 
 
 # The settings each command reads, in the order they are recorded in the
 # CSV comment and the JSON output.  Setting any other one by flag or config
-# key is a configuration error.
-_GRID = ("grid_k", "grid_n", "extent", "quad_level", "contour_nodes")
+# key is a configuration error; out and format serve every command.
+_GRID = ("grid_k", "grid_n", "extent", "quad_level", "contour_nodes")   # GridSettings' order
 _SWEEP = _GRID + ("threads", "d0", "gamma")
 _READS = {
     "sweep-optimal": _SWEEP,
@@ -69,10 +91,7 @@ _READS = {
 
 
 def _parse_float_list(text: str) -> list[float]:
-    vals = [float(tok) for tok in text.replace(",", " ").split()]
-    if not vals:
-        raise ValueError("empty list")
-    return vals
+    return [float(tok) for tok in text.replace(",", " ").split()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,43 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", help="JSON file with the same keys as the flags")
-    parser.add_argument("--out", help="output path, '-' for stdout (default)")
-    parser.add_argument("--format", choices=("csv", "json"))
-    parser.add_argument("--threads", type=int)
-    parser.add_argument("--d0", help="comma-separated optical depths")
-    parser.add_argument("--gamma", help="comma-separated controlled widths gamma/mu")
-    parser.add_argument("--grid-k", type=int, dest="grid_k")
-    parser.add_argument("--grid-n", type=int, dest="grid_n")
-    parser.add_argument("--extent", type=float)
-    parser.add_argument("--quad-level", type=int, dest="quad_level")
-    parser.add_argument("--contour-nodes", type=int, dest="contour_nodes")
-    parser.add_argument("--taud", type=float, help="broadening duration (perturbative)")
-    parser.add_argument("--omega", help="comma-separated omega/mu (transmission)")
-    parser.add_argument("--tc-points", type=int, dest="tc_points")
-    parser.add_argument("--tw-points", type=int, dest="tw_points")
+    for key, (kind, _, text) in _SETTINGS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                            type=str if kind is list else kind, help=text)
     return parser
 
 
-# Defaults of the other keys: gamma is log-spaced and the discretization
-# comes from sweeps.GridSettings, both in resolve_config.
-_DEFAULTS = {
-    "d0": [25.0, 50.0, 100.0],
-    "threads": 1,
-    "format": "csv",
-    "out": "-",
-    "taud": 1.0,
-    "omega": None,
-    "tc_points": 25,
-    "tw_points": 20,
-}
-
-
-# The type of each config-file value; None is allowed where it is the default.
-_KINDS = {**dict.fromkeys(("grid_k", "grid_n", "quad_level", "contour_nodes",
-                           "threads", "tc_points", "tw_points"), "an integer"),
-          **dict.fromkeys(("extent", "taud"), "a number"),
-          **dict.fromkeys(("d0", "gamma", "omega"), "a list of numbers"),
-          **dict.fromkeys(("format", "out"), "a string")}
+_KIND_NAMES = {int: "an integer", float: "a number", list: "a list of numbers",
+               str: "a string"}
 
 
 def _checked(key: str, val, default):
@@ -127,20 +117,20 @@ def _checked(key: str, val, default):
     def number(v) -> bool:
         return isinstance(v, (int, float)) and not isinstance(v, bool)
 
-    kind = _KINDS[key]
+    kind = _SETTINGS[key][0]
     if val is None and default is None:
         return val
-    if kind == "an integer" and number(val) and isinstance(val, int):
+    if kind is int and number(val) and isinstance(val, int):
         return val
-    if kind == "a number" and number(val):
+    if kind is float and number(val):
         return float(val)
-    if kind == "a list of numbers":
+    if kind is list:
         vals = val if isinstance(val, list) else [val]   # one number is a list
         if all(map(number, vals)):
             return [float(v) for v in vals]
-    if kind == "a string" and isinstance(val, str):
+    if kind is str and isinstance(val, str):
         return val
-    raise ValueError(f"config key {key!r} must be {kind}, got {val!r}")
+    raise ValueError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {val!r}")
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -149,7 +139,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     from cribmem.sweeps import GridSettings
 
     settings = GridSettings()
-    cfg = {**_DEFAULTS, **settings.as_dict(),
+    cfg = {**{key: default for key, (_, default, _) in _SETTINGS.items()},
+           **settings.as_dict(),
            "grid_n": None,   # settings.n, except that perturbative lets the library choose
            "gamma": [float(x) for x in np.geomspace(0.1, 10.0, 25)]}
     loaded = {}
@@ -158,44 +149,37 @@ def resolve_config(args: argparse.Namespace) -> dict:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("a config file must hold one JSON object")
-        unknown = set(loaded) - set(_KINDS)
+        unknown = set(loaded) - set(_SETTINGS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg.update({key: _checked(key, val, cfg[key]) for key, val in loaded.items()})
+    flags = {key: val for key, val in vars(args).items() if key in _SETTINGS and val is not None}
+    for key, val in flags.items():
+        cfg[key] = _parse_float_list(val) if _SETTINGS[key][0] is list else val
     cfg["command"] = args.command
-    for key in ("out", "format", "threads", "grid_k", "grid_n", "extent",
-                "quad_level", "contour_nodes", "taud",
-                "tc_points", "tw_points"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if args.d0 is not None:
-        cfg["d0"] = _parse_float_list(args.d0)
-    if args.gamma is not None:
-        cfg["gamma"] = _parse_float_list(args.gamma)
-    if args.omega is not None:
-        cfg["omega"] = _parse_float_list(args.omega)
     if cfg["grid_n"] is None and cfg["command"] != "perturbative":
         cfg["grid_n"] = settings.n
-    for key in _KINDS:
+    for key in _SETTINGS:
         if key in ("format", "out") or key in _READS[args.command]:
             continue
-        if getattr(args, key) is not None or key in loaded:
+        if key in flags or key in loaded:
             readers = ", ".join(c for c in _COMMANDS if key in _READS[c])
             raise ValueError(f"{key} is read only by {readers}; "
                              f"{args.command} ignores it")
-    if not cfg["d0"] or not cfg["gamma"]:
-        raise ValueError("d0 and gamma lists must be non-empty")
-    for key in ("threads", "tc_points", "tw_points"):
-        if cfg[key] < 1:
+    for key, (kind, default, _) in _SETTINGS.items():
+        val = cfg[key]
+        if kind is list and val == []:
+            raise ValueError(f"{key} must be a non-empty list")
+        if kind in (float, list) and val is not None and not all(
+                map(math.isfinite, val if kind is list else [val])):
+            raise ValueError(f"{key} must be finite, got {val!r}")
+        if kind is int and default is not None and val < 1:
             raise ValueError(f"{key} must be at least 1")
     if cfg["format"] not in ("csv", "json"):
         raise ValueError(f"unknown format {cfg['format']!r}")
-    for key in ("extent", "taud", "d0", "gamma", "omega"):
-        vals = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
-        if not all(math.isfinite(v) for v in vals if v is not None):
-            raise ValueError(f"{key} must be finite, got {cfg[key]!r}")
     out = cfg["out"]   # checked before any point is computed
+    if not out:
+        raise ValueError("output path is empty")
     if out != "-" and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
         raise ValueError(f"output path {out!r} is a directory or in a missing one")
     return cfg
@@ -204,10 +188,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
 def _settings(cfg: dict):
     from cribmem.sweeps import GridSettings
 
-    return GridSettings(k=cfg["grid_k"], n=cfg["grid_n"],
-                        extent_sigmas=cfg["extent"],
-                        quad_level=cfg["quad_level"],
-                        contour_nodes=cfg["contour_nodes"])
+    return GridSettings(*(cfg[key] for key in _GRID))
 
 
 def _compute_rows(cfg: dict) -> list[dict]:
@@ -218,14 +199,9 @@ def _compute_rows(cfg: dict) -> list[dict]:
     settings = _settings(cfg)
     points = [(d0, g) for d0 in cfg["d0"] for g in cfg["gamma"]]
 
-    if command == "sweep-optimal":
-        rows = sweeps.run_points(points, settings, threads=cfg["threads"])
-        return [{k: r[k] for k in _COLUMNS[command]} for r in rows]
-
-    if command == "sweep-gaussian":
-        rows = sweeps.run_points(points, settings, threads=cfg["threads"],
-                                 include_gaussian=True)
-        return [{k: r[k] for k in _COLUMNS[command]} for r in rows]
+    if command in ("sweep-optimal", "sweep-gaussian"):
+        return sweeps.run_points(points, settings, threads=cfg["threads"],
+                                 include_gaussian=command == "sweep-gaussian")
 
     if command == "gaussian-map":
         out = []

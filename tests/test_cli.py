@@ -306,12 +306,24 @@ def test_bad_config_exits_2(tmp_path, capsys):
     for bad in ({"no_such_key": 1}, {"command": "modes"}, {"threads": 0},
                 {"grid_k": "15"}, {"quad_level": 2.5}, {"grid_k": 5.0},
                 {"grid_k": True}, {"d0": ["25"]}, {"extent": None}, [1, 2],
-                {"omega": [math.nan]}, {"taud": math.inf}, {"extent": math.nan},
-                {"tc_points": 0}, {"tw_points": -1}):
+                {"extent": math.nan}):
         path.write_text(json.dumps(bad))
         code, _, err = run_cli(["sweep-optimal", "--config", str(path)], capsys)
         assert code == 2, bad
         assert "configuration error" in err
+    # Each on a command that reads the key, so the value check itself refuses it.
+    for bad, command, message in (
+            ({"omega": [math.nan]}, "transmission", "omega must be finite"),
+            ({"taud": math.inf}, "perturbative", "taud must be finite"),
+            ({"tc_points": 0}, "gaussian-map", "tc_points must be at least 1"),
+            ({"tw_points": -1}, "gaussian-map", "tw_points must be at least 1"),
+            ({"omega": []}, "transmission", "omega must be a non-empty list"),
+            ({"d0": []}, "sweep-optimal", "d0 must be a non-empty list"),
+            ({"gamma": []}, "sweep-optimal", "gamma must be a non-empty list")):
+        path.write_text(json.dumps(bad))
+        code, out, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 2 and out == "", bad
+        assert f"configuration error: {message}" in err, bad
     for argv in (["transmission", "--d0", "5", "--omega", "nan"],
                  ["perturbative", "--gamma", "inf"],
                  ["perturbative", "--gamma", "5", "--taud", "inf"],
@@ -330,11 +342,45 @@ def test_unwritable_out_exits_2_before_computing(tmp_path, monkeypatch, capsys):
         raise AssertionError("points computed before the output path was checked")
 
     monkeypatch.setattr(sweeps, "run_points", never)
-    for out in (tmp_path / "missing" / "x.csv", tmp_path):
-        code, _, err = run_cli(["sweep-optimal", "--d0", "10", "--gamma", "1",
-                                "--out", str(out)] + TINY, capsys)
-        assert code == 2, out
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"out": ""}))
+    argv = ["sweep-optimal", "--d0", "10", "--gamma", "1"] + TINY
+    for args in ([argv + ["--out", str(out)] for out in (tmp_path / "missing" / "x.csv",
+                                                         tmp_path, "")]
+                 + [argv + ["--config", str(path)]]):
+        code, _, err = run_cli(args, capsys)
+        assert code == 2, args
         assert "configuration error" in err
+
+
+def test_every_setting_has_one_flag_and_one_config_key(tmp_path, monkeypatch, capsys):
+    # A value given by flag or by config file is recorded alike.
+    monkeypatch.setattr(cli, "_compute_rows", lambda cfg: [])
+    out, path = tmp_path / "out.json", tmp_path / "cfg.json"
+    values = {"out": str(out), "format": "json", "threads": 2, "d0": [7.0, 8.5],
+              "gamma": [0.5], "grid_k": 7, "grid_n": 13, "extent": 4.5, "quad_level": 5,
+              "contour_nodes": 16, "taud": 2.0, "omega": [0.25, -1.5], "tc_points": 3,
+              "tw_points": 4}
+    assert list(values) == list(cli._SETTINGS)
+    help_text = cli.build_parser().format_help()
+    for key, value in values.items():
+        flag = "--" + key.replace("_", "-")
+        assert f"{flag} " in help_text, key
+        command = next(c for c in cli._COMMANDS
+                       if key in cli._READS[c] or key in ("out", "format"))
+        base = [command] + [a for k in ("format", "out") if k != key
+                            for a in ("--" + k, values[k])]
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        path.write_text(json.dumps({key: value}))
+        recorded = []
+        for argv in (base + [flag, text], base + ["--config", str(path)]):
+            code, stdout, err = run_cli(argv, capsys)
+            assert code == 0 and stdout == "", (argv, err)
+            recorded.append(json.loads(out.read_text())["settings"])
+            out.unlink()
+        assert recorded[0] == recorded[1], key
+        if key in recorded[0]:
+            assert recorded[0][key] == value, key
 
 
 def test_empty_list_exits_2(capsys):
