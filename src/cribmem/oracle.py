@@ -8,9 +8,16 @@ instant E(z) follows from spatial integration of the polarization source,
 
 with the per-class phase phi switching between Delta0, Delta0 +- Delta and
 Delta0 across the five stages.  Time stepping is classical RK4 on the
-method-of-lines system (the field recomputed from sigma inside every
-sub-stage), space is a cumulative trapezoid.  This shares no code with the
-Laplace-domain kernel pipeline and exists to validate it on small instances.
+method-of-lines system and space is a cumulative trapezoid.  The right-hand
+side is linear, so each step is composed in closed form: every RK4 stage
+input is p_i*sigma + sum_j E_j q_ij, with E_j the field at stage j and
+p_i, q_ij per-class polynomials in h*phi, tabulated once per protocol stage.
+A step then takes one product of sigma with those tables (the field sources
+of all four stages and of the new state), one cumulative trapezoid per RK4
+stage for E_1..E_4, and the update sigma <- r*sigma + E q; E(z=1) at the
+new time follows from the tables without a second pass over sigma.  This
+shares no code with the Laplace-domain kernel pipeline and exists to
+validate it on small instances.
 """
 
 from __future__ import annotations
@@ -42,12 +49,28 @@ class FdConfig:
             )
 
     def max_phase(self) -> float:
-        return float(np.max(np.abs(self.grid.delta_plus())))
+        return _max_phase(self.grid, self.schedule)
+
+
+def _stages(grid: DetuningGrid, sched: ProtocolSchedule) -> list:
+    """(duration, phase vector, driven) of each of the five protocol stages."""
+    return [
+        (sched.tau_p, grid.delta_zero(), True),
+        (sched.tau_d, grid.delta_plus(), True),
+        (sched.tau_s, grid.delta_zero(), False),
+        (sched.tau_d, grid.delta_minus(), False),
+        (sched.tau_p, grid.delta_zero(), False),
+    ]
+
+
+def _max_phase(grid: DetuningGrid, sched: ProtocolSchedule) -> float:
+    """Fastest phase rotation of any stage."""
+    return max(float(np.max(np.abs(phases))) for _, phases, _ in _stages(grid, sched))
 
 
 def default_fd_config(grid: DetuningGrid, schedule: ProtocolSchedule,
                       nz: int = 128, safety: float = 0.2) -> FdConfig:
-    dt = safety * 0.5 / max(float(np.max(np.abs(grid.delta_plus()))), 1.0)
+    dt = safety * 0.5 / max(_max_phase(grid, schedule), 1.0)
     dt = min(dt, schedule.tau_p / 50.0, 0.02)
     return FdConfig(nz=nz, dt=dt, grid=grid, schedule=schedule)
 
@@ -71,6 +94,43 @@ class FdResult:
     energy: dict = field(default_factory=dict)
 
 
+# Classical RK4: stage times as fractions of the step, and the weights of
+# the four slopes in the update.
+_RK4_NODES = (0.0, 0.5, 0.5, 1.0)
+_RK4_WEIGHTS = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
+
+
+def _step_tables(h: float, phases: np.ndarray, g: np.ndarray, dz: float):
+    """One RK4 step of ``sigma' = a*sigma + i E 1^T`` in closed form.
+
+    With a = -i phases, every stage input is ``p_i*sigma + sum_j E_j q_ij``
+    and the step's result is ``r*sigma + E q``, where E_j is the field at
+    stage j and p_i, q_ij, r, q are per-class polynomials in h*a.  They are
+    found by running the RK4 tableau on the coefficients themselves: row 0
+    holds the coefficient of sigma, row 1 + j that of E_j.
+
+    Returns ``(gw, c, r, q, qg)``, with the field source sigma @ g scaled by
+    the trapezoid's i dz / 2: gw = [p_i g | r g] (KN x 5), so that
+    sigma @ gw[:, i] is stage i's source from sigma; c[i, j] = q_ij . g,
+    the source carried by E_j; and qg = q @ g, the source of the new state
+    carried by E.
+    """
+    a = -1j * phases
+    start = np.zeros((5, phases.size), dtype=complex)
+    start[0] = 1.0
+    inputs, new = [start], start.copy()
+    for i, weight in enumerate(_RK4_WEIGHTS):
+        slope = a * inputs[i]
+        slope[1 + i] += 1j
+        new += (h * weight) * slope
+        if i < 3:
+            inputs.append(start + (h * _RK4_NODES[i + 1]) * slope)
+    scale = 0.5j * dz
+    gw = scale * np.stack([coef[0] * g for coef in inputs] + [new[0] * g], axis=1)
+    c = scale * np.array([coef[1:] @ g for coef in inputs])
+    return gw, c, new[0], new[1:], scale * (new[1:] @ g)
+
+
 def fd_solve(config: FdConfig, e_in) -> FdResult:
     grid, sched = config.grid, config.schedule
     k, n = grid.k, grid.n
@@ -79,24 +139,14 @@ def fd_solve(config: FdConfig, e_in) -> FdResult:
     nz = config.nz
     dz = 1.0 / nz
     sigma = np.zeros((nz + 1, kn), dtype=complex)
-
-    stages = [
-        (sched.tau_p, grid.delta_zero(), True),
-        (sched.tau_d, grid.delta_plus(), True),
-        (sched.tau_s, grid.delta_zero(), False),
-        (sched.tau_d, grid.delta_minus(), False),
-        (sched.tau_p, grid.delta_zero(), False),
-    ]
+    fields = np.empty((4, nz + 1), dtype=complex)
+    increments = np.empty(nz + 1, dtype=complex)
+    # E(1) = E(0) + i dz/2 * (trapezoid weights 1, 2, ..., 2, 1) . source
+    end_weights = np.full(nz + 1, 2.0)
+    end_weights[[0, -1]] = 1.0
 
     def boundary(t: float, driven: bool) -> complex:
         return complex(e_in(t)) if driven else 0.0
-
-    def field_profile(sig: np.ndarray, t: float, driven: bool) -> np.ndarray:
-        source = sig @ g
-        e = np.empty(nz + 1, dtype=complex)
-        e[0] = boundary(t, driven)
-        e[1:] = e[0] + 1j * np.cumsum(0.5 * dz * (source[1:] + source[:-1]))
-        return e
 
     t_glob = 0.0
     times: list[float] = []
@@ -106,26 +156,28 @@ def fd_solve(config: FdConfig, e_in) -> FdResult:
     peak_in = 0.0
     retrieval_start = sched.tau_p + sched.tau_d + sched.tau_s
 
-    for duration, phases, driven in stages:
+    for duration, phases, driven in _stages(grid, sched):
         if duration <= 0.0:
             continue
         steps = max(1, math.ceil(duration / config.dt))
         h = duration / steps
+        gw, c, r, q, qg = _step_tables(h, phases, g, dz)
         for _ in range(steps):
-            def rhs(sig, t):
-                e = field_profile(sig, t, driven)
-                return -1j * phases[None, :] * sig + 1j * e[:, None]
-
-            k1 = rhs(sigma, t_glob)
-            k2 = rhs(sigma + 0.5 * h * k1, t_glob + 0.5 * h)
-            k3 = rhs(sigma + 0.5 * h * k2, t_glob + 0.5 * h)
-            k4 = rhs(sigma + h * k3, t_glob + h)
-            sigma = sigma + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # Row i: stage i's source from sigma; row 4: the new state's.
+            source = gw.T @ sigma.T
+            for i, node in enumerate(_RK4_NODES):
+                e0 = boundary(t_glob + node * h, driven)
+                s = source[i] + c[i, :i] @ fields[:i]
+                # E_i is E_i(0) plus the running trapezoid sum of s.
+                increments[0] = e0
+                np.add(s[1:], s[:-1], out=increments[1:])
+                np.cumsum(increments, out=fields[i])
+            sigma *= r
+            sigma += fields.T @ q
             t_glob += h
-            e1 = field_profile(sigma, t_glob, driven)[-1]
+            e1 = e0 + end_weights @ (source[4] + qg @ fields)
             times.append(t_glob)
             e_end.append(e1)
-            e0 = boundary(t_glob, driven)
             in_energy += h * abs(e0) ** 2
             out_energy_all += h * abs(e1) ** 2
             peak_in = max(peak_in, abs(e0))
