@@ -26,7 +26,7 @@ import numpy as np
 from cribmem.laplace import DEFAULT_CONTOUR_NODES, invert, talbot_contour
 from cribmem.model import (DEFAULT_EXTENT_SIGMAS, DEFAULT_GRID_POINTS, PhysicalParams,
                            build_detuning_grid, gaussian_pdf, min_safe_classes)
-from cribmem.propagators import Stage, block_reversal_permutation, stage_action
+from cribmem.propagators import block_reversal_permutation, stage_action
 from cribmem.quadrature import TimeGrid, tanh_sinh_grid
 
 _DEFAULT_Z_LEVEL = 5
@@ -157,7 +157,7 @@ def broadening_stage_efficiency_numeric(
     zg = p1.grid
     contour = talbot_contour(contour_nodes, t_scale=1.0)
     nodes = np.divide.outer(contour.nodes, zg.nodes)
-    sig = stage_action(Stage.S2, grid, nodes.ravel(), np.ones((n_classes, 1)),
+    sig = stage_action(grid, nodes.ravel(), np.ones((n_classes, 1)),
                        [tau_d]).states[0][..., 0]
     rows = (grid.joint_weights * sig)[:, block_reversal_permutation(grid)]
     samples = np.sum(rows * sig, axis=1).reshape(nodes.shape) * p1.laplace(nodes)

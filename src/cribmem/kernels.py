@@ -26,8 +26,10 @@ t <= tau_d | exp(M2 tau_d) lift] and Z = diag(I, F), where F holds the
 stage-1 states exp(M1 s) h.  At each node the kernel is Z^T H Z with the
 small symmetric H = V^T B V.  Every factor is the action of a stage
 exponential on a few vectors, computed for all contour nodes at once by
-``stage_action``; stage 3 reduces exactly onto the stage-1 action on the
-block sums of V.  Nothing is decomposed.
+``stage_action`` on the grid the stage runs on: stage 2 on the detuning
+grid itself, read-in (F) on ``grid.collapsed()``, and stage 3 reduces
+exactly onto the collapsed action on the block sums of V, with the
+storage phase that of ``grid.controlled_by(0)``.  Nothing is decomposed.
 
 The efficiency kernel is A = sqrt(w) K_E sqrt(w), symmetric bit for bit.
 The efficiency operator A^2 is never formed: an eigenvector of A with
@@ -44,7 +46,6 @@ from cribmem.errors import NumericsError
 from cribmem.laplace import LaplaceContour
 from cribmem.model import DetuningGrid, PhysicalParams, ProtocolSchedule
 from cribmem.propagators import (
-    Stage,
     block_reversal_permutation,
     block_sums,
     stage3_correction,
@@ -61,7 +62,6 @@ class TransferKernel:
 
     grid: TimeGrid
     values: np.ndarray
-    schedule: ProtocolSchedule
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -88,9 +88,9 @@ def _contour_assembly(grid: DetuningGrid, schedule: ProtocolSchedule, us, times)
     Returns ``(assemble, work)``.  ``assemble(i)`` is K_E-hat at ``us[i]`` on
     the increasing ``times``, split into lo (t <= tau_d) and hi (later), as
     its lo-lo, lo-hi and hi-hi blocks; the hi-lo block is the transpose of
-    lo-hi.  Two stage-2 actions give the basis V, exp(M2 t) h and
-    exp(M2 tau_d) lift; two stage-1 actions give F, exp(M1 s) h, and the
-    stage-3 correction.  Each action collocates its scalar field at
+    lo-hi.  Two actions on ``grid`` give the basis V, exp(M2 t) h and
+    exp(M2 tau_d) lift; two on ``grid.collapsed()`` give F, exp(M1 s) h,
+    and the stage-3 correction.  Each action collocates its scalar field at
     n = max(24, ceil(beta*T) + 16) Gauss-Legendre nodes on [0, T], T its
     last time and beta the stage's max-norm bound, so the cost follows the
     stage bandwidth and the lift's K columns share one solve per node.
@@ -99,10 +99,10 @@ def _contour_assembly(grid: DetuningGrid, schedule: ProtocolSchedule, us, times)
     """
     lo = times <= schedule.tau_d
     n_lo = int(np.count_nonzero(lo))
-    stored = stage_action(Stage.S2, grid, us, np.ones((grid.k * grid.n, 1)), times[lo])
+    stored = stage_action(grid, us, np.ones((grid.k * grid.n, 1)), times[lo])
     lift = np.kron(np.eye(grid.k), np.ones((grid.n, 1)))   # KN x K column lift
-    lifted = stage_action(Stage.S2, grid, us, lift, [schedule.tau_d])
-    free = stage_action(Stage.S1, grid, us, np.ones((grid.k, 1)),
+    lifted = stage_action(grid, us, lift, [schedule.tau_d])
+    free = stage_action(grid.collapsed(), us, np.ones((grid.k, 1)),
                         times[~lo] - schedule.tau_d).states[..., 0]
 
     # exp(M3 ts) X = phase o X - repeat_N(corr) for the columns X of V, and
@@ -111,7 +111,7 @@ def _contour_assembly(grid: DetuningGrid, schedule: ProtocolSchedule, us, times)
                         block_sums(grid, lifted.states[0])], axis=2)
     corr = stage3_correction(grid, us, y, schedule.tau_s)
     g0y = grid.intrinsic_weights[:, None] * y
-    phase = np.exp(-1j * grid.delta_zero() * schedule.tau_s)
+    phase = np.exp(-1j * grid.controlled_by(0).phases * schedule.tau_s)
     g = grid.joint_weights
     perm = block_reversal_permutation(grid)
 
@@ -180,8 +180,7 @@ def build_transfer_kernel(
         "stage2_lift_collocation_nodes": lift_nodes,
         "max_abs": float(np.max(np.abs(values))),
     }
-    return TransferKernel(grid=tg, values=values, schedule=schedule,
-                          diagnostics=diagnostics)
+    return TransferKernel(grid=tg, values=values, diagnostics=diagnostics)
 
 
 def apply_output(kernel: TransferKernel, e_in) -> np.ndarray:

@@ -100,11 +100,14 @@ class DetuningGrid:
     """Discretized intrinsic (K classes) and controlled (N classes) detunings.
 
     Weights are plain Riemann-sum weights ``step * G(node)`` and are *not*
-    renormalized; the deviation of their sum from one is reported through
-    :meth:`intrinsic_deficit` / :meth:`controlled_deficit`.  ``joint_weights``
-    follows the (j-1)*N + k layout: the intrinsic index is the outer (block)
-    index, the controlled index runs inside each block.  Every weight must
-    be positive.
+    renormalized.  ``joint_weights`` and ``phases`` follow the (j-1)*N + k
+    layout: the intrinsic index is the outer (block) index, the controlled
+    index runs inside each block.  Every weight must be positive.
+
+    A grid is also what each protocol stage runs on: the stages differ only
+    in the controlled broadening field, so stage 2 runs on the grid itself,
+    stage 4 on ``controlled_by(-1)``, stage 3 on ``controlled_by(0)`` and
+    the read-in and read-out stages on ``collapsed()``.
     """
 
     intrinsic_nodes: np.ndarray
@@ -142,23 +145,29 @@ class DetuningGrid:
         """Sum of the controlled Riemann weights (converges to 1 as N grows)."""
         return float(self.controlled_weights.sum())
 
-    def intrinsic_deficit(self) -> float:
-        return 1.0 - float(self.intrinsic_weights.sum())
-
-    def controlled_deficit(self) -> float:
-        return 1.0 - self.controlled_weight_sum
-
-    def delta_plus(self) -> np.ndarray:
-        """Stage-2 phase vector Delta0_j + Delta_k in joint layout."""
+    @property
+    def phases(self) -> np.ndarray:
+        """Per-class phase Delta0_j + Delta_k in joint layout."""
         return (self.intrinsic_nodes[:, None] + self.controlled_nodes[None, :]).ravel()
 
-    def delta_minus(self) -> np.ndarray:
-        """Stage-4 phase vector Delta0_j - Delta_k in joint layout."""
-        return (self.intrinsic_nodes[:, None] - self.controlled_nodes[None, :]).ravel()
+    def controlled_by(self, sign: float) -> DetuningGrid:
+        """The grid with its controlled nodes times ``sign``.
 
-    def delta_zero(self) -> np.ndarray:
-        """Stage-1/3/5 phase vector: Delta0_j repeated across each block."""
-        return np.repeat(self.intrinsic_nodes, self.n)
+        +1 while the field dephases (stage 2), -1 while it rephases (stage
+        4) and 0 with it off (stage 3); the weights are unchanged.
+        """
+        return DetuningGrid(self.intrinsic_nodes, self.intrinsic_weights,
+                            sign * self.controlled_nodes, self.controlled_weights)
+
+    def collapsed(self) -> DetuningGrid:
+        """The K intrinsic classes, each weighted g0_j * sum(gc).
+
+        With the field off the phases are constant inside each controlled
+        block, so the joint system's block sums close on these K classes
+        exactly, at any grid resolution.
+        """
+        return DetuningGrid(self.intrinsic_nodes, self.intrinsic_weights,
+                            np.zeros(1), np.array([self.controlled_weight_sum]))
 
     def is_symmetric(self) -> bool:
         """True when both node families are symmetric about zero with even weights."""
@@ -169,12 +178,13 @@ class DetuningGrid:
         """Onset of the spurious rephasing of the discrete controlled comb.
 
         A finite comb of controlled detunings with step ``dd`` rephases after
-        about 2*pi/dd; the dephasing stages must be kept well below this.
+        about 2*pi/|dd|; the dephasing stages must be kept well below this.
+        A comb with no spread (one class, or the field off) never rephases.
         """
         if self.n < 2:
             return math.inf
-        dd = float(self.controlled_nodes[1] - self.controlled_nodes[0])
-        return 2.0 * math.pi / dd
+        dd = abs(float(self.controlled_nodes[1] - self.controlled_nodes[0]))
+        return 2.0 * math.pi / dd if dd > 0.0 else math.inf
 
 
 def _mirrored(nodes: np.ndarray, weights: np.ndarray) -> bool:

@@ -7,7 +7,9 @@ instant E(z) follows from spatial integration of the polarization source,
     d sigma_jk / dt = -i phi_jk sigma_jk + i E(z, t),
 
 with the per-class phase phi switching between Delta0, Delta0 +- Delta and
-Delta0 across the five stages.  Time stepping is classical RK4 on the
+Delta0 across the five stages: the phases of the detuning grid with its
+controlled field off (``controlled_by(0)``), on (the grid itself) and
+reversed (``controlled_by(-1)``).  Time stepping is classical RK4 on the
 method-of-lines system and space is a cumulative trapezoid.  The right-hand
 side is linear, so each step is composed in closed form: every RK4 stage
 input is p_i*sigma + sum_j E_j q_ij, with E_j the field at stage j and
@@ -54,12 +56,13 @@ class FdConfig:
 
 def _stages(grid: DetuningGrid, sched: ProtocolSchedule) -> list:
     """(duration, phase vector, driven) of each of the five protocol stages."""
+    off = grid.controlled_by(0).phases
     return [
-        (sched.tau_p, grid.delta_zero(), True),
-        (sched.tau_d, grid.delta_plus(), True),
-        (sched.tau_s, grid.delta_zero(), False),
-        (sched.tau_d, grid.delta_minus(), False),
-        (sched.tau_p, grid.delta_zero(), False),
+        (sched.tau_p, off, True),
+        (sched.tau_d, grid.phases, True),
+        (sched.tau_s, off, False),
+        (sched.tau_d, grid.controlled_by(-1).phases, False),
+        (sched.tau_p, off, False),
     ]
 
 

@@ -2,31 +2,33 @@
 
 Each protocol stage evolves the polarization vector under a generator of the
 form ``-i*diag(phases) - (1/u) * ones * weights^T`` (a diagonal matrix plus a
-rank-one coupling through the radiated field).  Stage 1 acts on the K
-intrinsic classes, stages 2-4 on the K*N joint classes.  ``stage_action``
-applies the exponential of any stage to blocks of vectors without forming
-it, for a whole batch of contour nodes at once.  The rank-one coupling
-reduces each action to one scalar convolution Volterra equation for the
-radiated field, solved by Gauss-Legendre collocation on one n x n matrix
-shared by every node, with n set by the bandwidth of the stage; the states
-then follow from Duhamel's formula.  The phase of class (j, k) is an
-intrinsic part plus a controlled one (``_phase_factors``), so each time
-takes (K + N) * n exponentials and one matrix product for all contour
-nodes.  Stage 3 is reduced exactly onto the stage-1 action
+rank-one coupling through the radiated field), with the phases and weights
+of the detuning grid the stage runs on (``DetuningGrid``: the grid itself
+while the field dephases, ``controlled_by(-1)`` while it rephases,
+``controlled_by(0)`` with it off, ``collapsed()`` for the K intrinsic
+classes).  ``stage_action`` applies the exponential on any grid to blocks
+of vectors without forming it, for a whole batch of contour nodes at once.
+The rank-one coupling reduces each action to one scalar convolution
+Volterra equation for the radiated field, solved by Gauss-Legendre
+collocation on one n x n matrix shared by every node, with n set by the
+bandwidth of the action; the states then follow from Duhamel's formula.
+The phase of class (j, k) is an intrinsic node plus a controlled one, so
+each time takes (K + N) * n exponentials and one matrix product for all
+contour nodes.  Stage 3 is reduced exactly onto the collapsed grid
 (``stage3_correction``), and stage 4 always follows from stage 2 by the
 controlled-detuning reflection (``block_reversal_permutation``): nothing in
 the package runs a stage-4 action.  Nothing forms or decomposes a generator.
 
-The stage-1 rank-one term carries the sum of the controlled Riemann weights,
-which equals one only in the continuum limit: with it, the K-dimensional
-stage-1/5 equations are the exact block reduction of the joint-class system
-at any grid resolution, so the kernel pipeline and a direct discrete solver
-agree to solver accuracy even on coarse grids.
+The collapsed grid weights each intrinsic class with the sum of the
+controlled Riemann weights, which equals one only in the continuum limit:
+with it, the K-dimensional stage-1/5 equations are the exact block
+reduction of the joint-class system at any grid resolution, so the kernel
+pipeline and a direct discrete solver agree to solver accuracy even on
+coarse grids.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -40,48 +42,15 @@ _MAX_NODES = 1024  # most collocation nodes: the complex n x n A is then 16 MB
 _CHUNK = 2 ** 15   # entries of the largest temporary array
 
 
-class Stage(enum.Enum):
-    S1 = 1
-    S2 = 2
-    S3 = 3
-    S4 = 4
+def _class_exponentials(grid: DetuningGrid, s: np.ndarray) -> np.ndarray:
+    """e^{i phi s} for the grid's phases phi in joint layout, (s.shape..., K*N).
 
-
-def _phase_factors(stage: Stage, grid: DetuningGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) with phases = (a[:, None] + b[None, :]).ravel(), a the intrinsic part.
-
-    The phase of class (j, k) is the sum of its intrinsic detuning and the
-    controlled one the stage applies, so e^{i phi s} factors into a K-vector
-    times an N-vector.  x + 0.0 == x and a - b == a + (-b) in IEEE
-    arithmetic, so the sums equal ``grid.delta_*`` bit for bit.
-    """
-    if stage is Stage.S1:
-        return grid.intrinsic_nodes, np.zeros(1)
-    if stage is Stage.S2:
-        return grid.intrinsic_nodes, grid.controlled_nodes
-    if stage is Stage.S4:
-        return grid.intrinsic_nodes, -grid.controlled_nodes
-    return grid.intrinsic_nodes, np.zeros(grid.n)
-
-
-def _generator_terms(stage: Stage, grid: DetuningGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(phases, weights) of M = -i diag(phases) - (1/u) 1 weights^T."""
-    a, b = _phase_factors(stage, grid)
-    phases = (a[:, None] + b[None, :]).ravel()
-    if stage is Stage.S1:
-        return phases, grid.controlled_weight_sum * grid.intrinsic_weights
-    return phases, grid.joint_weights
-
-
-def _class_exponentials(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """e^{i (a_j + b_k) s} in joint layout, (s.shape..., K*N).
-
-    Only K + N exponentials per s are evaluated; their outer product gives
-    the K*N classes.
+    Only K + N exponentials per s are evaluated; the outer product of the
+    intrinsic and controlled ones gives the K*N classes.
     """
     s = np.asarray(s, dtype=float)[..., None]
-    ea, eb = np.exp(1j * a * s), np.exp(1j * b * s)
-    return (ea[..., :, None] * eb[..., None, :]).reshape(s.shape[:-1] + (a.size * b.size,))
+    ea, eb = np.exp(1j * grid.intrinsic_nodes * s), np.exp(1j * grid.controlled_nodes * s)
+    return (ea[..., :, None] * eb[..., None, :]).reshape(s.shape[:-1] + (grid.k * grid.n,))
 
 
 @dataclass(frozen=True)
@@ -97,12 +66,13 @@ class StagePropagation:
     collocation_nodes: int
 
 
-def stage_action(stage: Stage, grid: DetuningGrid, us, x, times) -> StagePropagation:
-    """exp(M(u) t) x for one stage, a batch of contour nodes and increasing t >= 0.
+def stage_action(grid: DetuningGrid, us, x, times) -> StagePropagation:
+    """exp(M(u) t) x on one grid, for a batch of contour nodes and increasing t >= 0.
 
     ``x`` is a (dimension, m) block shared by every node or a
-    (nodes, dimension, m) stack.  M(u) = -i diag(phi) - (1/u) 1 w^T is never
-    formed.  By Duhamel's formula the state is
+    (nodes, dimension, m) stack, dimension = K*N.  M(u) = -i diag(phi) -
+    (1/u) 1 w^T, with phi = ``grid.phases`` and w = ``grid.joint_weights``,
+    is never formed.  By Duhamel's formula the state is
 
         x(t) = e^{-i phi t} o [x - (1/u) int_0^t e^{i phi s} f(s) ds],
 
@@ -130,7 +100,8 @@ def stage_action(stage: Stage, grid: DetuningGrid, us, x, times) -> StagePropaga
     dimension x n table at least): large arrays, once freed, raise the
     allocator's mmap threshold and with it the peak resident memory.
     A singular collocation system or a non-finite result raises
-    NumericsError.
+    NumericsError too; each such error names the action by its class
+    counts K x N, T, beta and n.
     """
     us = np.asarray(us, dtype=complex).ravel()
     times = np.asarray(times, dtype=float)
@@ -140,8 +111,7 @@ def stage_action(stage: Stage, grid: DetuningGrid, us, x, times) -> StagePropaga
         raise ValueError("times must be non-negative and non-decreasing")
     if np.any(us == 0):
         raise ValueError("u = 0 is a singular Laplace moment (1/u coupling)")
-    factors = _phase_factors(stage, grid)
-    phi, w = _generator_terms(stage, grid)
+    phi, w = grid.phases, grid.joint_weights
     x = np.asarray(x, dtype=complex)
     if x.ndim == 2:
         x = x[None]
@@ -153,30 +123,32 @@ def stage_action(stage: Stage, grid: DetuningGrid, us, x, times) -> StagePropaga
         return StagePropagation(out, 0)
     t_end = float(times[-1])
     n_q = 0
+    action = f"{grid.k} x {grid.n} action over T={t_end!r}"
     if t_end == 0.0:
         out[...] = x
     else:
         inv_u = 1.0 / us
         beta = float(np.max(np.abs(phi))) + float(np.max(np.abs(inv_u))) * float(w.sum())
         n_q = max(24, math.ceil(beta * t_end) + _MARGIN)
+        action += f" at beta={beta!r}"
         if n_q > _MAX_NODES:
-            raise NumericsError(f"stage-{stage.value} action over T={t_end!r} at "
-                                f"beta={beta!r} needs {n_q} collocation nodes, "
+            raise NumericsError(f"{action} needs {n_q} collocation nodes, "
                                 f"more than {_MAX_NODES}")
+        action += f" with {n_q} collocation nodes"
         rule = _Collocation(n_q, t_end)
-        sources = _class_exponentials(*factors, -rule.nodes)    # e^{-i phi s_q}
+        sources = _class_exponentials(grid, -rule.nodes)    # e^{-i phi s_q}
         a = _volterra_matrix(rule, sources @ w)
         sources *= w
         f_rows = np.empty((us.size, x.shape[2], n_q), dtype=complex)   # -F^T/u per node
         step = max(1, _CHUNK // (n_q * max(n_q, x.shape[2])))
         for j0 in range(0, us.size, step):
             j = slice(j0, j0 + step)
-            f = _solve(stage, a, us[j], sources @ (x if x.shape[0] == 1 else x[j]))
+            f = _solve(action, a, us[j], sources @ (x if x.shape[0] == 1 else x[j]))
             np.multiply(f.transpose(0, 2, 1), -inv_u[j][:, None, None], out=f_rows[j])
-        _evaluate(out, factors, x, f_rows, rule, times)
+        _evaluate(out, grid, x, f_rows, rule, times)
     bad = ~np.isfinite(out).all(axis=(0, 2, 3))
     if bad.any():
-        raise NumericsError(f"stage-{stage.value} action gave non-finite values at "
+        raise NumericsError(f"{action} gave non-finite values at "
                             f"u={complex(us[np.flatnonzero(bad)[0]])!r}")
     return StagePropagation(out, n_q)
 
@@ -223,7 +195,7 @@ def _volterra_matrix(rule: _Collocation, chi_nodes: np.ndarray) -> np.ndarray:
     return a
 
 
-def _solve(stage, a, us, rhs) -> np.ndarray:
+def _solve(action: str, a, us, rhs) -> np.ndarray:
     """Field values F, (nodes, n, m), from (I + A/u) F = R at each node."""
     system = a / us[:, None, None]
     system += np.eye(a.shape[0])
@@ -231,11 +203,11 @@ def _solve(stage, a, us, rhs) -> np.ndarray:
         return np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:
         u = us[np.argmin(np.abs(np.linalg.det(system)))]
-        raise NumericsError(f"stage-{stage.value} collocation system is singular at "
+        raise NumericsError(f"{action}: collocation system is singular at "
                             f"u={complex(u)!r}") from None
 
 
-def _evaluate(out, factors, x, f_rows, rule: _Collocation, times) -> None:
+def _evaluate(out, grid: DetuningGrid, x, f_rows, rule: _Collocation, times) -> None:
     """out[i] = e^{-i phi t_i} o x - (1/u) int_0^t_i e^{i phi (s - t_i)} f(s) ds, in place.
 
     ``f_rows`` holds -F^T/u, (nodes, m, n).  The inner rule's table
@@ -252,8 +224,8 @@ def _evaluate(out, factors, x, f_rows, rule: _Collocation, times) -> None:
         sigma, omega = rule.inner(t)
         # omega_p L_q(sigma_p) as (times, q, p): the field at the inner nodes, weighted.
         weighted = (rule.interpolation(sigma) * omega[:, :, None]).transpose(0, 2, 1)
-        table = _class_exponentials(*factors, sigma - t[:, None])   # (times, n, dim)
-        phase = _class_exponentials(*factors, -t)[:, None, :, None]
+        table = _class_exponentials(grid, sigma - t[:, None])   # (times, n, dim)
+        phase = _class_exponentials(grid, -t)[:, None, :, None]
         node_step = max(1, _CHUNK // (t.size * m * max(dim, n)))
         for j0 in range(0, nodes, node_step):
             j = slice(j0, j0 + node_step)
@@ -265,8 +237,8 @@ def _evaluate(out, factors, x, f_rows, rule: _Collocation, times) -> None:
 
 # ---------------------------------------------------------------------------
 # Structured shortcuts used with the primitive: (a) the exact block
-# degeneracy of the stage-3 generator and (b) the controlled-detuning
-# reflection that maps stage 2 onto stage 4.
+# reduction of the stage-3 generator onto the collapsed grid and (b) the
+# controlled-detuning reflection that maps stage 2 onto stage 4.
 
 
 def block_sums(grid: DetuningGrid, x: np.ndarray) -> np.ndarray:
@@ -284,17 +256,17 @@ def stage3_correction(grid: DetuningGrid, us, y0, duration: float) -> np.ndarray
 
     The stage-3 diagonal is constant inside each controlled block, so the
     block sums Y0 = ``block_sums(grid, X)`` of stored columns X close on the
-    K-dimensional stage-1 system, and
+    K-dimensional system of ``grid.collapsed()`` (generator M1), and
 
         exp(M3 t) X = e^{-i Delta0 t} o X - repeat_N(C),
         C = (e^{-i Delta0 t} o Y0 - exp(M1 t) Y0) / sum(gc).
 
     ``y0`` is a (K, m) block or a (nodes, K, m) stack; C is (nodes, K, m).
-    The stored columns outnumber the K classes, so the stage-1 action runs
+    The stored columns outnumber the K classes, so the collapsed action runs
     on the K x K identity and its result multiplies Y0.
     """
     phase = np.exp(-1j * grid.intrinsic_nodes * duration)[:, None]
-    e1 = stage_action(Stage.S1, grid, us, np.eye(grid.k), [duration]).states[0]
+    e1 = stage_action(grid.collapsed(), us, np.eye(grid.k), [duration]).states[0]
     return (phase * y0 - e1 @ y0) / grid.controlled_weight_sum
 
 

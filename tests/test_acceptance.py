@@ -26,7 +26,7 @@ from cribmem.laplace import invert, talbot_contour
 from cribmem.model import build_detuning_grid, default_schedule, derive_params
 from cribmem.modes import gaussian_mode
 from cribmem.oracle import FdConfig, fd_solve, resample
-from cribmem.propagators import Stage, stage_action
+from cribmem.propagators import stage_action
 from cribmem.quadrature import integrate, tanh_sinh_grid
 from cribmem.sweeps import GridSettings, run_points
 
@@ -239,11 +239,12 @@ def test_criterion_6_numerics_invariants():
     grid = build_detuning_grid(0.2, 1.0, 3, 3)
     semigroup_ok = True
     us = talbot_contour(16, 1.0).nodes
-    for stage in Stage:
-        eye = np.eye(grid.k if stage is Stage.S1 else grid.k * grid.n)
-        whole = stage_action(stage, grid, us, eye, [1.0]).states[0]
-        first = stage_action(stage, grid, us, eye, [0.4]).states[0]
-        parts = stage_action(stage, grid, us, first, [0.6]).states[0]
+    # Read-in, dephasing, storage and rephasing grids.
+    for stage in (grid.collapsed(), grid, grid.controlled_by(0), grid.controlled_by(-1)):
+        eye = np.eye(stage.k * stage.n)
+        whole = stage_action(stage, us, eye, [1.0]).states[0]
+        first = stage_action(stage, us, eye, [0.4]).states[0]
+        parts = stage_action(stage, us, first, [0.6]).states[0]
         for w, p in zip(whole, parts):
             if np.linalg.norm(w - p) > 1e-8 * np.linalg.norm(w):
                 semigroup_ok = False

@@ -16,7 +16,7 @@ from cribmem.analytic import (
 from cribmem.laplace import talbot_contour
 from cribmem.model import (DEFAULT_EXTENT_SIGMAS, DEFAULT_GRID_POINTS, build_detuning_grid,
                            derive_params, min_safe_classes)
-from cribmem.propagators import Stage, stage_action
+from cribmem.propagators import stage_action
 from cribmem.quadrature import integrate, tanh_sinh_grid
 
 
@@ -123,9 +123,8 @@ def full_contour_numeric(p1: Profile, gamma_rel: float, tau_d: float,
         c = talbot_contour(m, float(z))
         nodes = np.concatenate([c.nodes, np.conj(c.nodes)])
         weights = 0.5 * np.concatenate([c.weights, np.conj(c.weights)])
-        sig = stage_action(Stage.S2, grid, nodes, np.ones((n_classes, 1)),
-                           [tau_d]).states[0]
-        sig = stage_action(Stage.S4, grid, nodes, sig, [tau_d]).states[0][..., 0]
+        sig = stage_action(grid, nodes, np.ones((n_classes, 1)), [tau_d]).states[0]
+        sig = stage_action(grid.controlled_by(-1), nodes, sig, [tau_d]).states[0][..., 0]
         out.append(np.dot(weights, (sig @ grid.joint_weights) * p1.laplace(nodes)))
     return float(np.sum(p1.grid.weights * np.abs(np.array(out)) ** 2))
 
@@ -144,9 +143,9 @@ def stage4_route_numeric(p1: Profile, gamma_rel: float, tau_d: float, n_classes:
     contours = [talbot_contour(m, float(z)) for z in p1.grid.nodes]
     nodes = np.array([c.nodes for c in contours])
     weights = np.array([c.weights for c in contours])
-    sig = stage_action(Stage.S2, grid, nodes.ravel(), np.ones((n_classes, 1)),
-                       [tau_d]).states[0]
-    sig = stage_action(Stage.S4, grid, nodes.ravel(), sig, [tau_d]).states[0][..., 0]
+    sig = stage_action(grid, nodes.ravel(), np.ones((n_classes, 1)), [tau_d]).states[0]
+    sig = stage_action(grid.controlled_by(-1), nodes.ravel(), sig,
+                       [tau_d]).states[0][..., 0]
     samples = (sig @ grid.joint_weights).reshape(nodes.shape) * p1.laplace(nodes)
     p4 = np.einsum("ij,ij->i", weights, samples).real
     return float(np.sum(p1.grid.weights * p4 ** 2))
@@ -176,7 +175,10 @@ def test_numeric_runs_one_contour_and_one_stage2_action(monkeypatch):
     monkeypatch.setattr(analytic, "stage_action",
                         counted("stage_action", analytic.stage_action))
     broadening_stage_efficiency_numeric(Profile.flat(), 7.0, 1.0)
-    assert calls == [("talbot_contour", None), ("stage_action", Stage.S2)]
+    assert [name for name, _ in calls] == ["talbot_contour", "stage_action"]
+    # The action runs on the dephasing grid, not the reflected one.
+    stage2 = build_detuning_grid(1.0, 7.0, k=1, n=DEFAULT_GRID_POINTS)
+    assert np.array_equal(calls[1][1].phases, stage2.phases)
 
 
 def test_numeric_weakly_sensitive_to_stage_duration():

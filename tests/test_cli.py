@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -399,6 +400,17 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
                            capsys)
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_read_in_past_the_collocation_cap_exits_3(capsys):
+    # At d0 = 1e6 the read-in window tau_p is so long that the read-in
+    # action (the 5 x 1 collapsed grid) needs 9860 collocation nodes.
+    code, out, err = run_cli(["sweep-optimal", "--d0", "1e6", "--gamma", "3",
+                              "--grid-k", "5", "--grid-n", "11"], capsys)
+    assert code == 3
+    assert out == ""
+    assert re.search(r"numerical failure: 5 x 1 action over T=\d+\.\d+ at beta=.* "
+                     r"needs 9860 collocation nodes, more than 1024", err), err
 
 
 def test_invalid_grid_setting_exits_2(capsys):

@@ -57,9 +57,10 @@ def dense_sample(which: str, u: complex, t: float, t_prime: float,
     kn = grid.k * grid.n
     ones_kn, ones_k = np.ones(kn), np.ones(grid.k)
     m1 = -1j * np.diag(grid.intrinsic_nodes.astype(complex)) - (sg / u) * np.outer(ones_k, g0)
-    m2 = -1j * np.diag(grid.delta_plus().astype(complex)) - np.outer(ones_kn, g) / u
-    m3 = -1j * np.diag(grid.delta_zero().astype(complex)) - np.outer(ones_kn, g) / u
-    m4 = -1j * np.diag(grid.delta_minus().astype(complex)) - np.outer(ones_kn, g) / u
+    a, b = grid.intrinsic_nodes[:, None], grid.controlled_nodes[None, :]
+    m2 = -1j * np.diag((a + b).ravel().astype(complex)) - np.outer(ones_kn, g) / u
+    m3 = -1j * np.diag(np.repeat(a, grid.n).astype(complex)) - np.outer(ones_kn, g) / u
+    m4 = -1j * np.diag((a - b).ravel().astype(complex)) - np.outer(ones_kn, g) / u
     e = scipy.linalg.expm
     lift = np.kron(np.eye(grid.k), np.ones((grid.n, 1)))
     lw = np.kron(np.eye(grid.k), grid.controlled_weights[None, :])
@@ -204,9 +205,8 @@ def test_time_irreversible_grid_is_rejected_at_construction():
     # midpoint; both kernels check that once, when the grid is attached.
     grid = TimeGrid(nodes=np.array([0.1, 0.2, 0.9]), weights=np.full(3, 1.0 / 3.0),
                     a=0.0, b=1.0)
-    sched = ProtocolSchedule(tau_p=0.5, tau_d=0.5, tau_s=0.0)
     with pytest.raises(ValueError, match="not symmetric"):
-        TransferKernel(grid=grid, values=np.zeros((3, 3)), schedule=sched)
+        TransferKernel(grid=grid, values=np.zeros((3, 3)))
     with pytest.raises(ValueError, match="not symmetric"):
         EfficiencyKernel(grid=grid, weighted=np.eye(3))
 

@@ -198,21 +198,32 @@ def test_grid_rejects_denormal_width():
 
 def test_grid_coarse_riemann_sum_reported_not_hidden():
     # At K = 5 the node-centered Riemann sum overshoots one (comb aliasing);
-    # the deficit diagnostic reports it rather than renormalizing it away.
+    # the weights keep it rather than renormalizing it away.
     g = build_detuning_grid(0.1, 1.0, k=5, n=5)
-    assert g.intrinsic_deficit() < 0.0
+    assert 1.0 - g.intrinsic_weights.sum() < 0.0
     assert g.intrinsic_weights.sum() == pytest.approx(1.085, abs=1e-3)
 
 
 def test_grid_phase_vectors():
-    g = build_detuning_grid(0.1, 1.0, k=3, n=3)
-    dp, dm, dz = g.delta_plus(), g.delta_minus(), g.delta_zero()
+    # Asymmetric nodes and unequal weights, so a reflected comb differs from
+    # a negated one and every weight product is distinct.
+    g = DetuningGrid(np.array([-0.3, 0.1, 0.45]), np.array([0.2, 0.3, 0.35]),
+                     np.array([-1.1, 0.2, 0.7, 2.5]), np.array([0.1, 0.2, 0.3, 0.25]))
+    g0, gc = g.intrinsic_weights, g.controlled_weights
+    dephase, rephase, off = g, g.controlled_by(-1), g.controlled_by(0)
     for j in range(3):
-        for kk in range(3):
-            i = j * 3 + kk
-            assert dp[i] == g.intrinsic_nodes[j] + g.controlled_nodes[kk]
-            assert dm[i] == g.intrinsic_nodes[j] - g.controlled_nodes[kk]
-            assert dz[i] == g.intrinsic_nodes[j]
+        for kk in range(4):
+            i = j * 4 + kk
+            assert dephase.phases[i] == g.intrinsic_nodes[j] + g.controlled_nodes[kk]
+            assert rephase.phases[i] == g.intrinsic_nodes[j] - g.controlled_nodes[kk]
+            assert off.phases[i] == g.intrinsic_nodes[j]
+            for stage in (dephase, rephase, off):
+                assert stage.joint_weights[i] == g0[j] * gc[kk]
+    collapsed = g.collapsed()
+    assert (collapsed.k, collapsed.n) == (3, 1)
+    assert np.array_equal(collapsed.phases, g.intrinsic_nodes)
+    for j in range(3):
+        assert collapsed.joint_weights[j] == g0[j] * gc.sum()
 
 
 def test_grid_rephasing_time():
@@ -220,6 +231,11 @@ def test_grid_rephasing_time():
     dd = g.controlled_nodes[1] - g.controlled_nodes[0]
     assert g.rephasing_time() == pytest.approx(2.0 * math.pi / dd, rel=1e-12)
     assert build_detuning_grid(0.1, 0.0, k=3, n=1).rephasing_time() == math.inf
+    # Reversing the field reverses the comb but not its step; with the
+    # field off the comb has no spread and never rephases.
+    assert g.controlled_by(-1).rephasing_time() == g.rephasing_time()
+    assert g.controlled_by(0).rephasing_time() == math.inf
+    assert g.collapsed().rephasing_time() == math.inf
 
 
 def test_custom_grid_construction_checked():

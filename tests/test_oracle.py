@@ -29,12 +29,14 @@ def rk4_reference(config: FdConfig, e_in) -> FdResult:
     dz = 1.0 / nz
     sigma = np.zeros((nz + 1, kn), dtype=complex)
 
+    a, b = grid.intrinsic_nodes[:, None], grid.controlled_nodes[None, :]
+    off = np.repeat(grid.intrinsic_nodes, n)
     stages = [
-        (sched.tau_p, grid.delta_zero(), True),
-        (sched.tau_d, grid.delta_plus(), True),
-        (sched.tau_s, grid.delta_zero(), False),
-        (sched.tau_d, grid.delta_minus(), False),
-        (sched.tau_p, grid.delta_zero(), False),
+        (sched.tau_p, off, True),
+        (sched.tau_d, (a + b).ravel(), True),
+        (sched.tau_s, off, False),
+        (sched.tau_d, (a - b).ravel(), False),
+        (sched.tau_p, off, False),
     ]
 
     def boundary(t: float, driven: bool) -> complex:

@@ -9,9 +9,6 @@ from cribmem.errors import NumericsError
 from cribmem.laplace import talbot_contour
 from cribmem.model import DetuningGrid, build_detuning_grid, default_schedule, derive_params
 from cribmem.propagators import (
-    Stage,
-    _generator_terms,
-    _phase_factors,
     block_reversal_permutation,
     block_sums,
     stage3_correction,
@@ -20,27 +17,35 @@ from cribmem.propagators import (
 from cribmem.quadrature import tanh_sinh_grid
 
 
-def stage_matrix(stage: Stage, u: complex, grid: DetuningGrid) -> np.ndarray:
-    """Assemble the generator of one stage at Laplace moment u (a dense reference)."""
+# The grid each protocol stage runs on, from the grid of the stored classes.
+STAGE_GRIDS = {
+    "S1": DetuningGrid.collapsed,          # read-in and read-out
+    "S2": lambda g: g.controlled_by(1),    # dephasing
+    "S3": lambda g: g.controlled_by(0),    # storage
+    "S4": lambda g: g.controlled_by(-1),   # rephasing
+}
+
+
+def stage_matrix(u: complex, grid: DetuningGrid) -> np.ndarray:
+    """Assemble the generator on one grid at Laplace moment u (a dense reference)."""
     if u == 0:
         raise ValueError("u = 0 is a singular Laplace moment (1/u coupling)")
-    phases, weights = _generator_terms(stage, grid)
-    m = -1j * np.diag(phases.astype(complex))
-    m -= (1.0 / complex(u)) * np.outer(np.ones(phases.size), weights)
+    m = -1j * np.diag(grid.phases.astype(complex))
+    m -= (1.0 / complex(u)) * np.outer(np.ones(grid.phases.size), grid.joint_weights)
     return m
 
 
-def action_expm(stage: Stage, u, grid: DetuningGrid, duration: float) -> np.ndarray:
-    """exp(M * duration) as the stage action on the identity at one node."""
-    dim = stage_matrix(stage, u, grid).shape[0]
-    return stage_action(stage, grid, [u], np.eye(dim), [duration]).states[0, 0]
+def action_expm(u, grid: DetuningGrid, duration: float) -> np.ndarray:
+    """exp(M * duration) as the action on the identity at one node."""
+    dim = grid.k * grid.n
+    return stage_action(grid, [u], np.eye(dim), [duration]).states[0, 0]
 
 
-def brute_force_stage(stage: Stage, u: complex, grid: DetuningGrid) -> np.ndarray:
+def brute_force_stage(stage: str, u: complex, grid: DetuningGrid) -> np.ndarray:
     """Element-by-element generator assembly from the index formulas."""
     k, n = grid.k, grid.n
     sg = grid.controlled_weights.sum()
-    if stage is Stage.S1:
+    if stage == "S1":
         m = np.zeros((k, k), dtype=complex)
         for j in range(k):
             for jj in range(k):
@@ -52,9 +57,9 @@ def brute_force_stage(stage: Stage, u: complex, grid: DetuningGrid) -> np.ndarra
     for j in range(k):
         for kk in range(n):
             row = j * n + kk
-            if stage is Stage.S2:
+            if stage == "S2":
                 phase = grid.intrinsic_nodes[j] + grid.controlled_nodes[kk]
-            elif stage is Stage.S4:
+            elif stage == "S4":
                 phase = grid.intrinsic_nodes[j] - grid.controlled_nodes[kk]
             else:
                 phase = grid.intrinsic_nodes[j]
@@ -81,7 +86,7 @@ def small_grid(k=2, n=2) -> DetuningGrid:
 def test_stage_matrix_degenerate_scalar():
     g = build_detuning_grid(0.1, 0.0, k=1, n=1)
     u = 2.0 + 1.5j
-    gen = stage_matrix(Stage.S1, u, g)
+    gen = stage_matrix(u, g.collapsed())
     assert gen.shape == (1, 1)
     assert gen[0, 0] == pytest.approx(-1.0 / u, rel=1e-15)
 
@@ -91,24 +96,24 @@ def test_stage_s2_s4_sign_reversal():
     g = DetuningGrid(np.array([0.0]), np.array([1.0]),
                      np.array([delta]), np.array([1.0]))
     u = 1.0 + 1.0j
-    m2 = stage_matrix(Stage.S2, u, g)
-    m4 = stage_matrix(Stage.S4, u, g)
+    m2 = stage_matrix(u, g)
+    m4 = stage_matrix(u, g.controlled_by(-1))
     assert m2[0, 0] - m4[0, 0] == pytest.approx(-2j * delta, rel=1e-15)
     assert (m2 + 1j * delta * np.eye(1) == m4 - 1j * delta * np.eye(1)).all()
 
 
-@pytest.mark.parametrize("stage", list(Stage))
+@pytest.mark.parametrize("stage", STAGE_GRIDS, ids=lambda stage: f"Stage.{stage}")
 def test_stage_matrix_matches_brute_force(stage):
     g = small_grid(2, 2)
     u = -1.3 + 2.2j
-    got = stage_matrix(stage, u, g)
+    got = stage_matrix(u, STAGE_GRIDS[stage](g))
     want = brute_force_stage(stage, u, g)
     assert np.allclose(got, want, rtol=0.0, atol=1e-15)
 
 
 def test_stage_matrix_rejects_zero_u():
     with pytest.raises(ValueError):
-        stage_matrix(Stage.S1, 0.0, small_grid())
+        stage_matrix(0.0, small_grid().collapsed())
 
 
 def test_s2_on_negated_grid_equals_s4_exactly():
@@ -116,8 +121,8 @@ def test_s2_on_negated_grid_equals_s4_exactly():
     negated = DetuningGrid(g.intrinsic_nodes, g.intrinsic_weights,
                            -g.controlled_nodes, g.controlled_weights)
     u = 0.9 - 1.1j
-    m2_negated = stage_matrix(Stage.S2, u, negated)
-    m4 = stage_matrix(Stage.S4, u, g)
+    m2_negated = stage_matrix(u, negated)
+    m4 = stage_matrix(u, g.controlled_by(-1))
     assert np.array_equal(m2_negated, m4)
 
 
@@ -125,32 +130,32 @@ def test_block_reversal_permutation_maps_s2_to_s4():
     g = build_detuning_grid(0.1, 1.0, k=3, n=5)
     u = 0.9 - 1.1j
     perm = block_reversal_permutation(g)
-    m2 = stage_matrix(Stage.S2, u, g)
-    m4 = stage_matrix(Stage.S4, u, g)
+    m2 = stage_matrix(u, g)
+    m4 = stage_matrix(u, g.controlled_by(-1))
     assert np.array_equal(m2[np.ix_(perm, perm)], m4)
 
 
 def test_degenerate_controlled_grid_lifts_to_s1():
     g = build_detuning_grid(0.25, 0.0, k=3, n=1)
     u = 1.7 + 0.3j
-    m1 = stage_matrix(Stage.S1, u, g)
-    for stage in (Stage.S2, Stage.S3, Stage.S4):
-        assert np.array_equal(stage_matrix(stage, u, g), m1)
+    m1 = stage_matrix(u, g.collapsed())
+    for stage in ("S2", "S3", "S4"):
+        assert np.array_equal(stage_matrix(u, STAGE_GRIDS[stage](g)), m1)
 
 
 def test_propagator_exp_scalar():
     g = build_detuning_grid(0.1, 0.0, k=1, n=1)
     u = 1.0 + 2.0j
-    out = action_expm(Stage.S1, u, g, 0.8)
+    out = action_expm(u, g.collapsed(), 0.8)
     assert out[0, 0] == pytest.approx(np.exp(-0.8 / u), rel=1e-13)
 
 
 def test_propagator_exp_matches_scaling_and_squaring():
     g = small_grid(2, 3)
     u = 0.6 - 1.4j
-    for stage in Stage:
-        got = action_expm(stage, u, g, 0.7)
-        want = scipy.linalg.expm(0.7 * stage_matrix(stage, u, g))
+    for to_stage in STAGE_GRIDS.values():
+        got = action_expm(u, to_stage(g), 0.7)
+        want = scipy.linalg.expm(0.7 * stage_matrix(u, to_stage(g)))
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-9
 
 
@@ -160,24 +165,25 @@ def test_stage_action_on_defective_generator_matches_expm():
     # no eigenvector basis.  The action needs none.
     g = DetuningGrid(np.array([-0.5, 0.5]), np.array([0.5, 0.5]),
                      np.array([0.0]), np.array([1.0]))
-    m = stage_matrix(Stage.S1, 1.0, g)
+    m = stage_matrix(1.0, g.collapsed())
     jordan = m + 0.5 * np.eye(2)
     assert np.array_equal(jordan @ jordan, np.zeros((2, 2)))
     assert np.any(jordan != 0.0)
     for t in (0.3, 1.0, 4.0):
         want = scipy.linalg.expm(m * t)
-        got = action_expm(Stage.S1, 1.0, g, t)
+        got = action_expm(1.0, g.collapsed(), t)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_semigroup_property_all_stages_all_nodes():
     g = build_detuning_grid(0.2, 1.0, k=3, n=3)
     us = talbot_contour(16, 1.0).nodes
-    for stage in Stage:
-        eye = np.eye(stage_matrix(stage, 1.0, g).shape[0])
-        whole = stage_action(stage, g, us, eye, [1.0]).states[0]
-        first = stage_action(stage, g, us, eye, [0.65]).states[0]
-        part = stage_action(stage, g, us, first, [0.35]).states[0]
+    for to_stage in STAGE_GRIDS.values():
+        sg = to_stage(g)
+        eye = np.eye(sg.k * sg.n)
+        whole = stage_action(sg, us, eye, [1.0]).states[0]
+        first = stage_action(sg, us, eye, [0.65]).states[0]
+        part = stage_action(sg, us, first, [0.35]).states[0]
         for j in range(us.size):
             rel = np.linalg.norm(whole[j] - part[j]) / np.linalg.norm(whole[j])
             assert rel < 1e-8
@@ -186,7 +192,7 @@ def test_semigroup_property_all_stages_all_nodes():
 def stage3_by_reduction(g: DetuningGrid, us, tau: float, x: np.ndarray) -> np.ndarray:
     """exp(M3 tau) x from the block reduction, for each node in us."""
     corr = stage3_correction(g, us, block_sums(g, x), tau)
-    phase = np.exp(-1j * g.delta_zero() * tau)[:, None]
+    phase = np.exp(-1j * g.controlled_by(0).phases * tau)[:, None]
     return phase * x - np.repeat(corr, g.n, axis=1)
 
 
@@ -198,7 +204,7 @@ def test_stage3_action_matches_dense_exponential():
     x = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
     got = stage3_by_reduction(g, us, tau, x)
     for j, u in enumerate(us):
-        dense = scipy.linalg.expm(stage_matrix(Stage.S3, u, g) * tau)
+        dense = scipy.linalg.expm(stage_matrix(u, g.controlled_by(0)) * tau)
         assert np.allclose(got[j], dense @ x, atol=1e-11)
 
 
@@ -224,11 +230,11 @@ def test_stage2_action_matches_dense_exponential():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((15, 2)) + 1j * rng.standard_normal((15, 2))
     us = stage2_nodes()
-    got = stage_action(Stage.S2, g, us, x, times)
+    got = stage_action(g, us, x, times)
     assert got.states.shape == (4, 3, 15, 2)
     for j, u in enumerate(us):
         for i, t in enumerate(times):
-            want = scipy.linalg.expm(stage_matrix(Stage.S2, u, g) * t) @ x
+            want = scipy.linalg.expm(stage_matrix(u, g) * t) @ x
             err = np.abs(got.states[i, j] - want).max() / np.abs(want).max()
             assert err <= 1e-12
 
@@ -242,18 +248,18 @@ def extreme_nodes():
 
 
 @pytest.mark.parametrize("stage, d0, gamma, k, n, duration", [
-    (Stage.S2, 100.0, 10.0, 3, 33, 1.0),           # tau_d at gamma = 10
-    (Stage.S4, 100.0, 10.0, 3, 33, 1.0),
-    (Stage.S1, 800.0, 10.0, 33, 33, 39.894228),    # tau_p at d0 = 800
+    ("S2", 100.0, 10.0, 3, 33, 1.0),           # tau_d at gamma = 10
+    ("S4", 100.0, 10.0, 3, 33, 1.0),
+    ("S1", 800.0, 10.0, 33, 33, 39.894228),    # tau_p at d0 = 800
 ], ids=["S2", "S4", "S1"])
 def test_action_at_widest_default_bandwidths_matches_expm(stage, d0, gamma, k, n, duration):
     params = derive_params(d0, gamma)
-    g = build_detuning_grid(params.gamma0_rel, gamma, k, n)
-    dim = _generator_terms(stage, g)[0].size
+    g = STAGE_GRIDS[stage](build_detuning_grid(params.gamma0_rel, gamma, k, n))
+    dim = g.k * g.n
     for u in extreme_nodes():
-        got = stage_action(stage, g, [u], np.eye(dim), [0.5 * duration, duration]).states
+        got = stage_action(g, [u], np.eye(dim), [0.5 * duration, duration]).states
         for i, t in enumerate((0.5 * duration, duration)):
-            want = scipy.linalg.expm(stage_matrix(stage, u, g) * t)
+            want = scipy.linalg.expm(stage_matrix(u, g) * t)
             err = np.abs(got[i, 0] - want).max() / np.abs(want).max()
             assert err <= 1e-13, (stage, u, t, err)
 
@@ -265,9 +271,9 @@ def test_lift_unchanged_by_sixteen_more_collocation_nodes(d0, monkeypatch):
     contour = talbot_contour(32, 1.0)
     us = contour.nodes
     lift = np.kron(np.eye(g.k), np.ones((g.n, 1)))
-    base = stage_action(Stage.S2, g, us, lift, [1.0])
+    base = stage_action(g, us, lift, [1.0])
     monkeypatch.setattr(propagators, "_MARGIN", propagators._MARGIN + 16)
-    more = stage_action(Stage.S2, g, us, lift, [1.0])
+    more = stage_action(g, us, lift, [1.0])
     assert more.collocation_nodes == base.collocation_nodes + 16
     err = np.abs(more.states - base.states).max() / np.abs(base.states).max()
     assert err <= 1e-13
@@ -287,7 +293,7 @@ def test_stored_state_action_memory_stays_near_its_output():
     x = np.ones((g.k * g.n, 1))
     tracemalloc.start()
     try:
-        states = stage_action(Stage.S2, g, us, x, times).states
+        states = stage_action(g, us, x, times).states
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -304,7 +310,7 @@ def test_lift_action_memory_stays_near_its_output():
     lift = np.kron(np.eye(g.k), np.ones((g.n, 1)))
     tracemalloc.start()
     try:
-        states = stage_action(Stage.S2, g, us, lift, [1.0]).states
+        states = stage_action(g, us, lift, [1.0]).states
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -312,23 +318,10 @@ def test_lift_action_memory_stays_near_its_output():
     assert peak <= 2 * states.nbytes, (peak, states.nbytes)
 
 
-@pytest.mark.parametrize("stage", list(Stage))
-def test_phase_factors_sum_to_the_generator_phases(stage):
-    # Asymmetric nodes, so a reflected comb differs from a negated one.
-    g = DetuningGrid(np.array([-0.3, 0.1, 0.45]), np.full(3, 0.3),
-                     np.array([-1.1, 0.2, 0.7, 2.5]), np.full(4, 0.2))
-    a, b = _phase_factors(stage, g)
-    want = {Stage.S1: g.intrinsic_nodes, Stage.S2: g.delta_plus(),
-            Stage.S3: g.delta_zero(), Stage.S4: g.delta_minus()}[stage]
-    got = (a[:, None] + b[None, :]).ravel()
-    assert got.tobytes() == want.tobytes()
-    assert got.tobytes() == _generator_terms(stage, g)[0].tobytes()
-
-
-def unfactored_action(stage: Stage, grid: DetuningGrid, us, x, times) -> np.ndarray:
+def unfactored_action(grid: DetuningGrid, us, x, times) -> np.ndarray:
     """The stage action with a full K*N exponential table at each time's inner
     nodes and one product per (time, node): the route the phase factors replaced."""
-    phi, w = _generator_terms(stage, grid)
+    phi, w = grid.phases, grid.joint_weights
     x = np.asarray(x, dtype=complex)
     x = x[None] if x.ndim == 2 else x
     beta = np.max(np.abs(phi)) + np.max(np.abs(1.0 / us)) * w.sum()
@@ -370,8 +363,8 @@ def test_action_matches_the_unfactored_route(case):
             x = np.ones((g.k * g.n, 1))
         else:
             x, times = np.kron(np.eye(g.k), np.ones((g.n, 1))), np.array([1.0])
-    got = stage_action(Stage.S2, g, us, x, times).states
-    want = unfactored_action(Stage.S2, g, us, x, times)
+    got = stage_action(g, us, x, times).states
+    want = unfactored_action(g, us, x, times)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -379,9 +372,9 @@ def test_action_without_positive_time_returns_x():
     g = build_detuning_grid(0.3, 2.0, k=3, n=5)
     us = stage2_nodes()
     x = np.arange(30.0).reshape(15, 2)
-    empty = stage_action(Stage.S2, g, us, x, [])
+    empty = stage_action(g, us, x, [])
     assert empty.states.shape == (0, 3, 15, 2)
-    zero = stage_action(Stage.S2, g, us, x, [0.0, 0.0])
+    zero = stage_action(g, us, x, [0.0, 0.0])
     assert zero.collocation_nodes == 0
     assert np.array_equal(zero.states, np.broadcast_to(x, (2, 3, 15, 2)))
 
@@ -392,8 +385,10 @@ def test_singular_collocation_system_raises_numerics_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", singular)
     g = build_detuning_grid(0.3, 2.0, k=3, n=5)
-    with pytest.raises(NumericsError, match="stage-2 collocation system is singular at u="):
-        stage_action(Stage.S2, g, stage2_nodes(), np.ones((15, 1)), [0.5])
+    with pytest.raises(NumericsError, match=r"3 x 5 action over T=0\.5 at beta=.* with "
+                                            r"\d+ collocation nodes: collocation system "
+                                            r"is singular at u="):
+        stage_action(g, stage2_nodes(), np.ones((15, 1)), [0.5])
 
 
 def test_collocation_count_above_the_cap_raises_before_building(monkeypatch):
@@ -403,13 +398,12 @@ def test_collocation_count_above_the_cap_raises_before_building(monkeypatch):
         raise AssertionError("collocation rule built past the cap")
 
     monkeypatch.setattr(propagators, "_Collocation", never)
-    g = build_detuning_grid(0.3, 2.0, k=3, n=5)
-    phi, w = _generator_terms(Stage.S1, g)
-    beta = np.max(np.abs(phi)) + w.sum()   # u = 1
+    g = build_detuning_grid(0.3, 2.0, k=3, n=5).collapsed()
+    beta = np.max(np.abs(g.phases)) + g.joint_weights.sum()   # u = 1
     duration = (1100 - propagators._MARGIN) / beta
-    with pytest.raises(NumericsError, match=r"stage-1 action over T=.* at beta=.* "
+    with pytest.raises(NumericsError, match=r"3 x 1 action over T=.* at beta=.* "
                                             r"needs 110[01] collocation nodes, more than 1024"):
-        stage_action(Stage.S1, g, [1.0], np.ones((3, 1)), [duration])
+        stage_action(g, [1.0], np.ones((3, 1)), [duration])
 
 
 def test_stage2_action_batch_equals_single_nodes():
@@ -417,9 +411,9 @@ def test_stage2_action_batch_equals_single_nodes():
     us = stage2_nodes()
     rng = np.random.default_rng(8)
     x = rng.standard_normal((3, 15, 1)) + 1j * rng.standard_normal((3, 15, 1))
-    batch = stage_action(Stage.S2, g, us, x, [0.2, 0.7]).states
+    batch = stage_action(g, us, x, [0.2, 0.7]).states
     for j, u in enumerate(us):
-        single = stage_action(Stage.S2, g, [u], x[j], [0.2, 0.7]).states[:, 0]
+        single = stage_action(g, [u], x[j], [0.2, 0.7]).states[:, 0]
         assert np.allclose(batch[:, j], single, rtol=0.0, atol=1e-14)
 
 
@@ -428,15 +422,15 @@ def test_stage2_action_rejects_bad_times():
     x = np.ones((15, 1))
     for times in ([0.5, 0.2], [-0.1, 0.3]):
         with pytest.raises(ValueError, match="non-decreasing"):
-            stage_action(Stage.S2, g, stage2_nodes(), x, times)
+            stage_action(g, stage2_nodes(), x, times)
 
 
 def test_stage2_action_non_finite_input_raises():
     g = build_detuning_grid(0.3, 2.0, k=3, n=5)
     x = np.ones((15, 1))
     x[4, 0] = np.nan
-    with pytest.raises(NumericsError, match="non-finite.*u="):
-        stage_action(Stage.S2, g, stage2_nodes(), x, [0.5])
+    with pytest.raises(NumericsError, match="3 x 5 action over T=0.5 .*non-finite.*u="):
+        stage_action(g, stage2_nodes(), x, [0.5])
 
 
 def test_stage2_action_gives_stage4_read_out_rows():
@@ -447,9 +441,9 @@ def test_stage2_action_gives_stage4_read_out_rows():
     perm = block_reversal_permutation(g)
     times = [0.3, 1.0]
     us = stage2_nodes()
-    states = stage_action(Stage.S2, g, us, np.ones((15, 1)), times).states
+    states = stage_action(g, us, np.ones((15, 1)), times).states
     for j, u in enumerate(us):
         for i, t in enumerate(times):
-            want = w @ scipy.linalg.expm(stage_matrix(Stage.S4, u, g) * t)
+            want = w @ scipy.linalg.expm(stage_matrix(u, g.controlled_by(-1)) * t)
             got = (w * states[i, j, :, 0])[perm]
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
