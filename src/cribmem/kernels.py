@@ -23,13 +23,20 @@ upper-half nodes.
 
 The stored states are C = V Z, with the basis V = [exp(M2 t) h for
 t <= tau_d | exp(M2 tau_d) lift] and Z = diag(I, F), where F holds the
-stage-1 states exp(M1 s) h.  At each node the kernel is Z^T H Z with the
-small symmetric H = V^T B V.  Every factor is the action of a stage
+stage-1 states exp(M1 s) h.  Every factor is the action of a stage
 exponential on a few vectors, computed for all contour nodes at once by
 ``stage_action`` on the grid the stage runs on: stage 2 on the detuning
 grid itself, read-in (F) on ``grid.collapsed()``, and stage 3 reduces
 exactly onto the collapsed action on the block sums of V, with the
 storage phase that of ``grid.controlled_by(0)``.  Nothing is decomposed.
+
+The contour sum is never formed node by node.  Each block of the kernel
+(the lo-lo, lo-hi and hi-hi blocks of inputs and outputs before and after
+tau_d) is Re sum_i w_i (-1/u_i^2) L_i R_i^T for complex factors L_i, R_i,
+and with the nodes stacked along the inner dimension and the real and
+imaginary parts side by side, that real part is one real matrix product.
+The lo-lo factors are the read-out rows of the stored states against the
+states themselves; the other blocks enter through K columns per node.
 
 The efficiency kernel is A = sqrt(w) K_E sqrt(w), symmetric bit for bit.
 The efficiency operator A^2 is never formed: an eigenvector of A with
@@ -38,6 +45,7 @@ eigenvalue lambda is an input mode of efficiency lambda^2.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +54,6 @@ from cribmem.errors import NumericsError
 from cribmem.laplace import LaplaceContour
 from cribmem.model import DetuningGrid, PhysicalParams, ProtocolSchedule
 from cribmem.propagators import (
-    block_reversal_permutation,
     block_sums,
     stage3_correction,
     stage_action,
@@ -54,6 +61,10 @@ from cribmem.propagators import (
 from cribmem.quadrature import TimeGrid, check_time_reversible
 
 _WINDOW_SLACK = 1e-9
+# Bytes of the stored-state left factor of one node chunk of the contour sum:
+# larger arrays, once freed, raise the allocator's mmap threshold and with it
+# the peak resident memory.
+_CHUNK_BYTES = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -85,10 +96,19 @@ class EfficiencyKernel:
 def _contour_assembly(grid: DetuningGrid, schedule: ProtocolSchedule, us, times):
     """Every stage propagation of the kernel, batched over the nodes ``us``.
 
-    Returns ``(assemble, work)``.  ``assemble(i)`` is K_E-hat at ``us[i]`` on
-    the increasing ``times``, split into lo (t <= tau_d) and hi (later), as
-    its lo-lo, lo-hi and hi-hi blocks; the hi-lo block is the transpose of
-    lo-hi.  Two actions on ``grid`` give the basis V, exp(M2 t) h and
+    Returns ``(assemble, work)``.  ``assemble(j, wu)`` gives, for the nodes
+    ``us[j]`` (a slice) and factors ``wu``, the complex (left, right) pairs
+    whose products left @ right.T are the lo-lo, lo-hi and hi-hi blocks of
+    sum_i wu_i K_E-hat(us[i]) on the increasing ``times``, lo meaning
+    t <= tau_d; the nodes are stacked node-major along the columns, and
+    every left factor is a fresh array.  The left factor of lo-lo holds the
+    read-out rows wu (P D V)^T exp(M3 tau_s) of the stored states V, and
+    its right factor is V itself: the (times, nodes, KN) layout of the
+    states gives a node chunk as a view.  The rest enters through K columns
+    per node: lo-hi is (rows of V) L F^T and hi-hi is F (rows of L) L F^T,
+    with L = exp(M2 tau_d) lift.
+
+    Two actions on ``grid`` give the basis V, exp(M2 t) h and
     exp(M2 tau_d) lift; two on ``grid.collapsed()`` give F, exp(M1 s) h,
     and the stage-3 correction.  Each action collocates its scalar field at
     n = max(24, ceil(beta*T) + 16) Gauss-Legendre nodes on [0, T], T its
@@ -98,37 +118,62 @@ def _contour_assembly(grid: DetuningGrid, schedule: ProtocolSchedule, us, times)
     states, lift).
     """
     lo = times <= schedule.tau_d
-    n_lo = int(np.count_nonzero(lo))
-    stored = stage_action(grid, us, np.ones((grid.k * grid.n, 1)), times[lo])
-    lift = np.kron(np.eye(grid.k), np.ones((grid.n, 1)))   # KN x K column lift
+    k, n = grid.k, grid.n
+    stored = stage_action(grid, us, np.ones((k * n, 1)), times[lo])
+    lift = np.kron(np.eye(k), np.ones((n, 1)))   # KN x K column lift
     lifted = stage_action(grid, us, lift, [schedule.tau_d])
-    free = stage_action(grid.collapsed(), us, np.ones((grid.k, 1)),
-                        times[~lo] - schedule.tau_d).states[..., 0]
+    free = stage_action(grid.collapsed(), us, np.ones((k, 1)),
+                        times[~lo] - schedule.tau_d).states[..., 0]   # F^T per node
 
-    # exp(M3 ts) X = phase o X - repeat_N(corr) for the columns X of V, and
-    # the N-block sums of the rows (P D V)^T are g0 o Y, Y the block sums of V.
-    y = np.concatenate([block_sums(grid, stored.states)[..., 0].transpose(1, 2, 0),
-                        block_sums(grid, lifted.states[0])], axis=2)
-    corr = stage3_correction(grid, us, y, schedule.tau_s)
-    g0y = grid.intrinsic_weights[:, None] * y
-    phase = np.exp(-1j * grid.controlled_by(0).phases * schedule.tau_s)
-    g = grid.joint_weights
-    perm = block_reversal_permutation(grid)
+    # exp(M3 ts) X = phase o X - repeat_N(C Y) for columns X with block sums Y.
+    c = stage3_correction(grid, us, np.eye(k), schedule.tau_s)
+    phase = np.exp(-1j * grid.controlled_by(0).phases * schedule.tau_s).reshape(k, n)
+    g0_phase = grid.intrinsic_weights[:, None] * phase
+    gc = grid.controlled_weights
+    states = stored.states[..., 0]                 # (times, nodes, KN)
 
-    def assemble(i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        v_lo = stored.states[:, i, :, 0]   # basis columns t <= tau_d, as rows
-        v_hi = lifted.states[0, i]         # exp(M2 tau_d) lift, KN x K
-        b_hi = phase[:, None] * v_hi
-        rows_lo = (g * v_lo)[:, perm]      # (P D V)^T
-        s_lo, s_hi = g0y[i, :, :n_lo].T, g0y[i, :, n_lo:].T
-        c_lo, c_hi = corr[i, :, :n_lo], corr[i, :, n_lo:]
-        h_ll = rows_lo @ (phase * v_lo).T - s_lo @ c_lo
-        h_lh = rows_lo @ b_hi - s_lo @ c_hi
-        h_hh = (g[:, None] * v_hi)[perm].T @ b_hi - s_hi @ c_hi
-        f = free[:, i]                     # F^T
-        return h_ll, h_lh @ f.T, f @ h_hh @ f.T
+    def read_out_rows(x, j: slice, wu):
+        """wu (P D x)^T exp(M3 tau_s) for the states x, (rows, nodes j, KN).
+
+        Entry (k, n) is wu gc_n (g0_k phase_k x_(k, N-1-n) - T_k), with
+        T = (g0 o Y) C and Y the block sums of x: P reverses each block of
+        the mirror-symmetric comb, and the storage phase is constant on it.
+        V is read twice per node, for Y and for the rows.
+        """
+        s = grid.intrinsic_weights * block_sums(grid, x[..., None])[..., 0]
+        t = np.matmul(s.transpose(1, 0, 2), c[j]).transpose(1, 0, 2)
+        rows = x.reshape(x.shape[:2] + (k, n))[..., ::-1] * g0_phase
+        rows -= t[..., None]
+        rows *= wu[:, None, None] * gc
+        return rows.reshape(x.shape)
+
+    def stack(a):   # (nodes, rows, K) -> (rows, nodes * K), node-major columns
+        nodes, rows, cols = a.shape
+        return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(rows, nodes * cols)
+
+    def assemble(j: slice, wu: np.ndarray) -> tuple[tuple, tuple, tuple]:
+        v_lo, v_hi, f = states[:, j], lifted.states[0, j], free[:, j]
+        rows_lo = read_out_rows(v_lo, j, wu)
+        rows_hi = read_out_rows(v_hi.transpose(2, 0, 1), j, wu)
+        h_lh = np.matmul(rows_lo.transpose(1, 0, 2), v_hi)
+        h_hh = np.matmul(rows_hi.transpose(1, 0, 2), v_hi)
+        wide = (v_lo.shape[0], v_lo.shape[1] * v_lo.shape[2])
+        f_stacked = f.reshape(f.shape[0], f.shape[1] * k)
+        return ((rows_lo.reshape(wide), v_lo.reshape(wide)),
+                (stack(h_lh), f_stacked),
+                (stack(np.matmul(f.transpose(1, 0, 2), h_hh)), f_stacked))
 
     return assemble, (stored.collocation_nodes, lifted.collocation_nodes)
+
+
+def _real_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Re(left @ right.T) as one real product, overwriting ``left``.
+
+    With the real and imaginary parts interleaved along the columns,
+    Re(L R^T) = [Re L | -Im L] [Re R | Im R]^T, and conj(L) viewed as
+    floats is the first factor: no complex product and no copy of ``right``.
+    """
+    return np.conjugate(left, out=left).view(float) @ right.view(float).T
 
 
 def build_transfer_kernel(
@@ -142,10 +187,13 @@ def build_transfer_kernel(
     """Assemble the real symmetric K_E(t_i, t_j) on one time grid.
 
     ``out_grid`` and ``in_grid`` must be the same grid, spanning
-    [0, tau_r].  Both detuning families must be mirror-symmetric: stage 4
-    is obtained from stage 2 by reflecting the controlled comb, and the
-    symmetry makes the kernel real, so the contour's upper-half nodes
-    suffice and the real part of their weighted sum is kept.
+    [0, tau_r], and the contour must invert at t_scale = 1: the protocol's
+    times enter the stage actions, not the contour.  Both detuning families
+    must be mirror-symmetric: stage 4 is obtained from stage 2 by
+    reflecting the controlled comb, and the symmetry makes the kernel real,
+    so the contour's upper-half nodes suffice and the real part of their
+    weighted sum is kept, as real products on node chunks of about
+    ``_CHUNK_BYTES``.
     """
     if not (np.array_equal(out_grid.nodes, in_grid.nodes)
             and np.array_equal(out_grid.weights, in_grid.weights)):
@@ -153,22 +201,35 @@ def build_transfer_kernel(
     tg = in_grid
     if abs(tg.a) > _WINDOW_SLACK or abs(tg.b - schedule.tau_r) > _WINDOW_SLACK * max(1.0, schedule.tau_r):
         raise ValueError(f"the time grid must span [0, tau_r], got [{tg.a}, {tg.b}]")
+    if contour.t_scale != 1.0:
+        raise ValueError(f"the contour must invert at t_scale = 1, got {contour.t_scale!r}")
     if not grid.is_symmetric():
         raise ValueError("the intrinsic and controlled detuning nodes and "
                          "weights must be mirror-symmetric about zero")
+    start = time.perf_counter()
     assemble, (states_nodes, lift_nodes) = _contour_assembly(
         grid, schedule, contour.nodes, tg.nodes)
+    summed = time.perf_counter()
 
     # Nodes increase, so the t <= tau_d rows and columns lead.
     n_lo = int(np.count_nonzero(tg.nodes <= schedule.tau_d))
     values = np.zeros((tg.size, tg.size))
-    blocks = (values[:n_lo, :n_lo], values[:n_lo, n_lo:], values[n_lo:, n_lo:])
-    for i, (u, w) in enumerate(zip(contour.nodes, contour.weights)):
-        wu = w * (-1.0 / (u * u))
-        for acc, k in zip(blocks, assemble(i)):
-            acc += (wu * k).real
+    lo_lo, lo_hi, hi_hi = values[:n_lo, :n_lo], values[:n_lo, n_lo:], values[n_lo:, n_lo:]
+    wu = contour.weights * (-1.0 / (contour.nodes * contour.nodes))
+    step = max(1, _CHUNK_BYTES // max(1, 16 * n_lo * grid.k * grid.n))
+    rank_pairs = []
+    for j0 in range(0, wu.size, step):
+        (left, right), *pairs = assemble(slice(j0, j0 + step), wu[j0:j0 + step])
+        lo_lo += _real_product(left, right)
+        rank_pairs.append(pairs)
+    # The rank-K factors of all chunks side by side: one product per block,
+    # which writes the block once rather than once per chunk.
+    for acc, pairs in zip((lo_hi, hi_hi), zip(*rank_pairs)):
+        left, right = (np.concatenate(factors, axis=1) for factors in zip(*pairs))
+        acc += _real_product(left, right)
     values[n_lo:, :n_lo] = values[:n_lo, n_lo:].T
     values = 0.5 * (values + values.T)   # x + y == y + x: symmetric bit for bit
+    end = time.perf_counter()
 
     if not np.all(np.isfinite(values)):
         raise NumericsError("non-finite entries in the transfer kernel")
@@ -179,6 +240,8 @@ def build_transfer_kernel(
         "stage2_states_collocation_nodes": states_nodes,
         "stage2_lift_collocation_nodes": lift_nodes,
         "max_abs": float(np.max(np.abs(values))),
+        "stage_actions_s": summed - start,
+        "contour_sum_s": end - summed,
     }
     return TransferKernel(grid=tg, values=values, diagnostics=diagnostics)
 

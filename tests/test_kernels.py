@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from cribmem import kernels
 from cribmem.analytic import Profile, broadening_stage_efficiency_numeric
 from cribmem.kernels import (
     EfficiencyKernel,
@@ -92,7 +93,7 @@ def dense_kernel_entry(t: float, t_prime: float, grid: DetuningGrid,
 def assembled_at(u: complex, grid: DetuningGrid, sched: ProtocolSchedule, times):
     """K_E-hat at one contour node, as the kernel's lo-lo, lo-hi and hi-hi blocks."""
     assemble, _ = _contour_assembly(grid, sched, [u], np.asarray(times))
-    return assemble(0)
+    return tuple(left @ right.T for left, right in assemble(slice(0, 1), np.ones(1)))
 
 
 def test_kernel_samples_matches_direct_matrix_chain():
@@ -170,6 +171,41 @@ def test_transfer_kernel_quadrants_match_pointwise_samples():
         assert abs(kern.values[i, j] - want) < 1e-10 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("m, chunk_nodes", [(32, None), (26, 9)])
+def test_contour_sum_matches_dense_entries_on_a_fine_grid(monkeypatch, m, chunk_nodes):
+    # n_lo = 137 and n_hi = 120 times against KN = 9 classes: the stored-state
+    # factor and the rank-K factors of the contour sum differ in shape.  With
+    # m = 26 the 13 upper-half nodes fall into chunks of 9 and 4.
+    params = derive_params(10.0, 3.0)
+    sched = default_schedule(params)
+    grid = build_detuning_grid(params.gamma0_rel, 3.0, 3, 3)
+    contour = talbot_contour(m, 1.0)
+    tg = tanh_sinh_grid(0.0, sched.tau_r, 7)
+    n_lo = int(np.count_nonzero(tg.nodes <= sched.tau_d))
+    assert n_lo > 9 and tg.size - n_lo > 9
+    if chunk_nodes is not None:
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", chunk_nodes * 16 * n_lo * 9)
+    kern = build_transfer_kernel(params, sched, grid, contour, tg, tg)
+    assert np.array_equal(kern.values, kern.values.T)
+    for i, j in ((0, 5), (60, 136), (136, 136),        # lo-lo
+                 (3, 137), (100, 200), (136, 256),     # lo-hi
+                 (137, 140), (180, 250), (256, 256)):  # hi-hi
+        want = dense_kernel_entry(tg.nodes[i], tg.nodes[j], grid, sched, contour)
+        assert abs(kern.values[i, j] - want) < 1e-10 * max(1.0, abs(want))
+
+
+def test_contour_off_the_unit_abscissa_is_rejected():
+    # The protocol's times enter the stage actions; a contour scaled for
+    # another abscissa would invert the kernel of a medium of another length.
+    params = derive_params(10.0, 3.0)
+    sched = default_schedule(params)
+    grid = build_detuning_grid(params.gamma0_rel, 3.0, 5, 11)
+    tg = tanh_sinh_grid(0.0, sched.tau_r, 5)
+    for z in (2.0, 0.5, 1.0 + 1e-15):
+        with pytest.raises(ValueError, match="t_scale"):
+            build_transfer_kernel(params, sched, grid, talbot_contour(32, z), tg, tg)
+
+
 def test_dense_kernel_is_symmetric():
     # Time reversal, checked on raw expm chains with no shared code: the
     # read-in -> rephasing piece k2 equals the dephasing -> read-out piece k3
@@ -238,6 +274,9 @@ def test_kernel_reports_stage2_work():
     for key in ("stage2_states_collocation_nodes", "stage2_lift_collocation_nodes"):
         assert isinstance(kern.diagnostics[key], int)
         assert kern.diagnostics[key] > 0
+    for key in ("stage_actions_s", "contour_sum_s"):
+        assert math.isfinite(kern.diagnostics[key])
+        assert kern.diagnostics[key] >= 0.0
 
 
 def test_kernel_and_perturbative_numeric_decompose_nothing(monkeypatch):
