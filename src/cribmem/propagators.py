@@ -245,10 +245,12 @@ def block_sums(grid: DetuningGrid, x: np.ndarray) -> np.ndarray:
     """Controlled-weighted block sums y_j = sum_k gc_k x_jk.
 
     ``x`` has the joint layout on its second-to-last axis, (..., KN, m);
-    the result is (..., K, m).
+    the result is (..., K, m).  The sums are one matrix-vector product over
+    the N axis: a size-1 m (the kernel's stored states) needs no copy.
     """
-    shape = x.shape[:-2] + (grid.k, grid.n, x.shape[-1])
-    return np.einsum("...jkm,k->...jm", x.reshape(shape), grid.controlled_weights)
+    k, n, m = grid.k, grid.n, x.shape[-1]
+    blocks = np.swapaxes(x.reshape(x.shape[:-2] + (k, n, m)), -1, -2)
+    return (blocks.reshape(-1, n) @ grid.controlled_weights).reshape(x.shape[:-2] + (k, m))
 
 
 def stage3_correction(grid: DetuningGrid, us, y0, duration: float) -> np.ndarray:

@@ -24,6 +24,7 @@ from cribmem.model import (
 )
 from cribmem.modes import gaussian_mode
 from cribmem.quadrature import TimeGrid, tanh_sinh_grid
+from cribmem.sweeps import GridSettings, build_pipeline
 
 
 def j1_series(x: float) -> float:
@@ -421,3 +422,70 @@ def test_efficiency_kernel_hermitian_psd_contractive():
     evals = np.sort(np.linalg.eigvalsh(eff.weighted) ** 2)   # spectrum of A^2
     assert evals[0] >= -1e-9
     assert evals[-1] <= 1.0 + 1e-9
+
+
+def factor_residual(eff) -> float:
+    # ||A - U U^T A||_F: U U^T is the projection Q Q^T the certificate uses.
+    a, u = eff.weighted, eff.eigenvectors
+    return float(np.linalg.norm(a - u @ (u.T @ a)))
+
+
+def by_magnitude(values):
+    return values[np.argsort(-np.abs(values), kind="stable")]
+
+
+@pytest.mark.parametrize("d0, gamma_rel, k, n, level", [(100.0, 3.0, 9, 15, 9),
+                                                       (800.0, 10.0, 33, 33, 6)],
+                         ids=["modes-q9", "800-10"])
+def test_spectral_factor_matches_dense_eigh(d0, gamma_rel, k, n, level):
+    # Both kernels have a few dozen eigenvalues above rounding: the factor is
+    # certified at a block far below n, and every value it keeps is the
+    # dense eigenvalue of the same rank to within 1e-12 |lambda_1|.
+    _, _, _, eff = build_pipeline(d0, gamma_rel, GridSettings(k=k, n=n, quad_level=level))
+    values, u = eff.eigenvalues, eff.eigenvectors
+    size, rank = eff.grid.size, values.size
+    assert rank < size
+    assert u.shape == (size, rank)
+    dense = by_magnitude(np.linalg.eigvalsh(eff.weighted))
+    top = abs(dense[0])
+    assert np.max(np.abs(values - dense[:rank])) <= 1e-12 * top
+    assert np.all(np.diff(np.abs(values)) <= 0.0)
+    assert np.max(np.abs(u.T @ u - np.eye(rank))) <= 1e-13
+    assert factor_residual(eff) <= 1e-13 * abs(values[0])
+
+
+def test_spectral_factor_of_a_full_rank_matrix_is_the_dense_spectrum():
+    # No block below n/4 captures a full-rank A, so the factor is its dense
+    # eigendecomposition, reached after the blocks of 32, 64 and 128 columns.
+    tg = tanh_sinh_grid(0.0, 1.0, 8)
+    a = np.random.default_rng(3).standard_normal((tg.size, tg.size))
+    eff = EfficiencyKernel(grid=tg, weighted=a + a.T)
+    values, u = eff.eigenvalues, eff.eigenvectors
+    dense = by_magnitude(np.linalg.eigvalsh(a + a.T))
+    assert values.size == tg.size
+    assert np.max(np.abs(values - dense)) <= 1e-12 * abs(dense[0])
+    assert np.max(np.abs((u * values) @ u.T - (a + a.T))) <= 1e-12 * abs(dense[0])
+
+
+def test_spectral_factor_grows_its_block():
+    # An indefinite A of exact rank 48: the 32-column block cannot hold its
+    # range, the 64-column block (the first 32 columns reused) does.
+    tg = tanh_sinh_grid(0.0, 1.0, 8)
+    rng = np.random.default_rng(4)
+    basis = np.linalg.qr(rng.standard_normal((tg.size, 48)))[0]
+    spectrum = np.geomspace(1.0, 1e-3, 48) * np.resize([1.0, -1.0], 48)
+    a = (basis * spectrum) @ basis.T
+    a = 0.5 * (a + a.T)
+    eff = EfficiencyKernel(grid=tg, weighted=a)
+    assert eff.eigenvalues.size == 64
+    assert np.max(np.abs(eff.eigenvalues[:48] - by_magnitude(spectrum))) <= 1e-12
+    assert np.max(np.abs(eff.eigenvalues[48:])) <= 1e-13
+    assert factor_residual(eff) <= 1e-13
+
+
+def test_non_finite_efficiency_kernel_is_rejected():
+    *_, kern = build_small(k=3, n=3, level=3)
+    a = build_efficiency_kernel(kern).weighted.copy()
+    a[0, 0] = math.inf
+    with pytest.raises(ValueError, match="finite"):
+        EfficiencyKernel(grid=kern.grid, weighted=a)

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+import cribmem
 from cribmem.kernels import EfficiencyKernel, build_efficiency_kernel, build_transfer_kernel
 from cribmem.laplace import talbot_contour
 from cribmem.model import build_detuning_grid, default_schedule, derive_params
@@ -279,3 +284,59 @@ def test_optimize_gaussian_finds_a_known_peak(peak):
     assert gauss.converged
     assert gauss.gaussian_params == pytest.approx((t_c0, t_w0), abs=1e-6)
     assert gauss.efficiency == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def fine_pipeline():
+    # modes-q9's point: 1025 time nodes, a factor of rank 32.
+    _, sched, _, eff = build_pipeline(100.0, 3.0, GridSettings(k=9, n=15, quad_level=9))
+    assert eff.eigenvalues.size < eff.grid.size
+    return sched, eff
+
+
+def dense_efficiency(eff, e_in) -> float:
+    # ||A phi||^2 / ||phi||^2 with the dense A, the quotient the factor replaces.
+    phi = np.sqrt(eff.grid.weights) * np.asarray(e_in)[::-1]
+    a_phi = eff.weighted @ phi
+    return float(np.vdot(a_phi, a_phi).real / np.vdot(phi, phi).real)
+
+
+def test_mode_efficiency_matches_dense_quotient(fine_pipeline):
+    sched, eff = fine_pipeline
+    t = eff.grid.nodes
+    rng = np.random.default_rng(5)
+    inputs = [gaussian_mode(eff.grid, t_c, t_w)
+              for t_c, t_w in ((sched.tau_p, 0.5), (0.3 * sched.tau_r, 2.0), (sched.tau_r, 0.05))]
+    inputs += [
+        np.where(t < sched.tau_p, 1.0, 0.0),                 # a step
+        np.where(np.arange(t.size) == t.size // 3, 1.0, 0.0),  # one node
+        np.resize([1.0, -1.0], t.size),                      # node-scale oscillation
+        rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size),
+    ]
+    for e_in in inputs:
+        assert abs(mode_efficiency(eff, e_in) - dense_efficiency(eff, e_in)) <= 1e-13
+    dense_top = np.max(np.abs(np.linalg.eigvalsh(eff.weighted))) ** 2
+    assert abs(optimal_mode(eff).efficiency - dense_top) <= 1e-13
+
+
+def test_gaussian_efficiencies_match_dense_quotient(fine_pipeline):
+    sched, eff = fine_pipeline
+    tcs, tws = gaussian_lattice(sched)
+    got = gaussian_efficiencies(eff, tcs[:, None], tws[None, :])
+    want = np.array([[dense_efficiency(eff, gaussian_mode(eff.grid, tc, tw)) for tw in tws]
+                     for tc in tcs])
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_a_sweep_point_does_not_import_numpy_random():
+    # numpy.random alone adds about 6 MB of resident memory to every worker;
+    # the spectral factor starts from cosines, not random columns.
+    probe = ("import sys, cribmem.cli\n"
+             "from cribmem.sweeps import GridSettings, evaluate_point\n"
+             "evaluate_point(10.0, 3.0, GridSettings(k=5, n=11, quad_level=5),\n"
+             "               include_gaussian=True, include_mode=True)\n"
+             "print('numpy.random' in sys.modules)\n")
+    src = str(Path(cribmem.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
