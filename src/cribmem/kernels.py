@@ -38,6 +38,20 @@ imaginary parts side by side, that real part is one real matrix product.
 The lo-lo factors are the read-out rows of the stored states against the
 states themselves; the other blocks enter through K columns per node.
 
+The kernel is assembled on core nodes and interpolated onto the time grid.
+As a function of either time argument each block is an entire function of
+exponential type at most beta, the bound of the stage its states run on:
+exp(M2 t) h for t <= tau_d, exp(M1 s) h on the read-in side.  The
+n = max(24, ceil(beta*T) + 16) Gauss-Legendre nodes on [0, T] that
+``stage_action`` would collocate on for that side resolve such a function
+to rounding, and barycentric interpolation (Berrut and Trefethen, SIAM Rev.
+46, 501 (2004)) carries it to any time of the side.  So each side keeps the
+smaller of its own times and those nodes, the contour sum runs on the core
+nodes, and K_E = Pi K_core Pi^T with Pi block-diagonal: the interpolation
+matrix on a side that takes the nodes, the identity on one that keeps its
+times.  When both sides keep their times the kernel is the direct assembly
+on the grid, bit for bit.
+
 The efficiency kernel is A = sqrt(w) K_E sqrt(w), symmetric bit for bit.
 The efficiency operator A^2 is never formed: an eigenvector of A with
 eigenvalue lambda is an input mode of efficiency lambda^2.  Only a few
@@ -68,7 +82,9 @@ from cribmem.errors import NumericsError
 from cribmem.laplace import LaplaceContour
 from cribmem.model import DetuningGrid, PhysicalParams, ProtocolSchedule
 from cribmem.propagators import (
+    _Collocation,
     block_sums,
+    collocation_count,
     stage3_correction,
     stage_action,
 )
@@ -271,6 +287,18 @@ def build_transfer_kernel(
     so the contour's upper-half nodes suffice and the real part of their
     weighted sum is kept, as real products on node chunks of about
     ``_CHUNK_BYTES``.
+
+    The sum runs on core nodes.  The lo side (t <= tau_d, stage 2 on
+    ``grid``) and the hi side (s = t - tau_d, read-in on
+    ``grid.collapsed()``) each take the smaller of their own times and the
+    ``collocation_count`` Gauss-Legendre nodes of an action over their last
+    time: the kernel's bandwidth in that time argument is that action's
+    beta, so those nodes resolve it, and the core kernel is interpolated
+    onto the side's times.  The count is checked against its cap before any
+    interpolant is built.  ``diagnostics`` gives the core sizes (lo, hi) as
+    ``core_nodes`` and the seconds of the stage actions, of the contour sum
+    and of the interpolation onto the grid (with the final bit
+    symmetrization).
     """
     if not (np.array_equal(out_grid.nodes, in_grid.nodes)
             and np.array_equal(out_grid.weights, in_grid.weights)):
@@ -283,17 +311,27 @@ def build_transfer_kernel(
     if not grid.is_symmetric():
         raise ValueError("the intrinsic and controlled detuning nodes and "
                          "weights must be mirror-symmetric about zero")
+    lo = tg.nodes <= schedule.tau_d
+    n_lo = int(np.count_nonzero(lo))   # nodes increase: the t <= tau_d ones lead
+    # Each side: its grid times, the grid its states run on, and its stage's start.
+    sides = ((tg.nodes[lo], grid, 0.0), (tg.nodes[~lo], grid.collapsed(), schedule.tau_d))
+    core, rules = [], []
+    for times, stage, shift in sides:
+        local = times - shift
+        m = collocation_count(stage, contour.nodes, float(local[-1]))[0] if local.size else 0
+        rule = _Collocation(m, float(local[-1])) if m < local.size else None
+        core.append(times if rule is None else rule.nodes + shift)
+        rules.append((rule, local))
     start = time.perf_counter()
     assemble, (states_nodes, lift_nodes) = _contour_assembly(
-        grid, schedule, contour.nodes, tg.nodes)
+        grid, schedule, contour.nodes, np.concatenate(core))
     summed = time.perf_counter()
 
-    # Nodes increase, so the t <= tau_d rows and columns lead.
-    n_lo = int(np.count_nonzero(tg.nodes <= schedule.tau_d))
-    values = np.zeros((tg.size, tg.size))
-    lo_lo, lo_hi, hi_hi = values[:n_lo, :n_lo], values[:n_lo, n_lo:], values[n_lo:, n_lo:]
+    c_lo = core[0].size
+    values = np.zeros((c_lo + core[1].size,) * 2)
+    lo_lo, lo_hi, hi_hi = values[:c_lo, :c_lo], values[:c_lo, c_lo:], values[c_lo:, c_lo:]
     wu = contour.weights * (-1.0 / (contour.nodes * contour.nodes))
-    step = max(1, _CHUNK_BYTES // max(1, 16 * n_lo * grid.k * grid.n))
+    step = max(1, _CHUNK_BYTES // max(1, 16 * c_lo * grid.k * grid.n))
     rank_pairs = []
     for j0 in range(0, wu.size, step):
         (left, right), *pairs = assemble(slice(j0, j0 + step), wu[j0:j0 + step])
@@ -304,9 +342,22 @@ def build_transfer_kernel(
     for acc, pairs in zip((lo_hi, hi_hi), zip(*rank_pairs)):
         left, right = (np.concatenate(factors, axis=1) for factors in zip(*pairs))
         acc += _real_product(left, right)
+    cored = time.perf_counter()
+
+    if any(rule is not None for rule, _ in rules):   # K_E = Pi K_core Pi^T
+        p_lo, p_hi = (None if rule is None else rule.interpolation(local)
+                      for rule, local in rules)
+
+        def spread(p, x):   # p @ x, with p = None the identity
+            return x if p is None else p @ x
+
+        values = np.empty((tg.size, tg.size))
+        values[:n_lo, :n_lo] = spread(p_lo, spread(p_lo, lo_lo).T)
+        values[:n_lo, n_lo:] = spread(p_lo, spread(p_hi, lo_hi.T).T)
+        values[n_lo:, n_lo:] = spread(p_hi, spread(p_hi, hi_hi).T)
     values[n_lo:, :n_lo] = values[:n_lo, n_lo:].T
-    for block in (lo_lo, hi_hi):   # x + y == y + x: symmetric bit for bit
-        np.multiply(block + block.T, 0.5, out=block)
+    for block in (values[:n_lo, :n_lo], values[n_lo:, n_lo:]):   # x + y == y + x:
+        np.multiply(block + block.T, 0.5, out=block)              # symmetric bit for bit
     end = time.perf_counter()
 
     # NaN and +-inf propagate through max and min: no n x n temporary.
@@ -319,9 +370,11 @@ def build_transfer_kernel(
         "rephasing_time": grid.rephasing_time(),
         "stage2_states_collocation_nodes": states_nodes,
         "stage2_lift_collocation_nodes": lift_nodes,
+        "core_nodes": (c_lo, core[1].size),
         "max_abs": float(max(top, -bottom)),
         "stage_actions_s": summed - start,
-        "contour_sum_s": end - summed,
+        "contour_sum_s": cored - summed,
+        "interpolation_s": end - cored,
     }
     return TransferKernel(grid=tg, values=values, diagnostics=diagnostics)
 

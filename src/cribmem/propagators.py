@@ -93,12 +93,13 @@ def stage_action(grid: DetuningGrid, us, x, times) -> StagePropagation:
     node and column gives the integral.  All of it is resolved when n exceeds
     the bandwidth beta*T, with beta = max|phi| + max|1/u| sum(w) the
     max-norm bound of every generator in the batch; n = max(24,
-    ceil(beta*T) + 16) leaves 16 nodes of margin, and n + 16 nodes change
-    the states by rounding only.  An n above 1024 raises NumericsError
-    before anything of size n is built.  Nodes and times are taken in
-    chunks so that a temporary holds about 2^15 entries (one time's
-    dimension x n table at least): large arrays, once freed, raise the
-    allocator's mmap threshold and with it the peak resident memory.
+    ceil(beta*T) + 16) (``collocation_count``) leaves 16 nodes of margin,
+    and n + 16 nodes change the states by rounding only.  An n above 1024
+    raises NumericsError before anything of size n is built.  Nodes and
+    times are taken in chunks so that a temporary holds about 2^15 entries
+    (one time's dimension x n table at least): large arrays, once freed,
+    raise the allocator's mmap threshold and with it the peak resident
+    memory.
     A singular collocation system or a non-finite result raises
     NumericsError too; each such error names the action by its class
     counts K x N, T, beta and n.
@@ -127,14 +128,9 @@ def stage_action(grid: DetuningGrid, us, x, times) -> StagePropagation:
     if t_end == 0.0:
         out[...] = x
     else:
+        n_q, beta = collocation_count(grid, us, t_end)
+        action += f" at beta={beta!r} with {n_q} collocation nodes"
         inv_u = 1.0 / us
-        beta = float(np.max(np.abs(phi))) + float(np.max(np.abs(inv_u))) * float(w.sum())
-        n_q = max(24, math.ceil(beta * t_end) + _MARGIN)
-        action += f" at beta={beta!r}"
-        if n_q > _MAX_NODES:
-            raise NumericsError(f"{action} needs {n_q} collocation nodes, "
-                                f"more than {_MAX_NODES}")
-        action += f" with {n_q} collocation nodes"
         rule = _Collocation(n_q, t_end)
         sources = _class_exponentials(grid, -rule.nodes)    # e^{-i phi s_q}
         a = _volterra_matrix(rule, sources @ w)
@@ -151,6 +147,25 @@ def stage_action(grid: DetuningGrid, us, x, times) -> StagePropagation:
         raise NumericsError(f"{action} gave non-finite values at "
                             f"u={complex(us[np.flatnonzero(bad)[0]])!r}")
     return StagePropagation(out, n_q)
+
+
+def collocation_count(grid: DetuningGrid, us, t_end: float) -> tuple[int, float]:
+    """Gauss-Legendre nodes n of an action on ``grid`` over [0, t_end], and its beta.
+
+    beta = max|phi| + max|1/u| sum(w) bounds the max norm of every
+    generator of the batch ``us``, so exp(M(u) t) x is an entire function
+    of t of exponential type beta, and n = max(24, ceil(beta*t_end) + 16)
+    nodes resolve it on [0, t_end] to rounding.  An n above 1024 raises
+    NumericsError, which names the action by K x N, t_end and beta.
+    """
+    inv_u = 1.0 / np.asarray(us, dtype=complex).ravel()
+    beta = (float(np.max(np.abs(grid.phases)))
+            + float(np.max(np.abs(inv_u))) * float(grid.joint_weights.sum()))
+    n_q = max(24, math.ceil(beta * t_end) + _MARGIN)
+    if n_q > _MAX_NODES:
+        raise NumericsError(f"{grid.k} x {grid.n} action over T={t_end!r} at beta={beta!r} "
+                            f"needs {n_q} collocation nodes, more than {_MAX_NODES}")
+    return n_q, beta
 
 
 class _Collocation:

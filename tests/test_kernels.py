@@ -23,6 +23,7 @@ from cribmem.model import (
     derive_params,
 )
 from cribmem.modes import gaussian_mode
+from cribmem.propagators import collocation_count
 from cribmem.quadrature import TimeGrid, tanh_sinh_grid
 from cribmem.sweeps import GridSettings, build_pipeline
 
@@ -95,6 +96,36 @@ def assembled_at(u: complex, grid: DetuningGrid, sched: ProtocolSchedule, times)
     """K_E-hat at one contour node, as the kernel's lo-lo, lo-hi and hi-hi blocks."""
     assemble, _ = _contour_assembly(grid, sched, [u], np.asarray(times))
     return tuple(left @ right.T for left, right in assemble(slice(0, 1), np.ones(1)))
+
+
+def direct_kernel(grid: DetuningGrid, sched: ProtocolSchedule, contour, times):
+    """K_E assembled on ``times`` themselves, all contour nodes in one chunk."""
+    assemble, _ = _contour_assembly(grid, sched, contour.nodes, times)
+    wu = contour.weights * (-1.0 / (contour.nodes * contour.nodes))
+    ll, lh, hh = (kernels._real_product(left, right)
+                  for left, right in assemble(slice(0, wu.size), wu))
+    values = np.block([[ll, lh], [lh.T, hh]])
+    n_lo = ll.shape[0]
+    for block in (values[:n_lo, :n_lo], values[n_lo:, n_lo:]):
+        np.multiply(block + block.T, 0.5, out=block)
+    return values
+
+
+def record_chunks(monkeypatch) -> list:
+    """Node counts of the contour-sum chunks of every kernel built afterwards."""
+    sizes = []
+    real = kernels._contour_assembly
+
+    def recording(*args):
+        assemble, work = real(*args)
+
+        def chunk(j, wu):
+            sizes.append(wu.size)
+            return assemble(j, wu)
+        return chunk, work
+
+    monkeypatch.setattr(kernels, "_contour_assembly", recording)
+    return sizes
 
 
 def test_kernel_samples_matches_direct_matrix_chain():
@@ -174,9 +205,10 @@ def test_transfer_kernel_quadrants_match_pointwise_samples():
 
 @pytest.mark.parametrize("m, chunk_nodes", [(32, None), (26, 9)])
 def test_contour_sum_matches_dense_entries_on_a_fine_grid(monkeypatch, m, chunk_nodes):
-    # n_lo = 137 and n_hi = 120 times against KN = 9 classes: the stored-state
-    # factor and the rank-K factors of the contour sum differ in shape.  With
-    # m = 26 the 13 upper-half nodes fall into chunks of 9 and 4.
+    # n_lo = 137 and n_hi = 120 times against KN = 9 classes, interpolated
+    # from 33 and 24 core nodes: the stored-state factor and the rank-K
+    # factors of the contour sum differ in shape.  With m = 26 the 13
+    # upper-half nodes fall into chunks of 9 and 4.
     params = derive_params(10.0, 3.0)
     sched = default_schedule(params)
     grid = build_detuning_grid(params.gamma0_rel, 3.0, 3, 3)
@@ -184,15 +216,55 @@ def test_contour_sum_matches_dense_entries_on_a_fine_grid(monkeypatch, m, chunk_
     tg = tanh_sinh_grid(0.0, sched.tau_r, 7)
     n_lo = int(np.count_nonzero(tg.nodes <= sched.tau_d))
     assert n_lo > 9 and tg.size - n_lo > 9
+    core_lo = collocation_count(grid, contour.nodes, tg.nodes[n_lo - 1])[0]
+    assert 9 < core_lo < n_lo
     if chunk_nodes is not None:
-        monkeypatch.setattr(kernels, "_CHUNK_BYTES", chunk_nodes * 16 * n_lo * 9)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", chunk_nodes * 16 * core_lo * 9)
+    chunks = record_chunks(monkeypatch)
     kern = build_transfer_kernel(params, sched, grid, contour, tg, tg)
+    assert kern.diagnostics["core_nodes"][0] == core_lo
+    assert chunks == ([m // 2] if chunk_nodes is None else [9, 4])
     assert np.array_equal(kern.values, kern.values.T)
     for i, j in ((0, 5), (60, 136), (136, 136),        # lo-lo
                  (3, 137), (100, 200), (136, 256),     # lo-hi
                  (137, 140), (180, 250), (256, 256)):  # hi-hi
         want = dense_kernel_entry(tg.nodes[i], tg.nodes[j], grid, sched, contour)
         assert abs(kern.values[i, j] - want) < 1e-10 * max(1.0, abs(want))
+
+
+def test_kernel_is_interpolated_from_its_core_nodes():
+    # At q8 each side has far more times (273 lo, 240 hi) than the 48 and 24
+    # Gauss-Legendre nodes that resolve its bandwidth: the kernel on those
+    # nodes, interpolated onto the grid, is the kernel assembled on the grid.
+    # Here the bandwidth beta*T sets the lo count, 16 nodes beyond it;
+    # without that margin the kernels differ by about 1e-11.
+    params = derive_params(10.0, 6.0)
+    sched = default_schedule(params)
+    grid = build_detuning_grid(params.gamma0_rel, 6.0, 3, 3)
+    contour = talbot_contour(32, 1.0)
+    tg = tanh_sinh_grid(0.0, sched.tau_r, 8)
+    n_lo = int(np.count_nonzero(tg.nodes <= sched.tau_d))
+    assert (n_lo, tg.size - n_lo) == (273, 240)
+    kern = build_transfer_kernel(params, sched, grid, contour, tg, tg)
+    assert kern.diagnostics["core_nodes"] == (48, 24)
+    assert np.array_equal(kern.values, kern.values.T)
+    want = direct_kernel(grid, sched, contour, tg.nodes)
+    err = float(np.abs(kern.values - want).max() / np.abs(want).max())
+    assert err <= 1e-13, err
+    for i, j in ((0, 5), (90, 272), (272, 272),        # lo-lo
+                 (3, 273), (150, 400), (272, 512),     # lo-hi
+                 (273, 280), (350, 470), (512, 512)):  # hi-hi
+        want = dense_kernel_entry(tg.nodes[i], tg.nodes[j], grid, sched, contour)
+        assert abs(kern.values[i, j] - want) < 1e-10 * max(1.0, abs(want))
+
+
+def test_kernel_on_few_times_is_assembled_on_them():
+    # At q3 each side has fewer times than core nodes: no interpolation, and
+    # the kernel is the direct assembly bit for bit.
+    params, sched, grid, contour, kern = build_small(k=3, n=3, level=3)
+    n_lo = int(np.count_nonzero(kern.grid.nodes <= sched.tau_d))
+    assert kern.diagnostics["core_nodes"] == (n_lo, kern.grid.size - n_lo)
+    assert np.array_equal(kern.values, direct_kernel(grid, sched, contour, kern.grid.nodes))
 
 
 def test_contour_off_the_unit_abscissa_is_rejected():
@@ -275,7 +347,10 @@ def test_kernel_reports_stage2_work():
     for key in ("stage2_states_collocation_nodes", "stage2_lift_collocation_nodes"):
         assert isinstance(kern.diagnostics[key], int)
         assert kern.diagnostics[key] > 0
-    for key in ("stage_actions_s", "contour_sum_s"):
+    lo, hi = kern.diagnostics["core_nodes"]
+    assert isinstance(lo, int) and isinstance(hi, int)
+    assert 0 < lo and 0 < hi and lo + hi <= kern.grid.size
+    for key in ("stage_actions_s", "contour_sum_s", "interpolation_s"):
         assert math.isfinite(kern.diagnostics[key])
         assert kern.diagnostics[key] >= 0.0
 

@@ -236,12 +236,15 @@ def test_gaussian_efficiencies_rejects_zero_energy(pipeline):
 
 def test_gaussian_efficiencies_memory_is_chunked():
     # modes-q9 size: 1025 time nodes and the 25 x 20 lattice.  Unchunked, every
-    # nodes x lattice temporary would take 4.1 MB.
+    # nodes x lattice temporary would take 4.1 MB.  The chunking does not
+    # depend on A, so A has rank 8 and its factor certifies at once.
     sched = default_schedule(derive_params(100.0, 3.0))
     tg = tanh_sinh_grid(0.0, sched.tau_r, 9)
     assert tg.size == 1025
-    a = np.random.default_rng(1).standard_normal((tg.size, tg.size))
+    b = np.random.default_rng(1).standard_normal((tg.size, 8))
+    a = b @ b.T
     eff = EfficiencyKernel(grid=tg, weighted=a + a.T)
+    assert eff.eigenvalues.size < tg.size
     tcs, tws = gaussian_lattice(sched)
     tracemalloc.start()
     try:
