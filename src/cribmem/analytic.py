@@ -75,10 +75,11 @@ class Profile:
 
         Polynomials stay Laplace-invertible on the Talbot contour (their
         transforms decay like 1/u); transforming the hard-truncated samples
-        directly would not be.
+        directly would not be.  Only samples all equal are taken as constant,
+        so a flat profile is exact and a nearly flat one keeps its slope.
         """
         deg = min(_MAX_FIT_DEGREE, self.grid.size - 1)
-        if np.allclose(self.values, self.values[0]):
+        if np.all(self.values == self.values[0]):
             return self.values[:1].copy()
         fit = np.polynomial.Polynomial.fit(self.grid.nodes, self.values, deg)
         return fit.convert().coef

@@ -55,24 +55,18 @@ on the grid, bit for bit.
 The efficiency kernel is A = sqrt(w) K_E sqrt(w), symmetric bit for bit.
 The efficiency operator A^2 is never formed: an eigenvector of A with
 eigenvalue lambda is an input mode of efficiency lambda^2.  Only a few
-modes are stored well, and A has only a few eigenvalues above rounding (19
-of 1025 above 1e-15 |lambda_1| at d0 = 100, gamma = 3, K = 9, N = 15,
-level 9), so every kernel carries a certified low-rank factor
-A ~ U Lambda U^T, computed once when it is built: a randomized range
-finder with one power step and Rayleigh-Ritz (Halko, Martinsson and Tropp,
-SIAM Rev. 53, 217 (2011)), started from deterministic cosine columns
-Omega.  The range Q of A^2 Omega is accepted only when
-||A - Q Q^T A||_F <= 1e-13 |lambda_1|.  Then
-||A - U Lambda U^T||_2 <= 2e-13 |lambda_1|, and any efficiency
-||A phi||^2 / ||phi||^2 read off the factor is within
-4e-13 (1 + 1e-13) eta_max of the one read off A.  A block that would reach
-a quarter of n would span about everything: the factor is then the dense
-eigendecomposition.
+modes are stored well, and A = B K_core B^T with B = sqrt(w) Pi, so A has
+rank at most the core node count r (56 of 1025 at d0 = 100, gamma = 3,
+K = 9, N = 15, level 9).  Every kernel carries the factor A ~ U Lambda U^T
+on that basis, computed once when it is built: Rayleigh-Ritz on Q = qr(B).
+Since range(A) lies in range(Q) up to the rounding of A's assembly, the
+error is rounding alone: ||A - U Lambda U^T||_2 is 0.9e-15 to 2.7e-15
+|lambda_1| at (d0, gamma, K, N, level) = (100, 3, 9, 15, 9),
+(100, 3, 21, 21, 6), (100, 10, 33, 33, 6) and (800, 10, 33, 33, 6).
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -95,42 +89,49 @@ _WINDOW_SLACK = 1e-9
 # larger arrays, once freed, raise the allocator's mmap threshold and with it
 # the peak resident memory.
 _CHUNK_BYTES = 2 ** 19
-# The spectral factor: columns of the first block, the certificate's
-# tolerance relative to |lambda_1|, and the fraction of n at which a block
-# would cost about as much as the dense eigendecomposition.
-_FACTOR_BLOCK = 32
-_FACTOR_TOL = 1e-13
-_FACTOR_DENSE = 0.25
 
 
 @dataclass(frozen=True)
 class TransferKernel:
-    """K_E sampled on grid x grid (a symmetric matrix), plus assembly diagnostics."""
+    """K_E sampled on grid x grid (a symmetric matrix), plus assembly diagnostics.
+
+    ``interpolation`` is Pi, n x c for the c core nodes the kernel was
+    assembled on (c <= n): K_E = Pi K_core Pi^T.
+    """
 
     grid: TimeGrid
     values: np.ndarray
+    interpolation: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         check_time_reversible(self.grid)
+        n, p = self.grid.size, self.interpolation
+        if p.ndim != 2 or p.shape[0] != n or not 0 < p.shape[1] <= n:
+            raise ValueError(f"the interpolation must be {n} x c with 0 < c <= {n}, "
+                             f"got {p.shape}")
 
 
 @dataclass(frozen=True)
 class EfficiencyKernel:
     """``weighted`` is A = sqrt(w_i) K_E(t_i, t_j) sqrt(w_j), real symmetric.
 
-    ``eigenvalues`` (r values, by decreasing magnitude) and ``eigenvectors``
-    (n x r, orthonormal columns) are its certified factor
-    A ~ U Lambda U^T, set on construction (see ``_spectral_factor``): the
-    error E = A - U Lambda U^T has ||E||_2 <= 2e-13 |lambda_1|, so every
-    eigenvalue of A lies that close to an eigenvalue of the factor (zero
-    for the n - r it lacks), and an efficiency ||A phi||^2 / ||phi||^2 moves
-    by at most (2 |lambda_1| + ||E||_2) ||E||_2, about 4e-13 eta_max.  When
-    r = n the factor is the dense eigendecomposition.
+    ``basis`` B (n x c, c <= n; the identity when omitted) spans the range
+    of A.  ``eigenvalues`` (c values, by decreasing magnitude) and
+    ``eigenvectors`` (n x c, orthonormal columns) are the factor
+    A ~ U Lambda U^T on it, set on construction (see ``_spectral_factor``).
+    Its error E = A - U Lambda U^T is the rounding of A's own assembly,
+    ||E||_2 <= 2.7e-15 |lambda_1| on the kernels measured (module
+    docstring), so every eigenvalue of A lies that close to one of the
+    factor (zero for the n - c it lacks), and an efficiency
+    ||A phi||^2 / ||phi||^2 moves by at most (2 |lambda_1| + ||E||_2)
+    ||E||_2, about 5.4e-15 eta_max.  With B = I the factor is the dense
+    eigendecomposition.
     """
 
     grid: TimeGrid
     weighted: np.ndarray
+    basis: np.ndarray | None = None
     eigenvalues: np.ndarray = field(init=False)
     eigenvectors: np.ndarray = field(init=False)
 
@@ -140,8 +141,13 @@ class EfficiencyKernel:
                 or not np.all(np.isfinite([a.max(), a.min()]))):
             raise ValueError("the weighted kernel must be real, finite and symmetric")
         check_time_reversible(self.grid)
+        n = a.shape[0]
+        b = np.eye(n) if self.basis is None else self.basis
+        if (np.iscomplexobj(b) or b.ndim != 2 or b.shape[0] != n
+                or not 0 < b.shape[1] <= n or not np.all(np.isfinite(b))):
+            raise ValueError(f"the basis must be real, finite and {n} x c with 0 < c <= {n}")
         try:
-            values, vectors = _spectral_factor(a)
+            values, vectors = _spectral_factor(a, b)
         except np.linalg.LinAlgError as exc:
             raise NumericsError(f"efficiency eigensolve failed: {exc}") from exc
         order = np.argsort(-np.abs(values), kind="stable")
@@ -149,41 +155,16 @@ class EfficiencyKernel:
         object.__setattr__(self, "eigenvectors", np.ascontiguousarray(vectors[:, order]))
 
 
-def _cosines(n: int, j0: int, j1: int) -> np.ndarray:
-    """Columns j0 <= j < j1 of the n x n DCT-II basis, cos(pi (i + 1/2) j / n)."""
-    return np.cos((math.pi / n) * (np.arange(n) + 0.5)[:, None] * np.arange(j0, j1))
+def _spectral_factor(a: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal vectors of symmetric ``a`` on ``basis``'s range.
 
-
-def _spectral_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal vectors of a certified factor of symmetric ``a``.
-
-    Randomized subspace iteration with Rayleigh-Ritz, on a deterministic
-    start: Q = qr(A qr(A Omega)) for the first b cosine columns Omega (one
-    power step weighs each eigendirection by lambda^2, not |lambda|), then
-    the eigenpairs (theta, S) of Q^T A Q give A ~ (Q S) diag(theta) (Q S)^T.
-    The factor is accepted when ||A - Q Q^T A||_F <= _FACTOR_TOL max|theta|
-    (max|theta| <= |lambda_1|, so the test is never looser than stated).
-    Otherwise b doubles, and only the new columns are computed: the power
-    step runs on the new block alone, and Q spans all blocks.
-    A block of _FACTOR_DENSE n or more would span about everything and cost
-    about as much: Q is then the identity, and the factor is the dense
-    eigendecomposition of A.
+    Rayleigh-Ritz: with Q = qr(B), the eigenpairs (theta, S) of Q^T A Q give
+    A ~ (Q S) diag(theta) (Q S)^T, exact up to rounding when range(A) lies in
+    range(B).  For B = I, Q = I exactly and the factor is ``eigh(a)``.
     """
-    n = a.shape[0]
-    sketch = np.empty((n, 0))
-    b = _FACTOR_BLOCK
-    while b < _FACTOR_DENSE * n:
-        new = a @ np.linalg.qr(a @ _cosines(n, sketch.shape[1], b))[0]
-        sketch = np.concatenate((sketch, new), axis=1)
-        q = np.linalg.qr(sketch)[0]
-        aq = a @ q
-        theta, s = np.linalg.eigh(q.T @ aq)
-        residual = q @ aq.T   # Q Q^T A, as A is symmetric
-        residual -= a
-        if np.linalg.norm(residual) <= _FACTOR_TOL * np.max(np.abs(theta)):
-            return theta, q @ s
-        b *= 2
-    return np.linalg.eigh(a)
+    q = np.linalg.qr(basis)[0]
+    theta, s = np.linalg.eigh(q.T @ (a @ q))
+    return theta, q @ s
 
 
 def _contour_assembly(grid: DetuningGrid, schedule: ProtocolSchedule, us, times):
@@ -294,10 +275,11 @@ def build_transfer_kernel(
     ``collocation_count`` Gauss-Legendre nodes of an action over their last
     time: the kernel's bandwidth in that time argument is that action's
     beta, so those nodes resolve it, and the core kernel is interpolated
-    onto the side's times.  The count is checked against its cap before any
-    interpolant is built.  ``diagnostics`` gives the core sizes (lo, hi) as
-    ``core_nodes`` and the seconds of the stage actions, of the contour sum
-    and of the interpolation onto the grid (with the final bit
+    onto the side's times: K_E = Pi K_core Pi^T, with Pi kept as the
+    kernel's ``interpolation``.  The count is checked against its cap
+    before any interpolant is built.  ``diagnostics`` gives the core sizes
+    (lo, hi) as ``core_nodes`` and the seconds of the stage actions, of the
+    contour sum and of the interpolation onto the grid (with the final bit
     symmetrization).
     """
     if not (np.array_equal(out_grid.nodes, in_grid.nodes)
@@ -344,9 +326,13 @@ def build_transfer_kernel(
         acc += _real_product(left, right)
     cored = time.perf_counter()
 
-    if any(rule is not None for rule, _ in rules):   # K_E = Pi K_core Pi^T
-        p_lo, p_hi = (None if rule is None else rule.interpolation(local)
-                      for rule, local in rules)
+    # Pi is block-diagonal: a side's interpolation matrix, or the identity
+    # (None here, and no product) where the side keeps its times.
+    p_lo, p_hi = (None if rule is None else rule.interpolation(local) for rule, local in rules)
+    pi = np.zeros((tg.size, values.shape[0]))
+    pi[:n_lo, :c_lo] = np.eye(n_lo) if p_lo is None else p_lo
+    pi[n_lo:, c_lo:] = np.eye(tg.size - n_lo) if p_hi is None else p_hi
+    if p_lo is not None or p_hi is not None:   # K_E = Pi K_core Pi^T
 
         def spread(p, x):   # p @ x, with p = None the identity
             return x if p is None else p @ x
@@ -376,7 +362,7 @@ def build_transfer_kernel(
         "contour_sum_s": cored - summed,
         "interpolation_s": end - cored,
     }
-    return TransferKernel(grid=tg, values=values, diagnostics=diagnostics)
+    return TransferKernel(grid=tg, values=values, interpolation=pi, diagnostics=diagnostics)
 
 
 def apply_output(kernel: TransferKernel, e_in) -> np.ndarray:
@@ -398,8 +384,10 @@ def build_efficiency_kernel(kernel: TransferKernel) -> EfficiencyKernel:
     """A = sqrt(w) K_E sqrt(w): sqrt(w)-scaled reversed input to scaled output.
 
     The factor sqrt(w_i) sqrt(w_j) commutes, so A keeps K_E's bit symmetry.
+    A = B K_core B^T with B = sqrt(w) Pi, the basis of A's factor.
     """
     sw = np.sqrt(kernel.grid.weights)
     a = np.outer(sw, sw)
     a *= kernel.values
-    return EfficiencyKernel(grid=kernel.grid, weighted=a)
+    return EfficiencyKernel(grid=kernel.grid, weighted=a,
+                            basis=sw[:, None] * kernel.interpolation)

@@ -6,11 +6,11 @@ the time-reversed field (the retrieval map pairs E_out(t) with
 E_in(tau_r - t')); on the symmetric quadrature grid the reversal is an index
 reversal, applied inside these routines so callers never see it.  The modes
 are the real eigenvectors of A, each of efficiency lambda^2.  Every quantity
-here is read off the kernel's certified factor A ~ U Lambda U^T (see
-``kernels.EfficiencyKernel``): the optimal mode is its top |lambda| pair,
-checked against A by one product, and an input phi scores
+here is read off the kernel's factor A ~ U Lambda U^T on its core-node
+basis (see ``kernels.EfficiencyKernel``): the optimal mode is its top
+|lambda| pair, checked against A by one product, and an input phi scores
 ||Lambda U^T phi||^2 / ||phi||^2, O(n r) for a rank-r factor rather than
-O(n^2), within about 4e-13 eta_max of ||A phi||^2 / ||phi||^2.  Gaussian
+O(n^2), within about 5.4e-15 eta_max of ||A phi||^2 / ||phi||^2.  Gaussian
 inputs are scored many at a time by gaussian_efficiencies; the best one
 comes from refining the best point of gaussian_lattice on ever finer 5 x 5
 lattices.

@@ -1,9 +1,9 @@
 """Tanh-sinh (double-exponential) quadrature on a finite interval.
 
-The rule clusters nodes double-exponentially at both endpoints, which both
-integrates endpoint singularities like x**(-1/2) accurately and resolves the
-sharply peaked optimal input modes that sit close to one end of the read-in
-window.
+The rule clusters nodes double-exponentially at both endpoints, which
+integrates endpoint singularities like x**(-1/2) accurately.  It places no
+cluster inside the interval, where the optimal input mode peaks, just after
+tau_p: at level 6 that leaves eta_max off by up to 3 % (ROADMAP item 2).
 """
 
 from __future__ import annotations

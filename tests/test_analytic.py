@@ -50,6 +50,16 @@ def test_profile_double_integral_against_quadrature():
     assert p.double_integral() == pytest.approx((1.0 - math.exp(-2.0)) ** 2 / 8.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("func, want", [(lambda z: 1e-9 * z, (0.5e-9) ** 2 / 2),
+                                        (lambda z: 1.0 + 1e-6 * z, (1.0 + 0.5e-6) ** 2 / 2)],
+                         ids=["tiny-slope", "nearly-flat"])
+def test_nearly_flat_profile_keeps_its_slope(func, want):
+    # II = Q(1)^2 / 2 with Q(1) = int_0^1 P: a profile within allclose's
+    # tolerances of a constant is still a polynomial, not its first sample.
+    got = Profile.from_callable(func).double_integral()
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_profile_laplace_flat_is_exact():
     p = Profile.flat()
     u = np.array([1.0 + 2.0j, 5.0 - 1.0j])

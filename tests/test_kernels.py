@@ -315,9 +315,18 @@ def test_time_irreversible_grid_is_rejected_at_construction():
     grid = TimeGrid(nodes=np.array([0.1, 0.2, 0.9]), weights=np.full(3, 1.0 / 3.0),
                     a=0.0, b=1.0)
     with pytest.raises(ValueError, match="not symmetric"):
-        TransferKernel(grid=grid, values=np.zeros((3, 3)))
+        TransferKernel(grid=grid, values=np.zeros((3, 3)), interpolation=np.eye(3))
     with pytest.raises(ValueError, match="not symmetric"):
         EfficiencyKernel(grid=grid, weighted=np.eye(3))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3, 4), (3, 0), (3,)])
+def test_interpolation_off_the_grid_is_rejected(shape):
+    # Pi maps the c <= n core nodes onto the n grid times.
+    grid = TimeGrid(nodes=np.array([0.1, 0.5, 0.9]), weights=np.full(3, 1.0 / 3.0),
+                    a=0.0, b=1.0)
+    with pytest.raises(ValueError, match="interpolation"):
+        TransferKernel(grid=grid, values=np.zeros((3, 3)), interpolation=np.ones(shape))
 
 
 def test_zero_dephasing_kernel_has_empty_low_block():
@@ -500,9 +509,9 @@ def test_efficiency_kernel_hermitian_psd_contractive():
 
 
 def factor_residual(eff) -> float:
-    # ||A - U U^T A||_F: U U^T is the projection Q Q^T the certificate uses.
-    a, u = eff.weighted, eff.eigenvectors
-    return float(np.linalg.norm(a - u @ (u.T @ a)))
+    # ||A - U Lambda U^T||_2 relative to |lambda_1|.
+    u, values = eff.eigenvectors, eff.eigenvalues
+    return float(np.linalg.norm(eff.weighted - (u * values) @ u.T, 2) / abs(values[0]))
 
 
 def by_magnitude(values):
@@ -510,28 +519,60 @@ def by_magnitude(values):
 
 
 @pytest.mark.parametrize("d0, gamma_rel, k, n, level", [(100.0, 3.0, 9, 15, 9),
+                                                       (100.0, 3.0, 21, 21, 6),
+                                                       (100.0, 10.0, 33, 33, 6),
                                                        (800.0, 10.0, 33, 33, 6)],
-                         ids=["modes-q9", "800-10"])
+                         ids=["modes-q9", "point-kn441", "100-10", "800-10"])
 def test_spectral_factor_matches_dense_eigh(d0, gamma_rel, k, n, level):
-    # Both kernels have a few dozen eigenvalues above rounding: the factor is
-    # certified at a block far below n, and every value it keeps is the
-    # dense eigenvalue of the same rank to within 1e-12 |lambda_1|.
-    _, _, _, eff = build_pipeline(d0, gamma_rel, GridSettings(k=k, n=n, quad_level=level))
+    # A = B K_core B^T on the basis B = sqrt(w) Pi: the factor has one pair
+    # per core node, every value it keeps is the dense eigenvalue of the
+    # same rank to rounding, and A - U Lambda U^T is the rounding of A's
+    # assembly (2.7e-15 |lambda_1| at most on these four).
+    _, _, kern, eff = build_pipeline(d0, gamma_rel, GridSettings(k=k, n=n, quad_level=level))
     values, u = eff.eigenvalues, eff.eigenvectors
     size, rank = eff.grid.size, values.size
-    assert rank < size
+    assert rank == sum(kern.diagnostics["core_nodes"]) < size
     assert u.shape == (size, rank)
     dense = by_magnitude(np.linalg.eigvalsh(eff.weighted))
     top = abs(dense[0])
-    assert np.max(np.abs(values - dense[:rank])) <= 1e-12 * top
+    assert np.max(np.abs(values - dense[:rank])) <= 1e-13 * top
     assert np.all(np.diff(np.abs(values)) <= 0.0)
     assert np.max(np.abs(u.T @ u - np.eye(rank))) <= 1e-13
-    assert factor_residual(eff) <= 1e-13 * abs(values[0])
+    assert factor_residual(eff) <= 1e-14
+
+
+def test_spectral_factor_on_kept_times_is_the_dense_spectrum():
+    # At q3 both sides keep their times: Pi is the identity, and the factor
+    # is A's full eigendecomposition.
+    *_, kern = build_small(k=3, n=3, level=3)
+    assert sum(kern.diagnostics["core_nodes"]) == kern.grid.size
+    assert np.array_equal(kern.interpolation, np.eye(kern.grid.size))
+    eff = build_efficiency_kernel(kern)
+    dense = by_magnitude(np.linalg.eigvalsh(eff.weighted))
+    assert eff.eigenvalues.size == kern.grid.size
+    assert np.max(np.abs(eff.eigenvalues - dense)) <= 1e-13 * abs(dense[0])
+
+
+def test_spectral_factor_eigensolves_on_the_core_nodes(monkeypatch):
+    # At modes-q9's settings A is 1025 x 1025 and the core has 32 + 24
+    # nodes: no eigensolve sees a larger matrix (the transfer kernel runs
+    # none).
+    sizes, eigh = [], np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    _, _, kern, eff = build_pipeline(100.0, 3.0, GridSettings(k=9, n=15, quad_level=9))
+    core = sum(kern.diagnostics["core_nodes"])
+    assert eff.grid.size == 1025 and core == 56
+    assert sizes and max(sizes) <= core
+    assert eff.eigenvalues.size == core
 
 
 def test_spectral_factor_of_a_full_rank_matrix_is_the_dense_spectrum():
-    # No block below n/4 captures a full-rank A, so the factor is its dense
-    # eigendecomposition, reached after the blocks of 32, 64 and 128 columns.
+    # Without a basis the factor is A's dense eigendecomposition.
     tg = tanh_sinh_grid(0.0, 1.0, 8)
     a = np.random.default_rng(3).standard_normal((tg.size, tg.size))
     eff = EfficiencyKernel(grid=tg, weighted=a + a.T)
@@ -542,20 +583,14 @@ def test_spectral_factor_of_a_full_rank_matrix_is_the_dense_spectrum():
     assert np.max(np.abs((u * values) @ u.T - (a + a.T))) <= 1e-12 * abs(dense[0])
 
 
-def test_spectral_factor_grows_its_block():
-    # An indefinite A of exact rank 48: the 32-column block cannot hold its
-    # range, the 64-column block (the first 32 columns reused) does.
-    tg = tanh_sinh_grid(0.0, 1.0, 8)
-    rng = np.random.default_rng(4)
-    basis = np.linalg.qr(rng.standard_normal((tg.size, 48)))[0]
-    spectrum = np.geomspace(1.0, 1e-3, 48) * np.resize([1.0, -1.0], 48)
-    a = (basis * spectrum) @ basis.T
-    a = 0.5 * (a + a.T)
-    eff = EfficiencyKernel(grid=tg, weighted=a)
-    assert eff.eigenvalues.size == 64
-    assert np.max(np.abs(eff.eigenvalues[:48] - by_magnitude(spectrum))) <= 1e-12
-    assert np.max(np.abs(eff.eigenvalues[48:])) <= 1e-13
-    assert factor_residual(eff) <= 1e-13
+@pytest.mark.parametrize("basis", [np.ones((5, 2), dtype=complex), np.full((5, 2), np.nan),
+                                   np.ones((4, 2)), np.ones((5, 6)), np.ones((5, 0)),
+                                   np.ones(5)],
+                         ids=["complex", "non-finite", "rows", "columns", "empty", "1-d"])
+def test_efficiency_kernel_rejects_a_bad_basis(basis):
+    tg = TimeGrid(nodes=np.linspace(0.1, 0.9, 5), weights=np.full(5, 0.2), a=0.0, b=1.0)
+    with pytest.raises(ValueError, match="basis"):
+        EfficiencyKernel(grid=tg, weighted=np.eye(5), basis=basis)
 
 
 def test_non_finite_efficiency_kernel_is_rejected():

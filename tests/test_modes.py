@@ -237,14 +237,14 @@ def test_gaussian_efficiencies_rejects_zero_energy(pipeline):
 def test_gaussian_efficiencies_memory_is_chunked():
     # modes-q9 size: 1025 time nodes and the 25 x 20 lattice.  Unchunked, every
     # nodes x lattice temporary would take 4.1 MB.  The chunking does not
-    # depend on A, so A has rank 8 and its factor certifies at once.
+    # depend on A, so A has rank 8, and its factor takes that basis.
     sched = default_schedule(derive_params(100.0, 3.0))
     tg = tanh_sinh_grid(0.0, sched.tau_r, 9)
     assert tg.size == 1025
     b = np.random.default_rng(1).standard_normal((tg.size, 8))
     a = b @ b.T
-    eff = EfficiencyKernel(grid=tg, weighted=a + a.T)
-    assert eff.eigenvalues.size < tg.size
+    eff = EfficiencyKernel(grid=tg, weighted=a + a.T, basis=b)
+    assert eff.eigenvalues.size == 8
     tcs, tws = gaussian_lattice(sched)
     tracemalloc.start()
     try:
@@ -283,7 +283,8 @@ def test_optimize_gaussian_finds_a_known_peak(peak):
     tg = tanh_sinh_grid(0.0, sched.tau_r, 6)
     t_c0, t_w0 = (0.43 * sched.tau_r, 0.37) if peak == "interior" else (sched.tau_r, 0.8)
     v = np.sqrt(tg.weights) * gaussian_mode(tg, t_c0, t_w0)[::-1]
-    gauss = optimize_gaussian(EfficiencyKernel(grid=tg, weighted=np.outer(v, v)), sched)
+    eff = EfficiencyKernel(grid=tg, weighted=np.outer(v, v), basis=v[:, None])
+    gauss = optimize_gaussian(eff, sched)
     assert gauss.converged
     assert gauss.gaussian_params == pytest.approx((t_c0, t_w0), abs=1e-6)
     assert gauss.efficiency == pytest.approx(1.0, abs=1e-12)
@@ -291,7 +292,7 @@ def test_optimize_gaussian_finds_a_known_peak(peak):
 
 @pytest.fixture(scope="module")
 def fine_pipeline():
-    # modes-q9's point: 1025 time nodes, a factor of rank 32.
+    # modes-q9's point: 1025 time nodes, a factor of rank 56.
     _, sched, _, eff = build_pipeline(100.0, 3.0, GridSettings(k=9, n=15, quad_level=9))
     assert eff.eigenvalues.size < eff.grid.size
     return sched, eff
@@ -333,7 +334,7 @@ def test_gaussian_efficiencies_match_dense_quotient(fine_pipeline):
 
 def test_a_sweep_point_does_not_import_numpy_random():
     # numpy.random alone adds about 6 MB of resident memory to every worker;
-    # the spectral factor starts from cosines, not random columns.
+    # the spectral factor needs no random start.
     probe = ("import sys, cribmem.cli\n"
              "from cribmem.sweeps import GridSettings, evaluate_point\n"
              "evaluate_point(10.0, 3.0, GridSettings(k=5, n=11, quad_level=5),\n"
