@@ -37,7 +37,8 @@ _MAX_FIT_DEGREE = 10
 class Profile:
     """Real polarization profile sampled on a quadrature grid over [0, 1].
 
-    Imaginary parts beyond 1e-14 of the largest sample raise ValueError.
+    Imaginary parts beyond 1e-14 of the largest sample, and non-finite
+    samples, raise ValueError.
     """
 
     grid: TimeGrid
@@ -48,6 +49,8 @@ class Profile:
         if np.any(np.abs(values.imag) > 1e-14 * np.max(np.abs(values), initial=0.0)):
             raise ValueError("profile samples must be real")
         object.__setattr__(self, "values", values.real.astype(float))
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("profile samples must be finite")
         if self.values.shape != self.grid.nodes.shape:
             raise ValueError("profile samples do not match the grid")
 

@@ -38,8 +38,8 @@ imaginary parts side by side, that real part is one real matrix product.
 The lo-lo factors are the read-out rows of the stored states against the
 states themselves; the other blocks enter through K columns per node.
 
-The kernel is assembled on core nodes and interpolated onto the time grid.
-As a function of either time argument each block is an entire function of
+The kernel is assembled on core nodes and kept with its interpolant.  As a
+function of either time argument each block is an entire function of
 exponential type at most beta, the bound of the stage its states run on:
 exp(M2 t) h for t <= tau_d, exp(M1 s) h on the read-in side.  The
 n = max(24, ceil(beta*T) + 16) Gauss-Legendre nodes on [0, T] that
@@ -47,22 +47,24 @@ n = max(24, ceil(beta*T) + 16) Gauss-Legendre nodes on [0, T] that
 to rounding, and barycentric interpolation (Berrut and Trefethen, SIAM Rev.
 46, 501 (2004)) carries it to any time of the side.  So each side keeps the
 smaller of its own times and those nodes, the contour sum runs on the core
-nodes, and K_E = Pi K_core Pi^T with Pi block-diagonal: the interpolation
-matrix on a side that takes the nodes, the identity on one that keeps its
-times.  When both sides keep their times the kernel is the direct assembly
-on the grid, bit for bit.
+nodes, and the kernel is the pair (K_core, Pi): K_E = Pi K_core Pi^T with Pi
+block-diagonal, the interpolation matrix on a side that takes the nodes, the
+identity on one that keeps its times.  When both sides keep their times
+K_core is the direct assembly on the grid, bit for bit.  K_E itself, an
+n x n array of the time grid, is never formed.
 
-The efficiency kernel is A = sqrt(w) K_E sqrt(w), symmetric bit for bit.
-The efficiency operator A^2 is never formed: an eigenvector of A with
-eigenvalue lambda is an input mode of efficiency lambda^2.  Only a few
-modes are stored well, and A = B K_core B^T with B = sqrt(w) Pi, so A has
-rank at most the core node count r (56 of 1025 at d0 = 100, gamma = 3,
-K = 9, N = 15, level 9).  Every kernel carries the factor A ~ U Lambda U^T
-on that basis, computed once when it is built: Rayleigh-Ritz on Q = qr(B).
-Since range(A) lies in range(Q) up to the rounding of A's assembly, the
-error is rounding alone: ||A - U Lambda U^T||_2 is 0.9e-15 to 2.7e-15
-|lambda_1| at (d0, gamma, K, N, level) = (100, 3, 9, 15, 9),
-(100, 3, 21, 21, 6), (100, 10, 33, 33, 6) and (800, 10, 33, 33, 6).
+The efficiency kernel is A = sqrt(w) K_E sqrt(w) = B K_core B^T with the
+basis B = sqrt(w) Pi, and it too is kept as its factors.  The efficiency
+operator A^2 is never formed: an eigenvector of A with eigenvalue lambda is
+an input mode of efficiency lambda^2.  Only a few modes are stored well: A
+has rank at most the core node count c (56 of 1025 at d0 = 100,
+gamma = 3, K = 9, N = 15, level 9).  Every efficiency kernel carries the
+eigenpairs A = U Lambda U^T, computed once when it is built by
+Rayleigh-Ritz on B = QR: Q^T A Q = R K_core R^T, a c x c matrix, and its
+eigenpairs (theta, S) give U = Q S.  The error is rounding alone:
+||B K_core B^T - U Lambda U^T||_2 is 1.1e-15 to 2.0e-15 |lambda_1| at
+(d0, gamma, K, N, level) = (100, 3, 9, 15, 9), (100, 3, 21, 21, 6),
+(100, 10, 33, 33, 6) and (800, 10, 33, 33, 6).
 """
 
 from __future__ import annotations
@@ -91,16 +93,23 @@ _WINDOW_SLACK = 1e-9
 _CHUNK_BYTES = 2 ** 19
 
 
+def _check_core(core: np.ndarray, c: int) -> None:
+    if (np.iscomplexobj(core) or core.shape != (c, c) or not np.array_equal(core, core.T)
+            or not np.all(np.isfinite(core))):
+        raise ValueError(f"the core kernel must be real, finite, symmetric and {c} x {c}")
+
+
 @dataclass(frozen=True)
 class TransferKernel:
-    """K_E sampled on grid x grid (a symmetric matrix), plus assembly diagnostics.
+    """K_E on grid x grid as K_E = Pi K_core Pi^T, plus assembly diagnostics.
 
-    ``interpolation`` is Pi, n x c for the c core nodes the kernel was
-    assembled on (c <= n): K_E = Pi K_core Pi^T.
+    ``core`` is K_core, the real c x c kernel on the c core nodes, symmetric
+    bit for bit, and ``interpolation`` is Pi, n x c (c <= n), which carries
+    it to the n grid times.
     """
 
     grid: TimeGrid
-    values: np.ndarray
+    core: np.ndarray
     interpolation: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
@@ -110,44 +119,39 @@ class TransferKernel:
         if p.ndim != 2 or p.shape[0] != n or not 0 < p.shape[1] <= n:
             raise ValueError(f"the interpolation must be {n} x c with 0 < c <= {n}, "
                              f"got {p.shape}")
+        _check_core(self.core, p.shape[1])
 
 
 @dataclass(frozen=True)
 class EfficiencyKernel:
-    """``weighted`` is A = sqrt(w_i) K_E(t_i, t_j) sqrt(w_j), real symmetric.
+    """A = sqrt(w_i) K_E(t_i, t_j) sqrt(w_j) as A = B K_core B^T.
 
-    ``basis`` B (n x c, c <= n; the identity when omitted) spans the range
-    of A.  ``eigenvalues`` (c values, by decreasing magnitude) and
-    ``eigenvectors`` (n x c, orthonormal columns) are the factor
-    A ~ U Lambda U^T on it, set on construction (see ``_spectral_factor``).
-    Its error E = A - U Lambda U^T is the rounding of A's own assembly,
-    ||E||_2 <= 2.7e-15 |lambda_1| on the kernels measured (module
-    docstring), so every eigenvalue of A lies that close to one of the
-    factor (zero for the n - c it lacks), and an efficiency
-    ||A phi||^2 / ||phi||^2 moves by at most (2 |lambda_1| + ||E||_2)
-    ||E||_2, about 5.4e-15 eta_max.  With B = I the factor is the dense
-    eigendecomposition.
+    ``basis`` B is real, n x c (c <= n), and ``core`` K_core is real c x c,
+    symmetric bit for bit.  ``eigenvalues`` (c values, by decreasing
+    magnitude) and ``eigenvectors`` (n x c, orthonormal columns) are
+    A = U Lambda U^T, set on construction (see ``_spectral_factor``).  Its
+    error E = A - U Lambda U^T is rounding, ||E||_2 <= 2.0e-15 |lambda_1| on
+    the kernels measured (module docstring), so every eigenvalue of A lies
+    that close to one of the factor (zero for the n - c it lacks), and an
+    efficiency ||A phi||^2 / ||phi||^2 moves by at most
+    (2 |lambda_1| + ||E||_2) ||E||_2, about 4e-15 eta_max.
     """
 
     grid: TimeGrid
-    weighted: np.ndarray
-    basis: np.ndarray | None = None
+    basis: np.ndarray
+    core: np.ndarray
     eigenvalues: np.ndarray = field(init=False)
     eigenvectors: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        a = self.weighted
-        if (np.iscomplexobj(a) or not np.array_equal(a, a.T)
-                or not np.all(np.isfinite([a.max(), a.min()]))):
-            raise ValueError("the weighted kernel must be real, finite and symmetric")
         check_time_reversible(self.grid)
-        n = a.shape[0]
-        b = np.eye(n) if self.basis is None else self.basis
+        n, b = self.grid.size, self.basis
         if (np.iscomplexobj(b) or b.ndim != 2 or b.shape[0] != n
                 or not 0 < b.shape[1] <= n or not np.all(np.isfinite(b))):
             raise ValueError(f"the basis must be real, finite and {n} x c with 0 < c <= {n}")
+        _check_core(self.core, b.shape[1])
         try:
-            values, vectors = _spectral_factor(a, b)
+            values, vectors = _spectral_factor(b, self.core)
         except np.linalg.LinAlgError as exc:
             raise NumericsError(f"efficiency eigensolve failed: {exc}") from exc
         order = np.argsort(-np.abs(values), kind="stable")
@@ -155,15 +159,15 @@ class EfficiencyKernel:
         object.__setattr__(self, "eigenvectors", np.ascontiguousarray(vectors[:, order]))
 
 
-def _spectral_factor(a: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal vectors of symmetric ``a`` on ``basis``'s range.
+def _spectral_factor(basis: np.ndarray, core: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors of B K B^T, B = ``basis``.
 
-    Rayleigh-Ritz: with Q = qr(B), the eigenpairs (theta, S) of Q^T A Q give
-    A ~ (Q S) diag(theta) (Q S)^T, exact up to rounding when range(A) lies in
-    range(B).  For B = I, Q = I exactly and the factor is ``eigh(a)``.
+    Rayleigh-Ritz, exact up to rounding: with B = QR, Q^T (B K B^T) Q =
+    R K R^T, and its eigenpairs (theta, S) give B K B^T = (Q S) diag(theta)
+    (Q S)^T.  Nothing of size n x n is formed.
     """
-    q = np.linalg.qr(basis)[0]
-    theta, s = np.linalg.eigh(q.T @ (a @ q))
+    q, r = np.linalg.qr(basis)
+    theta, s = np.linalg.eigh(r @ core @ r.T)
     return theta, q @ s
 
 
@@ -258,7 +262,7 @@ def build_transfer_kernel(
     out_grid: TimeGrid,
     in_grid: TimeGrid,
 ) -> TransferKernel:
-    """Assemble the real symmetric K_E(t_i, t_j) on one time grid.
+    """Assemble the real symmetric K_E(t_i, t_j) on one time grid, as K_core and Pi.
 
     ``out_grid`` and ``in_grid`` must be the same grid, spanning
     [0, tau_r], and the contour must invert at t_scale = 1: the protocol's
@@ -274,13 +278,14 @@ def build_transfer_kernel(
     ``grid.collapsed()``) each take the smaller of their own times and the
     ``collocation_count`` Gauss-Legendre nodes of an action over their last
     time: the kernel's bandwidth in that time argument is that action's
-    beta, so those nodes resolve it, and the core kernel is interpolated
-    onto the side's times: K_E = Pi K_core Pi^T, with Pi kept as the
-    kernel's ``interpolation``.  The count is checked against its cap
-    before any interpolant is built.  ``diagnostics`` gives the core sizes
-    (lo, hi) as ``core_nodes`` and the seconds of the stage actions, of the
-    contour sum and of the interpolation onto the grid (with the final bit
-    symmetrization).
+    beta, so those nodes resolve it, and the kernel is K_core on them with
+    Pi, the interpolation onto the side's times, as the kernel's
+    ``interpolation``.  The count is checked against its cap before any
+    interpolant is built.  A non-finite K_core raises NumericsError.
+    ``diagnostics`` gives the core sizes (lo, hi) as ``core_nodes``, the
+    largest |K_core| as ``max_abs``, and the seconds of the stage actions,
+    of the contour sum (with the bit symmetrization of K_core) and of
+    building Pi.
     """
     if not (np.array_equal(out_grid.nodes, in_grid.nodes)
             and np.array_equal(out_grid.weights, in_grid.weights)):
@@ -310,8 +315,8 @@ def build_transfer_kernel(
     summed = time.perf_counter()
 
     c_lo = core[0].size
-    values = np.zeros((c_lo + core[1].size,) * 2)
-    lo_lo, lo_hi, hi_hi = values[:c_lo, :c_lo], values[:c_lo, c_lo:], values[c_lo:, c_lo:]
+    k_core = np.zeros((c_lo + core[1].size,) * 2)
+    lo_lo, lo_hi, hi_hi = k_core[:c_lo, :c_lo], k_core[:c_lo, c_lo:], k_core[c_lo:, c_lo:]
     wu = contour.weights * (-1.0 / (contour.nodes * contour.nodes))
     step = max(1, _CHUNK_BYTES // max(1, 16 * c_lo * grid.k * grid.n))
     rank_pairs = []
@@ -324,32 +329,19 @@ def build_transfer_kernel(
     for acc, pairs in zip((lo_hi, hi_hi), zip(*rank_pairs)):
         left, right = (np.concatenate(factors, axis=1) for factors in zip(*pairs))
         acc += _real_product(left, right)
+    k_core[c_lo:, :c_lo] = lo_hi.T
+    for block in (lo_lo, hi_hi):                         # x + y == y + x:
+        np.multiply(block + block.T, 0.5, out=block)    # symmetric bit for bit
+    if not np.all(np.isfinite(k_core)):
+        raise NumericsError("non-finite entries in the transfer kernel")
     cored = time.perf_counter()
 
     # Pi is block-diagonal: a side's interpolation matrix, or the identity
-    # (None here, and no product) where the side keeps its times.
-    p_lo, p_hi = (None if rule is None else rule.interpolation(local) for rule, local in rules)
-    pi = np.zeros((tg.size, values.shape[0]))
-    pi[:n_lo, :c_lo] = np.eye(n_lo) if p_lo is None else p_lo
-    pi[n_lo:, c_lo:] = np.eye(tg.size - n_lo) if p_hi is None else p_hi
-    if p_lo is not None or p_hi is not None:   # K_E = Pi K_core Pi^T
-
-        def spread(p, x):   # p @ x, with p = None the identity
-            return x if p is None else p @ x
-
-        values = np.empty((tg.size, tg.size))
-        values[:n_lo, :n_lo] = spread(p_lo, spread(p_lo, lo_lo).T)
-        values[:n_lo, n_lo:] = spread(p_lo, spread(p_hi, lo_hi.T).T)
-        values[n_lo:, n_lo:] = spread(p_hi, spread(p_hi, hi_hi).T)
-    values[n_lo:, :n_lo] = values[:n_lo, n_lo:].T
-    for block in (values[:n_lo, :n_lo], values[n_lo:, n_lo:]):   # x + y == y + x:
-        np.multiply(block + block.T, 0.5, out=block)              # symmetric bit for bit
+    # where the side keeps its times.
+    pi = np.zeros((tg.size, k_core.shape[0]))
+    for block, (rule, local) in zip((pi[:n_lo, :c_lo], pi[n_lo:, c_lo:]), rules):
+        block[...] = np.eye(local.size) if rule is None else rule.interpolation(local)
     end = time.perf_counter()
-
-    # NaN and +-inf propagate through max and min: no n x n temporary.
-    top, bottom = values.max(), values.min()
-    if not (np.isfinite(top) and np.isfinite(bottom)):
-        raise NumericsError("non-finite entries in the transfer kernel")
     diagnostics = {
         "assembly": "half",
         "contour_nodes": contour.m,
@@ -357,37 +349,39 @@ def build_transfer_kernel(
         "stage2_states_collocation_nodes": states_nodes,
         "stage2_lift_collocation_nodes": lift_nodes,
         "core_nodes": (c_lo, core[1].size),
-        "max_abs": float(max(top, -bottom)),
+        "max_abs": float(np.abs(k_core).max()),
         "stage_actions_s": summed - start,
         "contour_sum_s": cored - summed,
         "interpolation_s": end - cored,
     }
-    return TransferKernel(grid=tg, values=values, interpolation=pi, diagnostics=diagnostics)
+    return TransferKernel(grid=tg, core=k_core, interpolation=pi, diagnostics=diagnostics)
 
 
 def apply_output(kernel: TransferKernel, e_in) -> np.ndarray:
     """Retrieved field on the kernel's grid for an input sampled on it.
 
     The input enters time reversed, E_in(tau_r - t'); on the symmetric
-    quadrature grid that is an index reversal of the samples.
+    quadrature grid that is an index reversal of the samples.  The field is
+    Pi (K_core (Pi^T x)), with the real and imaginary parts of x as two
+    real columns.
     """
     e_in = np.asarray(e_in, dtype=complex)
     if e_in.shape != kernel.grid.nodes.shape:
         raise ValueError(
             f"input has {e_in.shape} samples, grid has {kernel.grid.nodes.shape}"
         )
-    x = kernel.grid.weights * e_in[::-1]   # parts apart: no complex copy of values
-    return kernel.values @ x.real + 1j * (kernel.values @ x.imag)
+    x = kernel.grid.weights * e_in[::-1]
+    p = kernel.interpolation
+    out = p @ (kernel.core @ (p.T @ np.column_stack((x.real, x.imag))))
+    return out[:, 0] + 1j * out[:, 1]
 
 
 def build_efficiency_kernel(kernel: TransferKernel) -> EfficiencyKernel:
     """A = sqrt(w) K_E sqrt(w): sqrt(w)-scaled reversed input to scaled output.
 
-    The factor sqrt(w_i) sqrt(w_j) commutes, so A keeps K_E's bit symmetry.
-    A = B K_core B^T with B = sqrt(w) Pi, the basis of A's factor.
+    A = B K_core B^T with the basis B = sqrt(w) Pi: only Pi's rows are
+    scaled.
     """
     sw = np.sqrt(kernel.grid.weights)
-    a = np.outer(sw, sw)
-    a *= kernel.values
-    return EfficiencyKernel(grid=kernel.grid, weighted=a,
-                            basis=sw[:, None] * kernel.interpolation)
+    return EfficiencyKernel(grid=kernel.grid, basis=sw[:, None] * kernel.interpolation,
+                            core=kernel.core)

@@ -5,15 +5,15 @@ E_in(t) on the kernel's time grid.  Internally the weighted kernel A acts on
 the time-reversed field (the retrieval map pairs E_out(t) with
 E_in(tau_r - t')); on the symmetric quadrature grid the reversal is an index
 reversal, applied inside these routines so callers never see it.  The modes
-are the real eigenvectors of A, each of efficiency lambda^2.  Every quantity
-here is read off the kernel's factor A ~ U Lambda U^T on its core-node
-basis (see ``kernels.EfficiencyKernel``): the optimal mode is its top
-|lambda| pair, checked against A by one product, and an input phi scores
-||Lambda U^T phi||^2 / ||phi||^2, O(n r) for a rank-r factor rather than
-O(n^2), within about 5.4e-15 eta_max of ||A phi||^2 / ||phi||^2.  Gaussian
-inputs are scored many at a time by gaussian_efficiencies; the best one
-comes from refining the best point of gaussian_lattice on ever finer 5 x 5
-lattices.
+are the real eigenvectors of A, each of efficiency lambda^2.  A is kept as
+A = B K_core B^T on its core-node basis B (see ``kernels.EfficiencyKernel``)
+and every quantity here is read off its factor A = U Lambda U^T: the
+optimal mode is its top |lambda| pair, checked against B K_core B^T by three
+thin products, and an input phi scores ||Lambda U^T phi||^2 / ||phi||^2,
+O(n c) for c core nodes rather than O(n^2), within about 4e-15 eta_max of
+||A phi||^2 / ||phi||^2.  Gaussian inputs are scored many at a time by
+gaussian_efficiencies; the best one comes from refining the best point of
+gaussian_lattice on ever finer 5 x 5 lattices.
 """
 
 from __future__ import annotations
@@ -68,10 +68,11 @@ def optimal_mode(kernel: EfficiencyKernel) -> ModeResult:
     """Eigenpair of A with the largest |lambda|: efficiency lambda^2, real mode.
 
     The pair is the factor's first (the dominant lambda is often negative),
-    and its residual is checked against A itself.
+    and its residual ||B (K_core (B^T v)) - lambda v|| is checked against A.
     """
     lam, v = float(kernel.eigenvalues[0]), kernel.eigenvectors[:, 0]
-    resid = float(np.linalg.norm(kernel.weighted @ v - lam * v))
+    b = kernel.basis
+    resid = float(np.linalg.norm(b @ (kernel.core @ (b.T @ v)) - lam * v))
     if resid > _RESIDUAL_TOL * max(1.0, abs(lam)):
         raise NumericsError(f"top eigenpair residual {resid:.3e} too large")
     f = v / np.sqrt(kernel.grid.weights)   # eigenfunction of the reversed argument
@@ -121,10 +122,15 @@ def gaussian_efficiencies(kernel: EfficiencyKernel, t_c, t_w) -> np.ndarray:
     Column phi is sqrt(w) times the reversed Gaussian samples, scored as
     ||Lambda U^T phi||^2 / ||phi||^2 on the kernel's factor.  Columns pass
     through U^T about _CHUNK entries at a time, so no nodes x inputs array is
-    formed.  A column of zero or non-finite energy raises ValueError.
+    formed.  As in gaussian_mode, a t_w that is not positive and finite
+    raises ValueError, and so does a column of zero or non-finite energy,
+    which a t_c that is not finite gives.
     """
     t_c, t_w = np.broadcast_arrays(np.asarray(t_c, dtype=float), np.asarray(t_w, dtype=float))
     centers, widths = t_c.ravel(), t_w.ravel()
+    bad = widths[~((widths > 0.0) & np.isfinite(widths))]
+    if bad.size:
+        raise ValueError(f"t_w must be positive, got {float(bad[0])!r}")
     times = kernel.grid.nodes[::-1, None]
     root_w = np.sqrt(kernel.grid.weights)[:, None]
     eta = np.empty(centers.size)

@@ -25,6 +25,7 @@ validate it on small instances.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +42,9 @@ class FdConfig:
     schedule: ProtocolSchedule
 
     def __post_init__(self):
-        if self.nz < 32:
-            raise ValueError(f"need nz >= 32 spatial cells, got {self.nz!r}")
+        nz = self.nz
+        if isinstance(nz, bool) or not isinstance(nz, numbers.Integral) or nz < 32:
+            raise ValueError(f"need an integer nz >= 32 spatial cells, got {nz!r}")
         limit = 0.5 / max(self.max_phase(), 1e-30)
         if not (0.0 < self.dt <= limit):
             raise ValueError(

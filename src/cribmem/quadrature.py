@@ -19,7 +19,12 @@ import numpy as np
 # (~5e-21 times the interval) are still representable away from the endpoints.
 _T_MAX = 3.5
 
-# Highest level: 8193 nodes, on which the n x n efficiency kernel takes 0.54 GB.
+# Highest level: 8193 nodes.  The work of a sweep point grows about linearly
+# in the nodes: at level 12 one point (d0 = 100, gamma = 3, K = 9, N = 15,
+# with the Gaussian search) takes 0.58 s and 18.6 MB of traced memory on one
+# BLAS thread, against 0.10 s and 3.8 MB at level 9, and 641 of the grid's
+# 8192 gaps are already at most 4 ulps wide: nodes crowded against tau_r by
+# its rounding, with weights of 7e-24 to 1.4e-14.
 MAX_LEVEL = 12
 
 

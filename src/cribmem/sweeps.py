@@ -87,14 +87,18 @@ def _run_one(args):
 
 def run_points(points, settings: GridSettings, threads: int = 1,
                include_gaussian: bool = False, include_mode: bool = False) -> list[dict]:
-    """Evaluate (d0, gamma_rel) points, preserving input order."""
+    """Evaluate (d0, gamma_rel) points, preserving input order.
+
+    The points run in a pool of min(threads, points, CPUs) worker processes,
+    or serially when that is one.
+    """
     jobs = [((d0, g, settings),
              {"include_gaussian": include_gaussian,
               "include_mode": include_mode})
             for d0, g in points]
-    if threads <= 1 or len(jobs) <= 1:
-        return [_run_one(j) for j in jobs]
     workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
+        return [_run_one(j) for j in jobs]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_one, jobs))
 

@@ -270,3 +270,15 @@ def test_profile_validation():
     p = Profile(grid=grid, values=grid.nodes + 1e-17j)
     assert p.values.dtype == np.float64
     assert np.array_equal(p.values, grid.nodes)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_profile_rejects_non_finite_samples(bad):
+    # A non-finite sample used to give eta = nan with no error.
+    with pytest.raises(ValueError, match="finite"):
+        Profile.from_callable(lambda z: bad)
+    grid = tanh_sinh_grid(0.0, 1.0, 4)
+    values = np.ones(grid.size)
+    values[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Profile(grid=grid, values=values)

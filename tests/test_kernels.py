@@ -111,6 +111,18 @@ def direct_kernel(grid: DetuningGrid, sched: ProtocolSchedule, contour, times):
     return values
 
 
+def on_grid(kern) -> np.ndarray:
+    """K_E on the time grid, Pi K_core Pi^T: the dense reference of the kernel."""
+    p = kern.interpolation
+    return p @ kern.core @ p.T
+
+
+def weighted(eff) -> np.ndarray:
+    """A = B K_core B^T: the dense reference of the efficiency kernel."""
+    b = eff.basis
+    return b @ eff.core @ b.T
+
+
 def record_chunks(monkeypatch) -> list:
     """Node counts of the contour-sum chunks of every kernel built afterwards."""
     sizes = []
@@ -195,12 +207,12 @@ def test_degenerate_k3_continues_k1():
 def test_transfer_kernel_quadrants_match_pointwise_samples():
     params, sched, grid, contour, kern = build_small(k=3, n=3, level=4)
     rng = np.random.default_rng(2)
-    nodes = kern.grid.nodes
+    nodes, values = kern.grid.nodes, on_grid(kern)
     for _ in range(5):
         i = rng.integers(0, nodes.size)
         j = rng.integers(0, nodes.size)
         want = dense_kernel_entry(nodes[i], nodes[j], grid, sched, contour)
-        assert abs(kern.values[i, j] - want) < 1e-10 * max(1.0, abs(want))
+        assert abs(values[i, j] - want) < 1e-10 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("m, chunk_nodes", [(32, None), (26, 9)])
@@ -224,12 +236,13 @@ def test_contour_sum_matches_dense_entries_on_a_fine_grid(monkeypatch, m, chunk_
     kern = build_transfer_kernel(params, sched, grid, contour, tg, tg)
     assert kern.diagnostics["core_nodes"][0] == core_lo
     assert chunks == ([m // 2] if chunk_nodes is None else [9, 4])
-    assert np.array_equal(kern.values, kern.values.T)
+    assert np.array_equal(kern.core, kern.core.T)
+    values = on_grid(kern)
     for i, j in ((0, 5), (60, 136), (136, 136),        # lo-lo
                  (3, 137), (100, 200), (136, 256),     # lo-hi
                  (137, 140), (180, 250), (256, 256)):  # hi-hi
         want = dense_kernel_entry(tg.nodes[i], tg.nodes[j], grid, sched, contour)
-        assert abs(kern.values[i, j] - want) < 1e-10 * max(1.0, abs(want))
+        assert abs(values[i, j] - want) < 1e-10 * max(1.0, abs(want))
 
 
 def test_kernel_is_interpolated_from_its_core_nodes():
@@ -247,24 +260,27 @@ def test_kernel_is_interpolated_from_its_core_nodes():
     assert (n_lo, tg.size - n_lo) == (273, 240)
     kern = build_transfer_kernel(params, sched, grid, contour, tg, tg)
     assert kern.diagnostics["core_nodes"] == (48, 24)
-    assert np.array_equal(kern.values, kern.values.T)
+    assert kern.core.shape == (72, 72) and kern.interpolation.shape == (513, 72)
+    assert np.array_equal(kern.core, kern.core.T)
+    values = on_grid(kern)
     want = direct_kernel(grid, sched, contour, tg.nodes)
-    err = float(np.abs(kern.values - want).max() / np.abs(want).max())
+    err = float(np.abs(values - want).max() / np.abs(want).max())
     assert err <= 1e-13, err
     for i, j in ((0, 5), (90, 272), (272, 272),        # lo-lo
                  (3, 273), (150, 400), (272, 512),     # lo-hi
                  (273, 280), (350, 470), (512, 512)):  # hi-hi
         want = dense_kernel_entry(tg.nodes[i], tg.nodes[j], grid, sched, contour)
-        assert abs(kern.values[i, j] - want) < 1e-10 * max(1.0, abs(want))
+        assert abs(values[i, j] - want) < 1e-10 * max(1.0, abs(want))
 
 
 def test_kernel_on_few_times_is_assembled_on_them():
-    # At q3 each side has fewer times than core nodes: no interpolation, and
-    # the kernel is the direct assembly bit for bit.
+    # At q3 each side has fewer times than core nodes: Pi is the identity, and
+    # the core is the direct assembly bit for bit.
     params, sched, grid, contour, kern = build_small(k=3, n=3, level=3)
     n_lo = int(np.count_nonzero(kern.grid.nodes <= sched.tau_d))
     assert kern.diagnostics["core_nodes"] == (n_lo, kern.grid.size - n_lo)
-    assert np.array_equal(kern.values, direct_kernel(grid, sched, contour, kern.grid.nodes))
+    assert np.array_equal(kern.interpolation, np.eye(kern.grid.size))
+    assert np.array_equal(kern.core, direct_kernel(grid, sched, contour, kern.grid.nodes))
 
 
 def test_contour_off_the_unit_abscissa_is_rejected():
@@ -297,7 +313,7 @@ def test_dense_kernel_is_symmetric():
 def test_transfer_kernel_is_exactly_symmetric():
     for k, n, level in ((3, 3, 4), (5, 5, 5)):
         *_, kern = build_small(k=k, n=n, level=level)
-        assert np.array_equal(kern.values, kern.values.T)
+        assert np.array_equal(kern.core, kern.core.T)
 
 
 def test_unequal_out_and_in_grids_are_rejected():
@@ -315,9 +331,9 @@ def test_time_irreversible_grid_is_rejected_at_construction():
     grid = TimeGrid(nodes=np.array([0.1, 0.2, 0.9]), weights=np.full(3, 1.0 / 3.0),
                     a=0.0, b=1.0)
     with pytest.raises(ValueError, match="not symmetric"):
-        TransferKernel(grid=grid, values=np.zeros((3, 3)), interpolation=np.eye(3))
+        TransferKernel(grid=grid, core=np.zeros((3, 3)), interpolation=np.eye(3))
     with pytest.raises(ValueError, match="not symmetric"):
-        EfficiencyKernel(grid=grid, weighted=np.eye(3))
+        EfficiencyKernel(grid=grid, basis=np.eye(3), core=np.eye(3))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3, 4), (3, 0), (3,)])
@@ -326,7 +342,7 @@ def test_interpolation_off_the_grid_is_rejected(shape):
     grid = TimeGrid(nodes=np.array([0.1, 0.5, 0.9]), weights=np.full(3, 1.0 / 3.0),
                     a=0.0, b=1.0)
     with pytest.raises(ValueError, match="interpolation"):
-        TransferKernel(grid=grid, values=np.zeros((3, 3)), interpolation=np.ones(shape))
+        TransferKernel(grid=grid, core=np.zeros((3, 3)), interpolation=np.ones(shape))
 
 
 def test_zero_dephasing_kernel_has_empty_low_block():
@@ -343,9 +359,10 @@ def test_zero_dephasing_kernel_has_empty_low_block():
     assert k_lh.shape == (0, tg.size)
     assert k_hh.shape == (tg.size, tg.size)
     kern = build_transfer_kernel(params, sched, grid, contour, tg, tg)
+    values = on_grid(kern)
     for i, j in ((0, 0), (2, 7), (8, 4), (16, 16)):
         want = dense_kernel_entry(tg.nodes[i], tg.nodes[j], grid, sched, contour)
-        assert abs(kern.values[i, j] - want) < 1e-10 * max(1.0, abs(want))
+        assert abs(values[i, j] - want) < 1e-10 * max(1.0, abs(want))
 
 
 def test_kernel_reports_stage2_work():
@@ -371,7 +388,7 @@ def test_kernel_and_perturbative_numeric_decompose_nothing(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", no_eig)
     *_, kern = build_small(k=3, n=3, level=3)
-    assert np.all(np.isfinite(kern.values))
+    assert np.all(np.isfinite(kern.core))
     eta = broadening_stage_efficiency_numeric(Profile.flat(), 10.0, 1.0)
     assert 0.0 < eta < 1.0
 
@@ -392,14 +409,17 @@ def test_asymmetric_intrinsic_grid_is_rejected():
 
 def test_kernel_and_efficiency_matrix_are_real():
     *_, kern = build_small(k=3, n=3, level=3)
-    assert kern.values.dtype == np.float64
+    assert kern.core.dtype == kern.interpolation.dtype == np.float64
     assert kern.diagnostics["assembly"] == "half"
     eff = build_efficiency_kernel(kern)
-    assert eff.weighted.dtype == np.float64
-    with pytest.raises(ValueError, match="real"):
-        EfficiencyKernel(grid=eff.grid, weighted=eff.weighted.astype(complex))
-    with pytest.raises(ValueError, match="symmetric"):
-        EfficiencyKernel(grid=eff.grid, weighted=np.triu(eff.weighted))
+    assert eff.core.dtype == eff.basis.dtype == eff.eigenvectors.dtype == np.float64
+    for make in (TransferKernel, EfficiencyKernel):
+        args = ({"interpolation": kern.interpolation} if make is TransferKernel
+                else {"basis": eff.basis})
+        with pytest.raises(ValueError, match="real"):
+            make(grid=eff.grid, core=eff.core.astype(complex), **args)
+        with pytest.raises(ValueError, match="symmetric"):
+            make(grid=eff.grid, core=np.triu(eff.core), **args)
 
 
 def test_asymmetric_controlled_comb_is_rejected():
@@ -424,7 +444,7 @@ def test_vanishing_input_window_kills_stage5_quadrant():
                                  tg, tg)
     sel = tg.nodes > sched_tiny.tau_d
     wq = tg.weights
-    quadrant = kern.values[np.ix_(sel, sel)]
+    quadrant = on_grid(kern)[np.ix_(sel, sel)]
     energy = np.einsum("i,ij,j->", wq[sel], np.abs(quadrant) ** 2, wq[sel])
     assert energy < 1e-10
 
@@ -502,8 +522,8 @@ def test_storage_decay_follows_intrinsic_dephasing():
 def test_efficiency_kernel_hermitian_psd_contractive():
     *_, kern = build_small(level=5)
     eff = build_efficiency_kernel(kern)
-    assert np.array_equal(eff.weighted, eff.weighted.T)
-    evals = np.sort(np.linalg.eigvalsh(eff.weighted) ** 2)   # spectrum of A^2
+    assert np.array_equal(eff.core, eff.core.T)
+    evals = np.sort(np.linalg.eigvalsh(weighted(eff)) ** 2)   # spectrum of A^2
     assert evals[0] >= -1e-9
     assert evals[-1] <= 1.0 + 1e-9
 
@@ -511,7 +531,7 @@ def test_efficiency_kernel_hermitian_psd_contractive():
 def factor_residual(eff) -> float:
     # ||A - U Lambda U^T||_2 relative to |lambda_1|.
     u, values = eff.eigenvectors, eff.eigenvalues
-    return float(np.linalg.norm(eff.weighted - (u * values) @ u.T, 2) / abs(values[0]))
+    return float(np.linalg.norm(weighted(eff) - (u * values) @ u.T, 2) / abs(values[0]))
 
 
 def by_magnitude(values):
@@ -526,14 +546,14 @@ def by_magnitude(values):
 def test_spectral_factor_matches_dense_eigh(d0, gamma_rel, k, n, level):
     # A = B K_core B^T on the basis B = sqrt(w) Pi: the factor has one pair
     # per core node, every value it keeps is the dense eigenvalue of the
-    # same rank to rounding, and A - U Lambda U^T is the rounding of A's
-    # assembly (2.7e-15 |lambda_1| at most on these four).
+    # same rank to rounding, and A - U Lambda U^T is rounding (2.0e-15
+    # |lambda_1| at most on these four).
     _, _, kern, eff = build_pipeline(d0, gamma_rel, GridSettings(k=k, n=n, quad_level=level))
     values, u = eff.eigenvalues, eff.eigenvectors
     size, rank = eff.grid.size, values.size
     assert rank == sum(kern.diagnostics["core_nodes"]) < size
     assert u.shape == (size, rank)
-    dense = by_magnitude(np.linalg.eigvalsh(eff.weighted))
+    dense = by_magnitude(np.linalg.eigvalsh(weighted(eff)))
     top = abs(dense[0])
     assert np.max(np.abs(values - dense[:rank])) <= 1e-13 * top
     assert np.all(np.diff(np.abs(values)) <= 0.0)
@@ -548,7 +568,7 @@ def test_spectral_factor_on_kept_times_is_the_dense_spectrum():
     assert sum(kern.diagnostics["core_nodes"]) == kern.grid.size
     assert np.array_equal(kern.interpolation, np.eye(kern.grid.size))
     eff = build_efficiency_kernel(kern)
-    dense = by_magnitude(np.linalg.eigvalsh(eff.weighted))
+    dense = by_magnitude(np.linalg.eigvalsh(weighted(eff)))
     assert eff.eigenvalues.size == kern.grid.size
     assert np.max(np.abs(eff.eigenvalues - dense)) <= 1e-13 * abs(dense[0])
 
@@ -572,10 +592,10 @@ def test_spectral_factor_eigensolves_on_the_core_nodes(monkeypatch):
 
 
 def test_spectral_factor_of_a_full_rank_matrix_is_the_dense_spectrum():
-    # Without a basis the factor is A's dense eigendecomposition.
+    # On the identity basis the factor is the core's dense eigendecomposition.
     tg = tanh_sinh_grid(0.0, 1.0, 8)
     a = np.random.default_rng(3).standard_normal((tg.size, tg.size))
-    eff = EfficiencyKernel(grid=tg, weighted=a + a.T)
+    eff = EfficiencyKernel(grid=tg, basis=np.eye(tg.size), core=a + a.T)
     values, u = eff.eigenvalues, eff.eigenvectors
     dense = by_magnitude(np.linalg.eigvalsh(a + a.T))
     assert values.size == tg.size
@@ -590,12 +610,15 @@ def test_spectral_factor_of_a_full_rank_matrix_is_the_dense_spectrum():
 def test_efficiency_kernel_rejects_a_bad_basis(basis):
     tg = TimeGrid(nodes=np.linspace(0.1, 0.9, 5), weights=np.full(5, 0.2), a=0.0, b=1.0)
     with pytest.raises(ValueError, match="basis"):
-        EfficiencyKernel(grid=tg, weighted=np.eye(5), basis=basis)
+        EfficiencyKernel(grid=tg, basis=basis, core=np.eye(2))
 
 
 def test_non_finite_efficiency_kernel_is_rejected():
     *_, kern = build_small(k=3, n=3, level=3)
-    a = build_efficiency_kernel(kern).weighted.copy()
-    a[0, 0] = math.inf
+    eff = build_efficiency_kernel(kern)
+    core = eff.core.copy()
+    core[0, 0] = math.inf
     with pytest.raises(ValueError, match="finite"):
-        EfficiencyKernel(grid=kern.grid, weighted=a)
+        EfficiencyKernel(grid=kern.grid, basis=eff.basis, core=core)
+    with pytest.raises(ValueError, match="finite"):
+        TransferKernel(grid=kern.grid, core=core, interpolation=kern.interpolation)

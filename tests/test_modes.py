@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 import scipy.optimize
 
 import cribmem
-from cribmem.kernels import EfficiencyKernel, build_efficiency_kernel, build_transfer_kernel
+from cribmem.kernels import (EfficiencyKernel, TransferKernel, build_efficiency_kernel,
+                             build_transfer_kernel)
 from cribmem.laplace import talbot_contour
 from cribmem.model import build_detuning_grid, default_schedule, derive_params
 from cribmem.modes import (gaussian_efficiencies, gaussian_lattice, gaussian_mode,
@@ -32,11 +34,17 @@ def pipeline():
     return params, sched, build_efficiency_kernel(kern)
 
 
+def weighted(eff) -> np.ndarray:
+    """A = B K_core B^T: the dense reference of the efficiency kernel."""
+    b = eff.basis
+    return b @ eff.core @ b.T
+
+
 def toy_kernel(diagonal) -> EfficiencyKernel:
     # Symmetric two-node grid with unit weights; A = diag(diagonal).
     grid = TimeGrid(nodes=np.array([0.25, 0.75]), weights=np.array([1.0, 1.0]),
                     a=0.0, b=1.0)
-    return EfficiencyKernel(grid=grid, weighted=np.diag(diagonal))
+    return EfficiencyKernel(grid=grid, basis=np.eye(2), core=np.diag(diagonal))
 
 
 def test_optimal_mode_toy_diagonal():
@@ -77,14 +85,15 @@ def test_optimal_mode_eigen_residual(pipeline):
     v = np.sqrt(eff.grid.weights) * res.mode[::-1]
     v /= np.linalg.norm(v)
     lam = math.sqrt(res.efficiency)
-    av = eff.weighted @ v
+    av = weighted(eff) @ v
     assert min(np.linalg.norm(av - lam * v), np.linalg.norm(av + lam * v)) <= 1e-9
 
 
 def test_optimal_mode_matches_formed_gram_reference(pipeline):
     # Reference: the efficiency operator A^T A formed explicitly.
     _, _, eff = pipeline
-    evals = np.linalg.eigvalsh(eff.weighted.T @ eff.weighted)
+    a = weighted(eff)
+    evals = np.linalg.eigvalsh(a.T @ a)
     assert optimal_mode(eff).efficiency == pytest.approx(evals[-1], abs=1e-13)
     assert evals[0] >= -1e-9
     assert evals[-1] <= 1.0 + 1e-9
@@ -145,7 +154,7 @@ def test_mode_efficiency_scale_invariance(pipeline):
 
 def test_mode_efficiency_orthogonal_complement(pipeline):
     _, _, eff = pipeline
-    second = np.sort(np.linalg.eigvalsh(eff.weighted) ** 2)[-2]
+    second = np.sort(np.linalg.eigvalsh(weighted(eff)) ** 2)[-2]
     res = optimal_mode(eff)
     rng = np.random.default_rng(0)
     w = eff.grid.weights
@@ -237,13 +246,12 @@ def test_gaussian_efficiencies_rejects_zero_energy(pipeline):
 def test_gaussian_efficiencies_memory_is_chunked():
     # modes-q9 size: 1025 time nodes and the 25 x 20 lattice.  Unchunked, every
     # nodes x lattice temporary would take 4.1 MB.  The chunking does not
-    # depend on A, so A has rank 8, and its factor takes that basis.
+    # depend on A, so A = B (2 I) B^T has rank 8.
     sched = default_schedule(derive_params(100.0, 3.0))
     tg = tanh_sinh_grid(0.0, sched.tau_r, 9)
     assert tg.size == 1025
     b = np.random.default_rng(1).standard_normal((tg.size, 8))
-    a = b @ b.T
-    eff = EfficiencyKernel(grid=tg, weighted=a + a.T, basis=b)
+    eff = EfficiencyKernel(grid=tg, basis=b, core=2.0 * np.eye(8))
     assert eff.eigenvalues.size == 8
     tcs, tws = gaussian_lattice(sched)
     tracemalloc.start()
@@ -253,6 +261,46 @@ def test_gaussian_efficiencies_memory_is_chunked():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2 ** 20
+
+
+def test_a_fine_time_grid_forms_no_time_by_time_array():
+    # modes-q9's point: n = 1025 times.  The kernels are kept as their core
+    # (56 x 56) and its n x 56 interpolant or basis, so a whole point, Gaussian
+    # search included, stays below the n^2 * 8 B = 8 MiB of one n x n array.
+    assert {f.name for f in dataclasses.fields(TransferKernel)} == {
+        "grid", "core", "interpolation", "diagnostics"}
+    assert {f.name for f in dataclasses.fields(EfficiencyKernel) if f.init} == {
+        "grid", "basis", "core"}
+    tracemalloc.start()
+    try:
+        _, sched, _, eff = build_pipeline(100.0, 3.0, GridSettings(k=9, n=15, quad_level=9))
+        optimal_mode(eff)
+        optimize_gaussian(eff, sched)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = eff.grid.size
+    assert n == 1025
+    assert peak < n * n * 8, peak
+
+
+@pytest.fixture(scope="module")
+def small_eff():
+    return build_pipeline(10.0, 3.0, GridSettings(k=5, n=11))[3]
+
+
+@pytest.mark.parametrize("t_c, t_w, match", [(1.0, -1.0, "t_w"), (1.0, 0.0, "t_w"),
+                                             (1.0, math.inf, "t_w"), (1.0, math.nan, "t_w"),
+                                             (math.inf, 1.0, "energy"),
+                                             (-math.inf, 1.0, "energy"),
+                                             (math.nan, 1.0, "energy")])
+def test_gaussian_efficiencies_reject_what_gaussian_mode_rejects(small_eff, t_c, t_w, match):
+    # t_w = -1 used to score as t_w = 1 (0.2105), and t_w = inf as a flat
+    # input (0.2114).
+    with pytest.raises(ValueError, match=match):
+        gaussian_mode(small_eff.grid, t_c, t_w)
+    with pytest.raises(ValueError, match=match):
+        gaussian_efficiencies(small_eff, [1.0, t_c], [0.5, t_w])
 
 
 @pytest.fixture(scope="module",
@@ -283,7 +331,7 @@ def test_optimize_gaussian_finds_a_known_peak(peak):
     tg = tanh_sinh_grid(0.0, sched.tau_r, 6)
     t_c0, t_w0 = (0.43 * sched.tau_r, 0.37) if peak == "interior" else (sched.tau_r, 0.8)
     v = np.sqrt(tg.weights) * gaussian_mode(tg, t_c0, t_w0)[::-1]
-    eff = EfficiencyKernel(grid=tg, weighted=np.outer(v, v), basis=v[:, None])
+    eff = EfficiencyKernel(grid=tg, basis=v[:, None], core=np.ones((1, 1)))
     gauss = optimize_gaussian(eff, sched)
     assert gauss.converged
     assert gauss.gaussian_params == pytest.approx((t_c0, t_w0), abs=1e-6)
@@ -295,18 +343,18 @@ def fine_pipeline():
     # modes-q9's point: 1025 time nodes, a factor of rank 56.
     _, sched, _, eff = build_pipeline(100.0, 3.0, GridSettings(k=9, n=15, quad_level=9))
     assert eff.eigenvalues.size < eff.grid.size
-    return sched, eff
+    return sched, eff, weighted(eff)
 
 
-def dense_efficiency(eff, e_in) -> float:
+def dense_efficiency(a, eff, e_in) -> float:
     # ||A phi||^2 / ||phi||^2 with the dense A, the quotient the factor replaces.
     phi = np.sqrt(eff.grid.weights) * np.asarray(e_in)[::-1]
-    a_phi = eff.weighted @ phi
+    a_phi = a @ phi
     return float(np.vdot(a_phi, a_phi).real / np.vdot(phi, phi).real)
 
 
 def test_mode_efficiency_matches_dense_quotient(fine_pipeline):
-    sched, eff = fine_pipeline
+    sched, eff, a = fine_pipeline
     t = eff.grid.nodes
     rng = np.random.default_rng(5)
     inputs = [gaussian_mode(eff.grid, t_c, t_w)
@@ -318,16 +366,16 @@ def test_mode_efficiency_matches_dense_quotient(fine_pipeline):
         rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size),
     ]
     for e_in in inputs:
-        assert abs(mode_efficiency(eff, e_in) - dense_efficiency(eff, e_in)) <= 1e-13
-    dense_top = np.max(np.abs(np.linalg.eigvalsh(eff.weighted))) ** 2
+        assert abs(mode_efficiency(eff, e_in) - dense_efficiency(a, eff, e_in)) <= 1e-13
+    dense_top = np.max(np.abs(np.linalg.eigvalsh(a))) ** 2
     assert abs(optimal_mode(eff).efficiency - dense_top) <= 1e-13
 
 
 def test_gaussian_efficiencies_match_dense_quotient(fine_pipeline):
-    sched, eff = fine_pipeline
+    sched, eff, a = fine_pipeline
     tcs, tws = gaussian_lattice(sched)
     got = gaussian_efficiencies(eff, tcs[:, None], tws[None, :])
-    want = np.array([[dense_efficiency(eff, gaussian_mode(eff.grid, tc, tw)) for tw in tws]
+    want = np.array([[dense_efficiency(a, eff, gaussian_mode(eff.grid, tc, tw)) for tw in tws]
                      for tc in tcs])
     assert np.max(np.abs(got - want)) <= 1e-13
 

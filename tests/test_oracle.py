@@ -201,6 +201,16 @@ def test_energy_passivity():
     assert total_out >= budget["input"] * 0.99
 
 
+@pytest.mark.parametrize("nz", [64.5, 40.0, True, "64", 31, np.int64(31)])
+def test_config_requires_an_integral_cell_count(nz):
+    # A float nz used to pass and fail later in fd_solve with a TypeError.
+    grid = build_detuning_grid(0.25, 3.0, 5, 5)
+    sched = default_schedule(derive_params(10.0, 3.0))
+    with pytest.raises(ValueError, match="integer nz"):
+        FdConfig(nz=nz, dt=0.001, grid=grid, schedule=sched)
+    assert FdConfig(nz=np.int64(32), dt=0.001, grid=grid, schedule=sched).nz == 32
+
+
 def test_dt_bound_covers_every_stage():
     # Stage 4 rotates at Delta0 - Delta, up to |5 - (-3)| = 8 here, while
     # stage 2's Delta0 + Delta peaks at 6.
