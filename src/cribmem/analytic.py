@@ -14,6 +14,13 @@ same two stages non-perturbatively through the Laplace-domain machinery:
 one stage-2 ``stage_action`` on a K = 1 detuning grid, at the contour
 nodes of every z node in one batch, with stage 4 by the controlled-detuning
 reflection; the profile is real and the comb symmetric, so each inverse is real.
+
+A profile built by ``Profile.flat`` or ``Profile.from_callable`` is sampled
+on the depth grid, the 16-node Gauss-Legendre rule on [0, 1]
+(``quadrature.GaussLegendre``, the rule the stage actions collocate on):
+the integrand P4(z)^2 is smooth, and the numeric there agrees with a
+65-node tanh-sinh depth grid to 1e-13.  ``Profile(grid, values)`` takes any
+grid.
 """
 
 from __future__ import annotations
@@ -27,9 +34,9 @@ from cribmem.laplace import DEFAULT_CONTOUR_NODES, invert, talbot_contour
 from cribmem.model import (DEFAULT_EXTENT_SIGMAS, DEFAULT_GRID_POINTS, PhysicalParams,
                            build_detuning_grid, gaussian_pdf, min_safe_classes)
 from cribmem.propagators import block_reversal_permutation, stage_action
-from cribmem.quadrature import TimeGrid, tanh_sinh_grid
+from cribmem.quadrature import GaussLegendre, TimeGrid
 
-_DEFAULT_Z_LEVEL = 5
+_DEPTH_NODES = 16
 _MAX_FIT_DEGREE = 10
 
 
@@ -55,13 +62,13 @@ class Profile:
             raise ValueError("profile samples do not match the grid")
 
     @classmethod
-    def flat(cls, z_level: int = _DEFAULT_Z_LEVEL) -> "Profile":
-        grid = tanh_sinh_grid(0.0, 1.0, z_level)
-        return cls(grid=grid, values=np.ones(grid.size))
+    def flat(cls) -> "Profile":
+        return cls.from_callable(lambda z: 1.0)
 
     @classmethod
-    def from_callable(cls, func, z_level: int = _DEFAULT_Z_LEVEL) -> "Profile":
-        grid = tanh_sinh_grid(0.0, 1.0, z_level)
+    def from_callable(cls, func) -> "Profile":
+        """``func`` sampled on the depth grid, the 16-node Gauss-Legendre rule."""
+        grid = GaussLegendre(_DEPTH_NODES, 1.0).grid
         return cls(grid=grid, values=np.asarray([func(z) for z in grid.nodes]))
 
     def double_integral(self) -> float:

@@ -77,14 +77,8 @@ import numpy as np
 from cribmem.errors import NumericsError
 from cribmem.laplace import LaplaceContour
 from cribmem.model import DetuningGrid, PhysicalParams, ProtocolSchedule
-from cribmem.propagators import (
-    _Collocation,
-    block_sums,
-    collocation_count,
-    stage3_correction,
-    stage_action,
-)
-from cribmem.quadrature import TimeGrid, check_time_reversible
+from cribmem.propagators import block_sums, collocation_count, stage3_correction, stage_action
+from cribmem.quadrature import GaussLegendre, TimeGrid, check_time_reversible
 
 _WINDOW_SLACK = 1e-9
 # Bytes of the stored-state left factor of one node chunk of the contour sum:
@@ -306,7 +300,7 @@ def build_transfer_kernel(
     for times, stage, shift in sides:
         local = times - shift
         m = collocation_count(stage, contour.nodes, float(local[-1]))[0] if local.size else 0
-        rule = _Collocation(m, float(local[-1])) if m < local.size else None
+        rule = GaussLegendre(m, float(local[-1])) if m < local.size else None
         core.append(times if rule is None else rule.nodes + shift)
         rules.append((rule, local))
     start = time.perf_counter()

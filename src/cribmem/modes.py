@@ -26,7 +26,7 @@ import numpy as np
 from cribmem.errors import NumericsError
 from cribmem.kernels import EfficiencyKernel
 from cribmem.model import ProtocolSchedule
-from cribmem.propagators import _CHUNK
+from cribmem.propagators import CHUNK
 from cribmem.quadrature import TimeGrid
 
 _RESIDUAL_TOL = 1e-9
@@ -121,7 +121,7 @@ def gaussian_efficiencies(kernel: EfficiencyKernel, t_c, t_w) -> np.ndarray:
 
     Column phi is sqrt(w) times the reversed Gaussian samples, scored as
     ||Lambda U^T phi||^2 / ||phi||^2 on the kernel's factor.  Columns pass
-    through U^T about _CHUNK entries at a time, so no nodes x inputs array is
+    through U^T about CHUNK entries at a time, so no nodes x inputs array is
     formed.  As in gaussian_mode, a t_w that is not positive and finite
     raises ValueError, and so does a column of zero or non-finite energy,
     which a t_c that is not finite gives.
@@ -134,7 +134,7 @@ def gaussian_efficiencies(kernel: EfficiencyKernel, t_c, t_w) -> np.ndarray:
     times = kernel.grid.nodes[::-1, None]
     root_w = np.sqrt(kernel.grid.weights)[:, None]
     eta = np.empty(centers.size)
-    step = max(1, _CHUNK // times.size)
+    step = max(1, CHUNK // times.size)
     for j0 in range(0, eta.size, step):
         j = slice(j0, j0 + step)
         phi = np.exp(-((times - centers[j]) ** 2) / (4.0 * widths[j] ** 2))

@@ -9,8 +9,10 @@ while the field dephases, ``controlled_by(-1)`` while it rephases,
 classes).  ``stage_action`` applies the exponential on any grid to blocks
 of vectors without forming it, for a whole batch of contour nodes at once.
 The rank-one coupling reduces each action to one scalar convolution
-Volterra equation for the radiated field, solved by Gauss-Legendre
-collocation on one n x n matrix shared by every node, with n set by the
+Volterra equation for the radiated field, solved by collocation on the
+Gauss-Legendre rule of ``quadrature.GaussLegendre`` (the rule of the
+kernel's core nodes and of the depth grid too; tanh-sinh serves only the
+sweep's time grid) with one n x n matrix shared by every node, n set by the
 bandwidth of the action; the states then follow from Duhamel's formula.
 The phase of class (j, k) is an intrinsic node plus a controlled one, so
 each time takes (K + N) * n exponentials and one matrix product for all
@@ -36,10 +38,11 @@ import numpy as np
 
 from cribmem.errors import NumericsError
 from cribmem.model import DetuningGrid
+from cribmem.quadrature import GaussLegendre
 
 _MARGIN = 16       # collocation nodes beyond the bandwidth beta*T
 _MAX_NODES = 1024  # most collocation nodes: the complex n x n A is then 16 MB
-_CHUNK = 2 ** 15   # entries of the largest temporary array
+CHUNK = 2 ** 15    # entries of the largest temporary array
 
 
 def _class_exponentials(grid: DetuningGrid, s: np.ndarray) -> np.ndarray:
@@ -131,12 +134,12 @@ def stage_action(grid: DetuningGrid, us, x, times) -> StagePropagation:
         n_q, beta = collocation_count(grid, us, t_end)
         action += f" at beta={beta!r} with {n_q} collocation nodes"
         inv_u = 1.0 / us
-        rule = _Collocation(n_q, t_end)
+        rule = GaussLegendre(n_q, t_end)
         sources = _class_exponentials(grid, -rule.nodes)    # e^{-i phi s_q}
         a = _volterra_matrix(rule, sources @ w)
         sources *= w
         f_rows = np.empty((us.size, x.shape[2], n_q), dtype=complex)   # -F^T/u per node
-        step = max(1, _CHUNK // (n_q * max(n_q, x.shape[2])))
+        step = max(1, CHUNK // (n_q * max(n_q, x.shape[2])))
         for j0 in range(0, us.size, step):
             j = slice(j0, j0 + step)
             f = _solve(action, a, us[j], sources @ (x if x.shape[0] == 1 else x[j]))
@@ -168,32 +171,7 @@ def collocation_count(grid: DetuningGrid, us, t_end: float) -> tuple[int, float]
     return n_q, beta
 
 
-class _Collocation:
-    """n Gauss-Legendre nodes on [0, end], with barycentric weights."""
-
-    def __init__(self, n: int, end: float):
-        self.xi, self.weights = np.polynomial.legendre.leggauss(n)
-        self.bary = (-1.0) ** np.arange(n) * np.sqrt((1.0 - self.xi ** 2) * self.weights)
-        self.end = end
-        self.nodes = 0.5 * end * (1.0 + self.xi)
-
-    def inner(self, t: np.ndarray):
-        """The rule on [0, t] for each t: nodes and weights, (t.size, n) each."""
-        return 0.5 * t[:, None] * (1.0 + self.xi), 0.5 * t[:, None] * self.weights
-
-    def interpolation(self, points: np.ndarray) -> np.ndarray:
-        """(..., n) values at ``points`` of the Lagrange basis on the nodes."""
-        diff = (2.0 * points / self.end - 1.0)[..., None] - self.xi
-        hit = diff == 0.0
-        diff[hit] = 1.0
-        basis = self.bary / diff
-        basis /= basis.sum(axis=-1, keepdims=True)
-        rows = hit.any(axis=-1)
-        basis[rows] = hit[rows]
-        return basis
-
-
-def _volterra_matrix(rule: _Collocation, chi_nodes: np.ndarray) -> np.ndarray:
+def _volterra_matrix(rule: GaussLegendre, chi_nodes: np.ndarray) -> np.ndarray:
     """A[q, p] = sum_m omega_qm chi(s_q - sigma_qm) L_p(sigma_qm), the rule on [0, s_q].
 
     chi has the bandwidth of the field, so it is interpolated from its
@@ -201,7 +179,7 @@ def _volterra_matrix(rule: _Collocation, chi_nodes: np.ndarray) -> np.ndarray:
     """
     n = rule.nodes.size
     a = np.empty((n, n), dtype=complex)
-    rows = max(1, _CHUNK // (n * n))
+    rows = max(1, CHUNK // (n * n))
     for q0 in range(0, n, rows):
         s = rule.nodes[q0:q0 + rows]
         sigma, omega = rule.inner(s)
@@ -222,7 +200,7 @@ def _solve(action: str, a, us, rhs) -> np.ndarray:
                             f"u={complex(u)!r}") from None
 
 
-def _evaluate(out, grid: DetuningGrid, x, f_rows, rule: _Collocation, times) -> None:
+def _evaluate(out, grid: DetuningGrid, x, f_rows, rule: GaussLegendre, times) -> None:
     """out[i] = e^{-i phi t_i} o x - (1/u) int_0^t_i e^{i phi (s - t_i)} f(s) ds, in place.
 
     ``f_rows`` holds -F^T/u, (nodes, m, n).  The inner rule's table
@@ -233,7 +211,7 @@ def _evaluate(out, grid: DetuningGrid, x, f_rows, rule: _Collocation, times) -> 
     nodes, m, n = f_rows.shape
     dim = out.shape[2]
     f_rows = f_rows.reshape(nodes * m, n)
-    step = max(1, _CHUNK // (n * max(dim, n)))
+    step = max(1, CHUNK // (n * max(dim, n)))
     for i0 in range(0, times.size, step):
         t = times[i0:i0 + step]
         sigma, omega = rule.inner(t)
@@ -241,7 +219,7 @@ def _evaluate(out, grid: DetuningGrid, x, f_rows, rule: _Collocation, times) -> 
         weighted = (rule.interpolation(sigma) * omega[:, :, None]).transpose(0, 2, 1)
         table = _class_exponentials(grid, sigma - t[:, None])   # (times, n, dim)
         phase = _class_exponentials(grid, -t)[:, None, :, None]
-        node_step = max(1, _CHUNK // (t.size * m * max(dim, n)))
+        node_step = max(1, CHUNK // (t.size * m * max(dim, n)))
         for j0 in range(0, nodes, node_step):
             j = slice(j0, j0 + node_step)
             field = f_rows[j0 * m:(j0 + node_step) * m] @ weighted

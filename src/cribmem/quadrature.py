@@ -1,9 +1,18 @@
-"""Tanh-sinh (double-exponential) quadrature on a finite interval.
+"""Quadrature rules on a finite interval: Gauss-Legendre and tanh-sinh.
 
-The rule clusters nodes double-exponentially at both endpoints, which
-integrates endpoint singularities like x**(-1/2) accurately.  It places no
-cluster inside the interval, where the optimal input mode peaks, just after
-tau_p: at level 6 that leaves eta_max off by up to 3 % (ROADMAP item 2).
+``GaussLegendre(n, end)`` is the package's rule for smooth integrands: the
+stage actions collocate on it (``propagators``), the transfer kernel keeps
+its core nodes on it (``kernels``), and its ``grid`` is the depth grid of a
+polarization profile (``analytic.Profile``).  Its barycentric weights
+(Berrut and Trefethen, SIAM Rev. 46, 501 (2004)) interpolate from its nodes.
+
+``tanh_sinh_grid`` is left for the time grid of a sweep point only, while
+the benchmark's reference values of eta_max are defined on its level-6 and
+level-9 grids (ROADMAP items 17 and 18).  The rule clusters nodes
+double-exponentially at both endpoints, which integrates endpoint
+singularities like x**(-1/2) accurately.  It places no cluster inside the
+interval, where the optimal input mode peaks, just after tau_p: at level 6
+that leaves eta_max off by up to 3 % (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -48,6 +57,40 @@ class TimeGrid:
     @property
     def size(self) -> int:
         return self.nodes.size
+
+
+class GaussLegendre:
+    """n Gauss-Legendre nodes on [0, end], with barycentric weights.
+
+    ``xi`` and ``weights`` are the reference rule on [-1, 1], ``nodes`` its
+    image on [0, end] and ``bary`` the barycentric weights of those nodes.
+    """
+
+    def __init__(self, n: int, end: float):
+        self.xi, self.weights = np.polynomial.legendre.leggauss(n)
+        self.bary = (-1.0) ** np.arange(n) * np.sqrt((1.0 - self.xi ** 2) * self.weights)
+        self.end = end
+        self.nodes = 0.5 * end * (1.0 + self.xi)
+
+    @property
+    def grid(self) -> TimeGrid:
+        """The rule as a TimeGrid on [0, end]."""
+        return TimeGrid(self.nodes, 0.5 * self.end * self.weights, 0.0, self.end)
+
+    def inner(self, t: np.ndarray):
+        """The rule on [0, t] for each t: nodes and weights, (t.size, n) each."""
+        return 0.5 * t[:, None] * (1.0 + self.xi), 0.5 * t[:, None] * self.weights
+
+    def interpolation(self, points: np.ndarray) -> np.ndarray:
+        """(..., n) values at ``points`` of the Lagrange basis on the nodes."""
+        diff = (2.0 * points / self.end - 1.0)[..., None] - self.xi
+        hit = diff == 0.0
+        diff[hit] = 1.0
+        basis = self.bary / diff
+        basis /= basis.sum(axis=-1, keepdims=True)
+        rows = hit.any(axis=-1)
+        basis[rows] = hit[rows]
+        return basis
 
 
 def tanh_sinh_grid(a: float, b: float, level: int) -> TimeGrid:

@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 
 from cribmem import kernels, modes
+from cribmem.errors import NumericsError
 from cribmem.laplace import DEFAULT_CONTOUR_NODES, talbot_contour
 from cribmem.model import (DEFAULT_EXTENT_SIGMAS, DEFAULT_GRID_POINTS, build_detuning_grid,
                            default_schedule, derive_params, min_safe_classes)
@@ -40,7 +41,11 @@ class GridSettings:
 
 
 def build_pipeline(d0: float, gamma_rel: float, settings: GridSettings):
-    """Params, schedule and efficiency kernel for one sweep point."""
+    """Params, schedule and efficiency kernel for one sweep point.
+
+    A passive medium returns at most what came in: an efficiency kernel
+    whose top eigenvalue gives eta_max > 1 raises NumericsError.
+    """
     params = derive_params(d0, gamma_rel)
     schedule = default_schedule(params)
     grid = build_detuning_grid(params.gamma0_rel, gamma_rel,
@@ -54,6 +59,10 @@ def build_pipeline(d0: float, gamma_rel: float, settings: GridSettings):
     kernel = kernels.build_transfer_kernel(
         params, schedule, grid, contour, tgrid, tgrid)
     eff = kernels.build_efficiency_kernel(kernel)
+    if eff.eigenvalues[0] ** 2 > 1.0:
+        raise NumericsError(f"eta_max = {eff.eigenvalues[0] ** 2:.6g} > 1 at d0={d0:g}, "
+                            f"gamma={gamma_rel:g}: the {settings.contour_nodes}-node "
+                            f"contour does not resolve the kernel; raise contour_nodes")
     return params, schedule, kernel, eff
 
 

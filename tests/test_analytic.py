@@ -171,6 +171,31 @@ def test_numeric_matches_per_z_contours_and_stage4_action(gamma, tau_d):
     assert abs(got - stage4_route_numeric(flat, gamma, tau_d, n)) <= 1e-13
 
 
+def test_depth_grid_matches_a_fine_tanh_sinh_depth_grid(monkeypatch):
+    # The 16-node Gauss-Legendre depth grid against the 65-node tanh-sinh
+    # one it replaced, for the same flat and ramp profiles.  Two profiles on
+    # one depth grid run the same stage action, so it runs once for both.
+    actions = {}
+
+    def shared(grid, us, x, times):
+        key = (grid.phases.tobytes(), us.tobytes(), tuple(times))
+        if key not in actions:
+            actions[key] = stage_action(grid, us, x, times)
+        return actions[key]
+
+    monkeypatch.setattr(analytic, "stage_action", shared)
+    fine = tanh_sinh_grid(0.0, 1.0, 5)
+    for profile, func in ((Profile.flat(), np.ones_like),
+                          (Profile.from_callable(lambda z: z), lambda z: z)):
+        assert profile.grid.size == 16
+        reference = Profile(grid=fine, values=func(fine.nodes))
+        for gamma in (3.0, 5.0, 7.0, 10.0):
+            for tau_d in (1.0, 2.0):
+                got = broadening_stage_efficiency_numeric(profile, gamma, tau_d)
+                want = broadening_stage_efficiency_numeric(reference, gamma, tau_d)
+                assert abs(got - want) <= 1e-13, (gamma, tau_d, got - want)
+
+
 def test_numeric_runs_one_contour_and_one_stage2_action(monkeypatch):
     calls = []
 

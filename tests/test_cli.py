@@ -413,6 +413,16 @@ def test_read_in_past_the_collocation_cap_exits_3(capsys):
                      r"needs 9860 collocation nodes, more than 1024", err), err
 
 
+@pytest.mark.parametrize("command", ["sweep-optimal", "gaussian-map"])
+def test_efficiency_above_one_exits_3(command, capsys):
+    # At d0 = 3200, gamma = 3 the default 32-node contour does not resolve
+    # the kernel, whose top eigenvalue then gives eta_max = 4576.
+    code, out, err = run_cli([command, "--d0", "3200", "--gamma", "3"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "contour" in err, err
+
+
 def test_invalid_grid_setting_exits_2(capsys):
     code, _, err = run_cli(["sweep-optimal", "--d0", "10", "--gamma", "1",
                             "--grid-k", "4"], capsys)

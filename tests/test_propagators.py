@@ -14,7 +14,7 @@ from cribmem.propagators import (
     stage3_correction,
     stage_action,
 )
-from cribmem.quadrature import tanh_sinh_grid
+from cribmem.quadrature import GaussLegendre, tanh_sinh_grid
 
 
 # The grid each protocol stage runs on, from the grid of the stored classes.
@@ -326,7 +326,7 @@ def unfactored_action(grid: DetuningGrid, us, x, times) -> np.ndarray:
     x = x[None] if x.ndim == 2 else x
     beta = np.max(np.abs(phi)) + np.max(np.abs(1.0 / us)) * w.sum()
     n = max(24, int(np.ceil(beta * times[-1])) + propagators._MARGIN)
-    rule = propagators._Collocation(n, times[-1])
+    rule = GaussLegendre(n, times[-1])
     waves = np.exp(-1j * np.multiply.outer(rule.nodes, phi))
     a = propagators._volterra_matrix(rule, waves @ w)
     fields = [np.linalg.solve(np.eye(n) + a / u, (w * waves) @ x[j % x.shape[0]])
@@ -397,7 +397,7 @@ def test_collocation_count_above_the_cap_raises_before_building(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("collocation rule built past the cap")
 
-    monkeypatch.setattr(propagators, "_Collocation", never)
+    monkeypatch.setattr(propagators, "GaussLegendre", never)
     g = build_detuning_grid(0.3, 2.0, k=3, n=5).collapsed()
     beta = np.max(np.abs(g.phases)) + g.joint_weights.sum()   # u = 1
     duration = (1100 - propagators._MARGIN) / beta

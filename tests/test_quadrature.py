@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cribmem.quadrature import MAX_LEVEL, TimeGrid, integrate, tanh_sinh_grid
+from cribmem.quadrature import GaussLegendre, MAX_LEVEL, TimeGrid, integrate, tanh_sinh_grid
 
 
 def test_constant_integrand():
@@ -92,3 +92,52 @@ def test_integrate_length_mismatch():
     g = tanh_sinh_grid(0.0, 1.0, 4)
     with pytest.raises(ValueError):
         integrate(g, np.ones(g.size + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 24, 64])
+@pytest.mark.parametrize("end", [1.0, 3.7])
+def test_gauss_legendre_integrates_powers_exactly(n, end):
+    # Exact for degree <= 2n - 1.  To 1e-14 up to the 16 nodes of the depth
+    # grid; t^k at nodes rounded to one ulp carries a relative error of
+    # order k eps by itself, which reaches 2.7e-14 at n = 24, k = 47.
+    grid = GaussLegendre(n, end).grid
+    for k in range(2 * n):
+        exact = end ** (k + 1) / (k + 1)
+        err = abs(integrate(grid, grid.nodes ** k).real - exact) / exact
+        assert err <= max(1e-14, 4 * (k + 1) * np.finfo(float).eps), (k, err)
+
+
+@pytest.mark.parametrize("n", [5, 16, 24])
+def test_gauss_legendre_interpolation_reproduces_polynomials(n):
+    end = 2.5
+    rule = GaussLegendre(n, end)
+    coeffs = np.random.default_rng(n).standard_normal(n)   # degree n - 1
+
+    def poly(t):
+        return np.polynomial.legendre.legval(2.0 * t / end - 1.0, coeffs)
+
+    points = np.linspace(0.0, end, 98)
+    assert not np.isin(points, rule.nodes).any()
+    got = rule.interpolation(points) @ poly(rule.nodes)
+    assert np.abs(got - poly(points)).max() <= 1e-13 * np.abs(coeffs).sum()
+
+
+def test_gauss_legendre_interpolation_at_the_nodes_is_the_identity():
+    # Rows whose point maps onto a reference node exactly take the hit
+    # branch and are identity rows bit for bit; the others round to them.
+    rule = GaussLegendre(16, 1.0)
+    basis = rule.interpolation(rule.nodes)
+    hit = 2.0 * rule.nodes / rule.end - 1.0 == rule.xi
+    assert hit.any()
+    assert np.array_equal(basis[hit], np.eye(16)[hit])
+    assert np.abs(basis - np.eye(16)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n, end", [(1, 1.0), (16, 1.0), (24, 3.7), (200, 41.0)])
+def test_gauss_legendre_grid_is_increasing_and_weights_sum_to_the_span(n, end):
+    grid = GaussLegendre(n, end).grid
+    assert (grid.a, grid.b, grid.size) == (0.0, end, n)
+    assert np.all(np.diff(grid.nodes) > 0.0)
+    assert 0.0 < grid.nodes[0] and grid.nodes[-1] < end
+    assert np.all(grid.weights > 0.0)
+    assert grid.weights.sum() == pytest.approx(end, rel=1e-14)
