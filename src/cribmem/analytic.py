@@ -33,7 +33,7 @@ import numpy as np
 from cribmem.laplace import DEFAULT_CONTOUR_NODES, invert, talbot_contour
 from cribmem.model import (DEFAULT_EXTENT_SIGMAS, DEFAULT_GRID_POINTS, PhysicalParams,
                            build_detuning_grid, gaussian_pdf, min_safe_classes)
-from cribmem.propagators import block_reversal_permutation, stage_action
+from cribmem.propagators import ReadOut, stage_action
 from cribmem.quadrature import GaussLegendre, TimeGrid
 
 _DEPTH_NODES = 16
@@ -140,7 +140,8 @@ def broadening_stage_efficiency_numeric(
     profile's z-grid (the unit Talbot contour divided by each z) and
     integrates P(z)^2.  Only stage 2 runs, in one ``stage_action``: on the
     mirror-symmetric comb g^T exp(M4 tau_d) = (P D exp(M2 tau_d) 1)^T, with
-    D = diag(g) and P the comb reflection.
+    D = diag(g) and P the comb reflection, the kernel's read-out rows
+    (``ReadOut``) with no storage.
 
     When ``n_classes`` is omitted it is chosen so the discrete-comb
     rephasing time 2*pi/step stays at least twice the stage duration;
@@ -169,9 +170,9 @@ def broadening_stage_efficiency_numeric(
     contour = talbot_contour(contour_nodes, t_scale=1.0)
     nodes = np.divide.outer(contour.nodes, zg.nodes)
     sig = stage_action(grid, nodes.ravel(), np.ones((n_classes, 1)),
-                       [tau_d]).states[0][..., 0]
-    rows = (grid.joint_weights * sig)[:, block_reversal_permutation(grid)]
-    samples = np.sum(rows * sig, axis=1).reshape(nodes.shape) * p1.laplace(nodes)
+                       [tau_d]).states[0].transpose(0, 2, 1)   # one row per node
+    rows = ReadOut(grid, nodes.ravel(), 0.0).rows(sig, slice(None))
+    samples = np.sum(rows[:, 0] * sig[:, 0], axis=1).reshape(nodes.shape) * p1.laplace(nodes)
     p4 = invert(contour, samples) / zg.nodes
     return float(np.sum(zg.weights * p4 ** 2))
 

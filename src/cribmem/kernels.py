@@ -21,22 +21,26 @@ a fixed Talbot contour, of that product; on the mirror-symmetric detuning
 grid it is real, the real part of the weighted sum over the contour's
 upper-half nodes.
 
-The stored states are C = V Z, with the basis V = [exp(M2 t) h for
-t <= tau_d | exp(M2 tau_d) lift] and Z = diag(I, F), where F holds the
-stage-1 states exp(M1 s) h.  Every factor is the action of a stage
-exponential on a few vectors, computed for all contour nodes at once by
-``stage_action`` on the grid the stage runs on: stage 2 on the detuning
-grid itself, read-in (F) on ``grid.collapsed()``, and stage 3 reduces
-exactly onto the collapsed action on the block sums of V, with the
-storage phase that of ``grid.controlled_by(0)``.  Nothing is decomposed.
+The assembly has two steps.  The stored states do not depend on the
+storage time (``_stored_states``): V = exp(M2 t) h at the lo times
+(t <= tau_d), the lift L = exp(M2 tau_d) lift, and F = exp(M1 s) h at
+the hi times, s = t - tau_d.  Each is the action of a stage exponential on
+a few vectors, computed for all contour nodes at once by ``stage_action``
+on the grid the stage runs on: stage 2 on the detuning grid itself,
+read-in (F) on ``grid.collapsed()``.  The read-out holds all of tau_s
+(``propagators.ReadOut``): the rows (P D x)^T exp(M3 tau_s) of states x,
+with stage 3 reduced exactly onto the collapsed action (the correction C)
+and the storage phase that of ``grid.controlled_by(0)``.  Nothing is
+decomposed.
 
-The contour sum is never formed node by node.  Each block of the kernel
-(the lo-lo, lo-hi and hi-hi blocks of inputs and outputs before and after
-tau_d) is Re sum_i w_i (-1/u_i^2) L_i R_i^T for complex factors L_i, R_i,
-and with the nodes stacked along the inner dimension and the real and
-imaginary parts side by side, that real part is one real matrix product.
-The lo-lo factors are the read-out rows of the stored states against the
-states themselves; the other blocks enter through K columns per node.
+The contour sum then adds one node at a time (``_contour_sum``).  With
+w = weight (-1/u^2) of the node u and R_x the read-out rows of x, the
+lo-lo, lo-hi and hi-hi blocks of inputs and outputs before and after tau_d
+gain Re(w R_V V^T), Re(w (R_V L) F^T) and Re(w F (R_L L) F^T): the lo-lo
+block pairs the stored states with themselves, and the others enter
+through the K columns of the lift.  Each real part is one real matrix
+product, with the real and imaginary parts side by side: no complex block
+of the kernel is formed.
 
 The kernel is assembled on core nodes and kept with its interpolant.  As a
 function of either time argument each block is an entire function of
@@ -77,14 +81,10 @@ import numpy as np
 from cribmem.errors import NumericsError
 from cribmem.laplace import LaplaceContour
 from cribmem.model import DetuningGrid, PhysicalParams, ProtocolSchedule
-from cribmem.propagators import block_sums, collocation_count, stage3_correction, stage_action
+from cribmem.propagators import ReadOut, collocation_count, stage_action
 from cribmem.quadrature import GaussLegendre, TimeGrid, check_time_reversible
 
 _WINDOW_SLACK = 1e-9
-# Bytes of the stored-state left factor of one node chunk of the contour sum:
-# larger arrays, once freed, raise the allocator's mmap threshold and with it
-# the peak resident memory.
-_CHUNK_BYTES = 2 ** 19
 
 
 def _check_core(core: np.ndarray, c: int) -> None:
@@ -165,77 +165,23 @@ def _spectral_factor(basis: np.ndarray, core: np.ndarray) -> tuple[np.ndarray, n
     return theta, q @ s
 
 
-def _contour_assembly(grid: DetuningGrid, schedule: ProtocolSchedule, us, times):
-    """Every stage propagation of the kernel, batched over the nodes ``us``.
+def _stored_states(grid: DetuningGrid, schedule: ProtocolSchedule, us, lo_times, hi_times):
+    """The tau_s-free stored states at the nodes ``us``: (V, L, F) and their work.
 
-    Returns ``(assemble, work)``.  ``assemble(j, wu)`` gives, for the nodes
-    ``us[j]`` (a slice) and factors ``wu``, the complex (left, right) pairs
-    whose products left @ right.T are the lo-lo, lo-hi and hi-hi blocks of
-    sum_i wu_i K_E-hat(us[i]) on the increasing ``times``, lo meaning
-    t <= tau_d; the nodes are stacked node-major along the columns, and
-    every left factor is a fresh array.  The left factor of lo-lo holds the
-    read-out rows wu (P D V)^T exp(M3 tau_s) of the stored states V, and
-    its right factor is V itself: the (times, nodes, KN) layout of the
-    states gives a node chunk as a view.  The rest enters through K columns
-    per node: lo-hi is (rows of V) L F^T and hi-hi is F (rows of L) L F^T,
-    with L = exp(M2 tau_d) lift.
-
-    Two actions on ``grid`` give the basis V, exp(M2 t) h and
-    exp(M2 tau_d) lift; two on ``grid.collapsed()`` give F, exp(M1 s) h,
-    and the stage-3 correction.  Each action collocates its scalar field at
-    n = max(24, ceil(beta*T) + 16) Gauss-Legendre nodes on [0, T], T its
-    last time and beta the stage's max-norm bound, so the cost follows the
-    stage bandwidth and the lift's K columns share one solve per node.
-    ``work`` is the node count n of the two stage-2 actions (stored
-    states, lift).
+    V, (lo times, nodes, KN), is exp(M2 t) h at the lo core times; L, (nodes,
+    KN, K), is exp(M2 tau_d) lift; F, (hi times, nodes, K), is exp(M1 s) h
+    at s = t - tau_d on ``grid.collapsed()``.  Each comes from one
+    ``stage_action``, which collocates at n = max(24, ceil(beta*T) + 16)
+    Gauss-Legendre nodes on [0, T], T its last time and beta the stage's
+    max-norm bound, so the lift's K columns share one solve per node.  The
+    work is the node count n of the two stage-2 actions (V, L).
     """
-    lo = times <= schedule.tau_d
     k, n = grid.k, grid.n
-    stored = stage_action(grid, us, np.ones((k * n, 1)), times[lo])
-    lift = np.kron(np.eye(k), np.ones((n, 1)))   # KN x K column lift
-    lifted = stage_action(grid, us, lift, [schedule.tau_d])
-    free = stage_action(grid.collapsed(), us, np.ones((k, 1)),
-                        times[~lo] - schedule.tau_d).states[..., 0]   # F^T per node
-
-    # exp(M3 ts) X = phase o X - repeat_N(C Y) for columns X with block sums Y.
-    c = stage3_correction(grid, us, np.eye(k), schedule.tau_s)
-    phase = np.exp(-1j * grid.controlled_by(0).phases * schedule.tau_s).reshape(k, n)
-    g0_phase = grid.intrinsic_weights[:, None] * phase
-    gc = grid.controlled_weights
-    states = stored.states[..., 0]                 # (times, nodes, KN)
-
-    def read_out_rows(x, j: slice, wu):
-        """wu (P D x)^T exp(M3 tau_s) for the states x, (rows, nodes j, KN).
-
-        Entry (k, n) is wu gc_n (g0_k phase_k x_(k, N-1-n) - T_k), with
-        T = (g0 o Y) C and Y the block sums of x: P reverses each block of
-        the mirror-symmetric comb, and the storage phase is constant on it.
-        V is read twice per node, for Y and for the rows.
-        """
-        s = grid.intrinsic_weights * block_sums(grid, x[..., None])[..., 0]
-        t = np.matmul(s.transpose(1, 0, 2), c[j]).transpose(1, 0, 2)
-        rows = x.reshape(x.shape[:2] + (k, n))[..., ::-1] * g0_phase
-        rows -= t[..., None]
-        rows *= wu[:, None, None] * gc
-        return rows.reshape(x.shape)
-
-    def stack(a):   # (nodes, rows, K) -> (rows, nodes * K), node-major columns
-        nodes, rows, cols = a.shape
-        return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(rows, nodes * cols)
-
-    def assemble(j: slice, wu: np.ndarray) -> tuple[tuple, tuple, tuple]:
-        v_lo, v_hi, f = states[:, j], lifted.states[0, j], free[:, j]
-        rows_lo = read_out_rows(v_lo, j, wu)
-        rows_hi = read_out_rows(v_hi.transpose(2, 0, 1), j, wu)
-        h_lh = np.matmul(rows_lo.transpose(1, 0, 2), v_hi)
-        h_hh = np.matmul(rows_hi.transpose(1, 0, 2), v_hi)
-        wide = (v_lo.shape[0], v_lo.shape[1] * v_lo.shape[2])
-        f_stacked = f.reshape(f.shape[0], f.shape[1] * k)
-        return ((rows_lo.reshape(wide), v_lo.reshape(wide)),
-                (stack(h_lh), f_stacked),
-                (stack(np.matmul(f.transpose(1, 0, 2), h_hh)), f_stacked))
-
-    return assemble, (stored.collocation_nodes, lifted.collocation_nodes)
+    stored = stage_action(grid, us, np.ones((k * n, 1)), lo_times)
+    lift = stage_action(grid, us, np.kron(np.eye(k), np.ones((n, 1))), [schedule.tau_d])
+    free = stage_action(grid.collapsed(), us, np.ones((k, 1)), hi_times - schedule.tau_d)
+    return ((stored.states[..., 0], lift.states[0], free.states[..., 0]),
+            (stored.collocation_nodes, lift.collocation_nodes))
 
 
 def _real_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -246,6 +192,35 @@ def _real_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     floats is the first factor: no complex product and no copy of ``right``.
     """
     return np.conjugate(left, out=left).view(float) @ right.view(float).T
+
+
+def _contour_sum(states, read_out: ReadOut, contour: LaplaceContour) -> np.ndarray:
+    """K_core from the stored states (V, L, F) and their read-out, one node at a time.
+
+    With w = weight (-1/u^2) of each upper-half node u and R_x the read-out
+    rows of the states x at u, the blocks sum lo-lo += Re(w R_V V^T), lo-hi
+    += Re(w (R_V L) F^T) and hi-hi += Re(w F (R_L L) F^T), each one real
+    product.  The diagonal blocks are then symmetrized bit for bit and
+    lo-hi is mirrored.
+    """
+    v, lifted, f = states
+    c_lo = v.shape[0]
+    k_core = np.zeros((c_lo + f.shape[0],) * 2)
+    lo_lo, lo_hi, hi_hi = k_core[:c_lo, :c_lo], k_core[:c_lo, c_lo:], k_core[c_lo:, c_lo:]
+    wu = contour.weights * (-1.0 / (contour.nodes * contour.nodes))
+    for j, w in enumerate(wu):
+        v_j, l_j, f_j = v[:, j], lifted[j], f[:, j]
+        r_v = read_out.rows(v_j, j)
+        r_v *= w
+        lo_hi += _real_product(r_v @ l_j, f_j)
+        lo_lo += _real_product(r_v, v_j)
+        r_l = read_out.rows(l_j.T, j) @ l_j
+        r_l *= w
+        hi_hi += _real_product(f_j @ r_l, f_j)
+    k_core[c_lo:, :c_lo] = lo_hi.T
+    for block in (lo_lo, hi_hi):                         # x + y == y + x:
+        np.multiply(block + block.T, 0.5, out=block)    # symmetric bit for bit
+    return k_core
 
 
 def build_transfer_kernel(
@@ -264,8 +239,8 @@ def build_transfer_kernel(
     must be mirror-symmetric: stage 4 is obtained from stage 2 by
     reflecting the controlled comb, and the symmetry makes the kernel real,
     so the contour's upper-half nodes suffice and the real part of their
-    weighted sum is kept, as real products on node chunks of about
-    ``_CHUNK_BYTES``.
+    weighted sum is kept, added one node at a time (``_contour_sum``) from
+    the stored states and their ``ReadOut`` rows.
 
     The sum runs on core nodes.  The lo side (t <= tau_d, stage 2 on
     ``grid``) and the hi side (s = t - tau_d, read-in on
@@ -277,9 +252,9 @@ def build_transfer_kernel(
     ``interpolation``.  The count is checked against its cap before any
     interpolant is built.  A non-finite K_core raises NumericsError.
     ``diagnostics`` gives the core sizes (lo, hi) as ``core_nodes``, the
-    largest |K_core| as ``max_abs``, and the seconds of the stage actions,
-    of the contour sum (with the bit symmetrization of K_core) and of
-    building Pi.
+    largest |K_core| as ``max_abs``, and the seconds of the stage actions
+    (the stored states and the stage-3 correction of the read-out), of the
+    contour sum (with the bit symmetrization of K_core) and of building Pi.
     """
     if not (np.array_equal(out_grid.nodes, in_grid.nodes)
             and np.array_equal(out_grid.weights, in_grid.weights)):
@@ -304,34 +279,17 @@ def build_transfer_kernel(
         core.append(times if rule is None else rule.nodes + shift)
         rules.append((rule, local))
     start = time.perf_counter()
-    assemble, (states_nodes, lift_nodes) = _contour_assembly(
-        grid, schedule, contour.nodes, np.concatenate(core))
-    summed = time.perf_counter()
-
-    c_lo = core[0].size
-    k_core = np.zeros((c_lo + core[1].size,) * 2)
-    lo_lo, lo_hi, hi_hi = k_core[:c_lo, :c_lo], k_core[:c_lo, c_lo:], k_core[c_lo:, c_lo:]
-    wu = contour.weights * (-1.0 / (contour.nodes * contour.nodes))
-    step = max(1, _CHUNK_BYTES // max(1, 16 * c_lo * grid.k * grid.n))
-    rank_pairs = []
-    for j0 in range(0, wu.size, step):
-        (left, right), *pairs = assemble(slice(j0, j0 + step), wu[j0:j0 + step])
-        lo_lo += _real_product(left, right)
-        rank_pairs.append(pairs)
-    # The rank-K factors of all chunks side by side: one product per block,
-    # which writes the block once rather than once per chunk.
-    for acc, pairs in zip((lo_hi, hi_hi), zip(*rank_pairs)):
-        left, right = (np.concatenate(factors, axis=1) for factors in zip(*pairs))
-        acc += _real_product(left, right)
-    k_core[c_lo:, :c_lo] = lo_hi.T
-    for block in (lo_lo, hi_hi):                         # x + y == y + x:
-        np.multiply(block + block.T, 0.5, out=block)    # symmetric bit for bit
+    states, (states_nodes, lift_nodes) = _stored_states(grid, schedule, contour.nodes, *core)
+    read_out = ReadOut(grid, contour.nodes, schedule.tau_s)
+    stored = time.perf_counter()
+    k_core = _contour_sum(states, read_out, contour)
     if not np.all(np.isfinite(k_core)):
         raise NumericsError("non-finite entries in the transfer kernel")
     cored = time.perf_counter()
 
     # Pi is block-diagonal: a side's interpolation matrix, or the identity
     # where the side keeps its times.
+    c_lo = core[0].size
     pi = np.zeros((tg.size, k_core.shape[0]))
     for block, (rule, local) in zip((pi[:n_lo, :c_lo], pi[n_lo:, c_lo:]), rules):
         block[...] = np.eye(local.size) if rule is None else rule.interpolation(local)
@@ -344,8 +302,8 @@ def build_transfer_kernel(
         "stage2_lift_collocation_nodes": lift_nodes,
         "core_nodes": (c_lo, core[1].size),
         "max_abs": float(np.abs(k_core).max()),
-        "stage_actions_s": summed - start,
-        "contour_sum_s": cored - summed,
+        "stage_actions_s": stored - start,
+        "contour_sum_s": cored - stored,
         "interpolation_s": end - cored,
     }
     return TransferKernel(grid=tg, core=k_core, interpolation=pi, diagnostics=diagnostics)

@@ -123,16 +123,23 @@ def gaussian_efficiencies(kernel: EfficiencyKernel, t_c, t_w) -> np.ndarray:
     ||Lambda U^T phi||^2 / ||phi||^2 on the kernel's factor.  Columns pass
     through U^T about CHUNK entries at a time, so no nodes x inputs array is
     formed.  As in gaussian_mode, a t_w that is not positive and finite
-    raises ValueError, and so does a column of zero or non-finite energy,
-    which a t_c that is not finite gives.
+    raises ValueError, and so does a t_c that is not finite or lies off the
+    read window [0, tau_r].  A valid column can still have zero energy, a
+    pulse narrower than the gaps between the time nodes: that raises
+    NumericsError, naming t_w, the node count and quad_level.
     """
     t_c, t_w = np.broadcast_arrays(np.asarray(t_c, dtype=float), np.asarray(t_w, dtype=float))
     centers, widths = t_c.ravel(), t_w.ravel()
     bad = widths[~((widths > 0.0) & np.isfinite(widths))]
     if bad.size:
         raise ValueError(f"t_w must be positive, got {float(bad[0])!r}")
-    times = kernel.grid.nodes[::-1, None]
-    root_w = np.sqrt(kernel.grid.weights)[:, None]
+    grid = kernel.grid
+    bad = centers[~((centers >= grid.a) & (centers <= grid.b))]
+    if bad.size:
+        raise ValueError(f"t_c must be finite and in [{grid.a:g}, {grid.b:g}], the window "
+                         f"where a Gaussian input has energy, got {float(bad[0])!r}")
+    times = grid.nodes[::-1, None]
+    root_w = np.sqrt(grid.weights)[:, None]
     eta = np.empty(centers.size)
     step = max(1, CHUNK // times.size)
     for j0 in range(0, eta.size, step):
@@ -140,8 +147,9 @@ def gaussian_efficiencies(kernel: EfficiencyKernel, t_c, t_w) -> np.ndarray:
         phi = np.exp(-((times - centers[j]) ** 2) / (4.0 * widths[j] ** 2))
         phi = root_w * np.where(phi < _SAMPLE_FLOOR, 0.0, phi)
         norm = np.einsum("ij,ij->j", phi, phi)
-        if not np.all((norm > 0.0) & np.isfinite(norm)):
-            raise ValueError("a Gaussian input has zero or non-finite energy")
+        if not np.all(norm > 0.0):
+            raise NumericsError(f"a Gaussian input of t_w = {float(widths[j][norm <= 0.0][0]):g} "
+                                f"has zero energy on the {grid.size} time nodes; raise quad_level")
         coeffs = kernel.eigenvalues[:, None] * (kernel.eigenvectors.T @ phi)
         eta[j] = np.einsum("ij,ij->j", coeffs, coeffs) / norm
     return eta.reshape(t_c.shape)

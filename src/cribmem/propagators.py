@@ -18,8 +18,9 @@ The phase of class (j, k) is an intrinsic node plus a controlled one, so
 each time takes (K + N) * n exponentials and one matrix product for all
 contour nodes.  Stage 3 is reduced exactly onto the collapsed grid
 (``stage3_correction``), and stage 4 always follows from stage 2 by the
-controlled-detuning reflection (``block_reversal_permutation``): nothing in
-the package runs a stage-4 action.  Nothing forms or decomposes a generator.
+controlled-detuning reflection, in the read-out rows of stored states
+(``ReadOut``): nothing in the package runs a stage-4 action.  Nothing
+forms or decomposes a generator.
 
 The collapsed grid weights each intrinsic class with the sum of the
 controlled Riemann weights, which equals one only in the continuum limit:
@@ -231,26 +232,15 @@ def _evaluate(out, grid: DetuningGrid, x, f_rows, rule: GaussLegendre, times) ->
 # ---------------------------------------------------------------------------
 # Structured shortcuts used with the primitive: (a) the exact block
 # reduction of the stage-3 generator onto the collapsed grid and (b) the
-# controlled-detuning reflection that maps stage 2 onto stage 4.
-
-
-def block_sums(grid: DetuningGrid, x: np.ndarray) -> np.ndarray:
-    """Controlled-weighted block sums y_j = sum_k gc_k x_jk.
-
-    ``x`` has the joint layout on its second-to-last axis, (..., KN, m);
-    the result is (..., K, m).  The sums are one matrix-vector product over
-    the N axis: a size-1 m (the kernel's stored states) needs no copy.
-    """
-    k, n, m = grid.k, grid.n, x.shape[-1]
-    blocks = np.swapaxes(x.reshape(x.shape[:-2] + (k, n, m)), -1, -2)
-    return (blocks.reshape(-1, n) @ grid.controlled_weights).reshape(x.shape[:-2] + (k, m))
+# read-out rows, by the controlled-detuning reflection that maps stage 2
+# onto stage 4.
 
 
 def stage3_correction(grid: DetuningGrid, us, y0, duration: float) -> np.ndarray:
     """Block correction C of the stage-3 exponential, for a batch of nodes.
 
     The stage-3 diagonal is constant inside each controlled block, so the
-    block sums Y0 = ``block_sums(grid, X)`` of stored columns X close on the
+    block sums Y0 = sum_k gc_k X_(j, k) of stored columns X close on the
     K-dimensional system of ``grid.collapsed()`` (generator M1), and
 
         exp(M3 t) X = e^{-i Delta0 t} o X - repeat_N(C),
@@ -265,6 +255,37 @@ def stage3_correction(grid: DetuningGrid, us, y0, duration: float) -> np.ndarray
     return (phase * y0 - e1 @ y0) / grid.controlled_weight_sum
 
 
-def block_reversal_permutation(grid: DetuningGrid) -> np.ndarray:
-    """Joint-layout permutation Delta_k -> -Delta_k (maps stage 2 onto 4)."""
-    return np.arange(grid.k * grid.n).reshape(grid.k, grid.n)[:, ::-1].ravel()
+class ReadOut:
+    """Read-out rows (P D x)^T exp(M3 tau_s) of stored states x on ``grid``.
+
+    The row of a state x is what x gives the retrieved field: stage 4 is
+    stage 2 with the controlled comb reflected (P), and M2^T = D M2 D^-1
+    with D = diag(g), so g^T exp(M4 t) = (P D exp(M2 t) 1)^T, and storage
+    for tau_s comes first.  P reverses each block of the mirror-symmetric
+    comb and commutes with D and with the storage phase, constant on a
+    block.  With the stage-3 correction C of the nodes ``us``
+    (``stage3_correction`` on the K x K identity), entry (k, n) of a row is
+    gc_n (g0_k e^{-i Delta0_k tau_s} x_(k, N-1-n) - T_k), T = (g0 o Y) C for
+    the block sums Y of x.  At tau_s = 0, C is exactly 0.
+    """
+
+    def __init__(self, grid: DetuningGrid, us, tau_s: float):
+        self.grid = grid
+        self.correction = stage3_correction(grid, us, np.eye(grid.k), tau_s)
+        phase = np.exp(-1j * grid.intrinsic_nodes * tau_s)
+        self.g0_phase = (grid.intrinsic_weights * phase)[:, None]
+
+    def rows(self, x: np.ndarray, j) -> np.ndarray:
+        """The rows of the states x, (..., rows, KN), at the nodes ``us[j]``.
+
+        ``self.correction[j]`` broadcasts against the leading axes of x: an
+        integer j takes every row at one node, and a (nodes, 1, KN) stack
+        with j = slice(None) takes one row per node.
+        """
+        grid = self.grid
+        blocks = x.reshape(x.shape[:-1] + (grid.k, grid.n))
+        t = (grid.intrinsic_weights * (blocks @ grid.controlled_weights)) @ self.correction[j]
+        rows = blocks[..., ::-1] * self.g0_phase
+        rows -= t[..., None]
+        rows *= grid.controlled_weights
+        return rows.reshape(x.shape)

@@ -139,13 +139,3 @@ def check_time_reversible(grid: TimeGrid) -> None:
     if not np.allclose(s, grid.a + grid.b,
                        rtol=0.0, atol=1e-9 * max(1.0, abs(grid.b))):
         raise ValueError("time grid is not symmetric; cannot time-reverse by index")
-
-
-def integrate(grid: TimeGrid, samples) -> complex:
-    """Weighted sum of samples given on the grid nodes."""
-    samples = np.asarray(samples)
-    if samples.shape != grid.nodes.shape:
-        raise ValueError(
-            f"samples length {samples.shape} does not match grid {grid.nodes.shape}"
-        )
-    return complex(np.dot(grid.weights, samples))

@@ -44,7 +44,8 @@ def build_pipeline(d0: float, gamma_rel: float, settings: GridSettings):
     """Params, schedule and efficiency kernel for one sweep point.
 
     A passive medium returns at most what came in: an efficiency kernel
-    whose top eigenvalue gives eta_max > 1 raises NumericsError.
+    whose top eigenvalue gives eta_max > 1 raises NumericsError, which names
+    both discretizations that can cause it, the time grid and the contour.
     """
     params = derive_params(d0, gamma_rel)
     schedule = default_schedule(params)
@@ -61,8 +62,9 @@ def build_pipeline(d0: float, gamma_rel: float, settings: GridSettings):
     eff = kernels.build_efficiency_kernel(kernel)
     if eff.eigenvalues[0] ** 2 > 1.0:
         raise NumericsError(f"eta_max = {eff.eigenvalues[0] ** 2:.6g} > 1 at d0={d0:g}, "
-                            f"gamma={gamma_rel:g}: the {settings.contour_nodes}-node "
-                            f"contour does not resolve the kernel; raise contour_nodes")
+                            f"gamma={gamma_rel:g}: the level-{settings.quad_level} time grid "
+                            f"or the {settings.contour_nodes}-node contour does not resolve "
+                            f"the kernel; raise quad_level or contour_nodes")
     return params, schedule, kernel, eff
 
 

@@ -423,6 +423,28 @@ def test_efficiency_above_one_exits_3(command, capsys):
     assert "contour" in err, err
 
 
+@pytest.mark.parametrize("command", ["sweep-gaussian", "gaussian-map"])
+def test_gaussian_narrower_than_the_time_grid_exits_3(command, capsys):
+    # At d0 = 3200, gamma = 10 the lattice's narrowest pulse, t_w = 0.05,
+    # falls between the q6 time nodes: valid flags, a grid too coarse.
+    code, out, err = run_cli([command, "--d0", "3200", "--gamma", "10"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "configuration error" not in err
+    assert re.search(r"t_w = 0\.05 .* the 129 time nodes; raise quad_level", err), err
+
+
+def test_efficiency_above_one_names_the_time_grid(capsys):
+    # At q2 (9 times) eta_max = 6.2 with 32 or 64 contour nodes alike, and
+    # 0.81 at q6: the time grid, not the contour, is at fault.
+    code, out, err = run_cli(["sweep-optimal", "--d0", "400", "--gamma", "3",
+                              "--quad-level", "2", "--grid-k", "5", "--grid-n", "11",
+                              "--contour-nodes", "64"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "quad_level" in err and "contour_nodes" in err, err
+
+
 def test_invalid_grid_setting_exits_2(capsys):
     code, _, err = run_cli(["sweep-optimal", "--d0", "10", "--gamma", "1",
                             "--grid-k", "4"], capsys)

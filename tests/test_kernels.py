@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cribmem import kernels
 from cribmem.analytic import Profile, broadening_stage_efficiency_numeric
 from cribmem.kernels import (
     EfficiencyKernel,
     TransferKernel,
-    _contour_assembly,
+    _contour_sum,
+    _stored_states,
     apply_output,
     build_efficiency_kernel,
     build_transfer_kernel,
@@ -23,7 +23,7 @@ from cribmem.model import (
     derive_params,
 )
 from cribmem.modes import gaussian_mode
-from cribmem.propagators import collocation_count
+from cribmem.propagators import ReadOut, collocation_count
 from cribmem.quadrature import TimeGrid, tanh_sinh_grid
 from cribmem.sweeps import GridSettings, build_pipeline
 
@@ -92,23 +92,26 @@ def dense_kernel_entry(t: float, t_prime: float, grid: DetuningGrid,
     return invert(contour, samples)
 
 
+def stored_on(grid: DetuningGrid, sched: ProtocolSchedule, us, times):
+    """The stored states (V, L, F) with ``times`` as the core times of both sides."""
+    times = np.asarray(times)
+    lo = times <= sched.tau_d
+    return _stored_states(grid, sched, us, times[lo], times[~lo])[0]
+
+
 def assembled_at(u: complex, grid: DetuningGrid, sched: ProtocolSchedule, times):
     """K_E-hat at one contour node, as the kernel's lo-lo, lo-hi and hi-hi blocks."""
-    assemble, _ = _contour_assembly(grid, sched, [u], np.asarray(times))
-    return tuple(left @ right.T for left, right in assemble(slice(0, 1), np.ones(1)))
+    v, lifted, f = stored_on(grid, sched, [u], times)
+    v, l, f = v[:, 0], lifted[0], f[:, 0]
+    read_out = ReadOut(grid, [u], sched.tau_s)
+    r_v = read_out.rows(v, 0)
+    return r_v @ v.T, r_v @ l @ f.T, f @ (read_out.rows(l.T, 0) @ l) @ f.T
 
 
 def direct_kernel(grid: DetuningGrid, sched: ProtocolSchedule, contour, times):
-    """K_E assembled on ``times`` themselves, all contour nodes in one chunk."""
-    assemble, _ = _contour_assembly(grid, sched, contour.nodes, times)
-    wu = contour.weights * (-1.0 / (contour.nodes * contour.nodes))
-    ll, lh, hh = (kernels._real_product(left, right)
-                  for left, right in assemble(slice(0, wu.size), wu))
-    values = np.block([[ll, lh], [lh.T, hh]])
-    n_lo = ll.shape[0]
-    for block in (values[:n_lo, :n_lo], values[n_lo:, n_lo:]):
-        np.multiply(block + block.T, 0.5, out=block)
-    return values
+    """K_E assembled on ``times`` themselves."""
+    states = stored_on(grid, sched, contour.nodes, times)
+    return _contour_sum(states, ReadOut(grid, contour.nodes, sched.tau_s), contour)
 
 
 def on_grid(kern) -> np.ndarray:
@@ -123,21 +126,17 @@ def weighted(eff) -> np.ndarray:
     return b @ eff.core @ b.T
 
 
-def record_chunks(monkeypatch) -> list:
-    """Node counts of the contour-sum chunks of every kernel built afterwards."""
-    sizes = []
-    real = kernels._contour_assembly
+def record_nodes(monkeypatch) -> list:
+    """The contour nodes j of every read-out of the kernels built afterwards."""
+    nodes = []
+    real = ReadOut.rows
 
-    def recording(*args):
-        assemble, work = real(*args)
+    def recording(self, x, j):
+        nodes.append(j)
+        return real(self, x, j)
 
-        def chunk(j, wu):
-            sizes.append(wu.size)
-            return assemble(j, wu)
-        return chunk, work
-
-    monkeypatch.setattr(kernels, "_contour_assembly", recording)
-    return sizes
+    monkeypatch.setattr(ReadOut, "rows", recording)
+    return nodes
 
 
 def test_kernel_samples_matches_direct_matrix_chain():
@@ -215,12 +214,12 @@ def test_transfer_kernel_quadrants_match_pointwise_samples():
         assert abs(values[i, j] - want) < 1e-10 * max(1.0, abs(want))
 
 
-@pytest.mark.parametrize("m, chunk_nodes", [(32, None), (26, 9)])
-def test_contour_sum_matches_dense_entries_on_a_fine_grid(monkeypatch, m, chunk_nodes):
+@pytest.mark.parametrize("m", [32, 26])
+def test_contour_sum_matches_dense_entries_on_a_fine_grid(monkeypatch, m):
     # n_lo = 137 and n_hi = 120 times against KN = 9 classes, interpolated
-    # from 33 and 24 core nodes: the stored-state factor and the rank-K
-    # factors of the contour sum differ in shape.  With m = 26 the 13
-    # upper-half nodes fall into chunks of 9 and 4.
+    # from 33 and 24 core nodes: the stored states and the rank-K lift
+    # differ in shape.  The sum reads out each of the m/2 upper-half nodes
+    # in turn, the stored states and the lift once each.
     params = derive_params(10.0, 3.0)
     sched = default_schedule(params)
     grid = build_detuning_grid(params.gamma0_rel, 3.0, 3, 3)
@@ -230,12 +229,10 @@ def test_contour_sum_matches_dense_entries_on_a_fine_grid(monkeypatch, m, chunk_
     assert n_lo > 9 and tg.size - n_lo > 9
     core_lo = collocation_count(grid, contour.nodes, tg.nodes[n_lo - 1])[0]
     assert 9 < core_lo < n_lo
-    if chunk_nodes is not None:
-        monkeypatch.setattr(kernels, "_CHUNK_BYTES", chunk_nodes * 16 * core_lo * 9)
-    chunks = record_chunks(monkeypatch)
+    nodes = record_nodes(monkeypatch)
     kern = build_transfer_kernel(params, sched, grid, contour, tg, tg)
     assert kern.diagnostics["core_nodes"][0] == core_lo
-    assert chunks == ([m // 2] if chunk_nodes is None else [9, 4])
+    assert nodes == [j for j in range(m // 2) for _ in range(2)]
     assert np.array_equal(kern.core, kern.core.T)
     values = on_grid(kern)
     for i, j in ((0, 5), (60, 136), (136, 136),        # lo-lo
@@ -281,6 +278,27 @@ def test_kernel_on_few_times_is_assembled_on_them():
     assert kern.diagnostics["core_nodes"] == (n_lo, kern.grid.size - n_lo)
     assert np.array_equal(kern.interpolation, np.eye(kern.grid.size))
     assert np.array_equal(kern.core, direct_kernel(grid, sched, contour, kern.grid.nodes))
+
+
+def test_stored_states_read_out_at_two_storage_times_give_each_kernel():
+    # The stored states do not depend on tau_s: built once, they give the
+    # kernel of either storage time through that time's read-out, bit for
+    # bit.  At q3 both sides keep their times, so the core times are known.
+    params = derive_params(10.0, 3.0)
+    default = default_schedule(params)
+    grid = build_detuning_grid(params.gamma0_rel, 3.0, 3, 3)
+    contour = talbot_contour(32, 1.0)
+    tg = tanh_sinh_grid(0.0, default.tau_r, 3)
+    states = stored_on(grid, default, contour.nodes, tg.nodes)
+    cores = []
+    for tau_s in (default.tau_s, 0.0):
+        sched = ProtocolSchedule(tau_p=default.tau_p, tau_d=default.tau_d, tau_s=tau_s)
+        kern = build_transfer_kernel(params, sched, grid, contour, tg, tg)
+        assert np.array_equal(kern.interpolation, np.eye(tg.size))
+        cores.append(_contour_sum(states, ReadOut(grid, contour.nodes, tau_s), contour))
+        assert np.array_equal(cores[-1], kern.core)
+    assert default.tau_s > 0.0
+    assert np.abs(cores[0] - cores[1]).max() > 1e-3 * np.abs(cores[0]).max()
 
 
 def test_contour_off_the_unit_abscissa_is_rejected():

@@ -11,6 +11,7 @@ import pytest
 import scipy.optimize
 
 import cribmem
+from cribmem.errors import NumericsError
 from cribmem.kernels import (EfficiencyKernel, TransferKernel, build_efficiency_kernel,
                              build_transfer_kernel)
 from cribmem.laplace import talbot_contour
@@ -241,6 +242,22 @@ def test_gaussian_efficiencies_rejects_zero_energy(pipeline):
         gaussian_efficiencies(eff, np.array([1.0, 100.0 * sched.tau_r]), 0.05)
     with pytest.raises(ValueError, match="energy"):
         gaussian_efficiencies(eff, math.nan, 1.0)
+
+
+def test_gaussian_efficiencies_tell_a_bad_center_from_a_coarse_grid():
+    # A center off [0, tau_r] is bad input.  A valid pulse narrower than the
+    # gaps between the nodes has zero energy on them: the time grid is too
+    # coarse, a numerical failure that names t_w, the nodes and quad_level.
+    tg = tanh_sinh_grid(0.0, 10.0, 2)
+    eff = EfficiencyKernel(grid=tg, basis=np.ones((tg.size, 1)), core=np.eye(1))
+    for t_c in (-0.5, 10.5):
+        with pytest.raises(ValueError, match=r"t_c must be finite and in \[0, 10\].*energy"):
+            gaussian_efficiencies(eff, [5.0, t_c], 1.0)
+    t_c = 0.5 * (tg.nodes[4] + tg.nodes[5])
+    assert gaussian_efficiencies(eff, t_c, 1.0) > 0.0
+    with pytest.raises(NumericsError, match=r"t_w = 0.05 has zero energy on the 9 time "
+                                            r"nodes; raise quad_level"):
+        gaussian_efficiencies(eff, [t_c, t_c], [1.0, 0.05])
 
 
 def test_gaussian_efficiencies_memory_is_chunked():

@@ -8,12 +8,7 @@ from cribmem import propagators
 from cribmem.errors import NumericsError
 from cribmem.laplace import talbot_contour
 from cribmem.model import DetuningGrid, build_detuning_grid, default_schedule, derive_params
-from cribmem.propagators import (
-    block_reversal_permutation,
-    block_sums,
-    stage3_correction,
-    stage_action,
-)
+from cribmem.propagators import ReadOut, stage3_correction, stage_action
 from cribmem.quadrature import GaussLegendre, tanh_sinh_grid
 
 
@@ -24,6 +19,11 @@ STAGE_GRIDS = {
     "S3": lambda g: g.controlled_by(0),    # storage
     "S4": lambda g: g.controlled_by(-1),   # rephasing
 }
+
+
+def block_reversal_permutation(grid: DetuningGrid) -> np.ndarray:
+    """Joint-layout permutation Delta_k -> -Delta_k (maps stage 2 onto 4)."""
+    return np.arange(grid.k * grid.n).reshape(grid.k, grid.n)[:, ::-1].ravel()
 
 
 def stage_matrix(u: complex, grid: DetuningGrid) -> np.ndarray:
@@ -191,7 +191,8 @@ def test_semigroup_property_all_stages_all_nodes():
 
 def stage3_by_reduction(g: DetuningGrid, us, tau: float, x: np.ndarray) -> np.ndarray:
     """exp(M3 tau) x from the block reduction, for each node in us."""
-    corr = stage3_correction(g, us, block_sums(g, x), tau)
+    sums = x.reshape(g.k, g.n, -1).transpose(0, 2, 1) @ g.controlled_weights
+    corr = stage3_correction(g, us, sums, tau)
     phase = np.exp(-1j * g.controlled_by(0).phases * tau)[:, None]
     return phase * x - np.repeat(corr, g.n, axis=1)
 
@@ -435,15 +436,35 @@ def test_stage2_action_non_finite_input_raises():
 
 def test_stage2_action_gives_stage4_read_out_rows():
     # M2^T = D M2 D^-1 with D = diag(g), and stage 4 is stage 2 reflected:
-    # g^T exp(M4 t) = (g o exp(M2 t) 1)[perm].
+    # g^T exp(M4 t) = (P D exp(M2 t) 1)^T, the read-out rows with no storage.
     g = build_detuning_grid(0.3, 2.0, k=3, n=5)
     w = g.joint_weights
-    perm = block_reversal_permutation(g)
     times = [0.3, 1.0]
     us = stage2_nodes()
-    states = stage_action(g, us, np.ones((15, 1)), times).states
+    states = stage_action(g, us, np.ones((15, 1)), times).states[..., 0]
+    read_out = ReadOut(g, us, 0.0)
     for j, u in enumerate(us):
+        rows = read_out.rows(states[:, j], j)
         for i, t in enumerate(times):
             want = w @ scipy.linalg.expm(stage_matrix(u, g.controlled_by(-1)) * t)
-            got = (w * states[i, j, :, 0])[perm]
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.abs(rows[i] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_read_out_rows_match_dense_exponentials():
+    # (P D x)^T exp(M3 tau_s) for random states x after a storage tau_s > 0,
+    # against expm of the storage generator; the rows of all nodes at once
+    # (a (nodes, 1, KN) stack) equal those of each node by itself.
+    g = build_detuning_grid(0.3, 2.0, k=3, n=5)
+    d, perm = np.diag(g.joint_weights), block_reversal_permutation(g)
+    us = stage2_nodes()
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((us.size, 4, 15)) + 1j * rng.standard_normal((us.size, 4, 15))
+    tau_s = 0.8
+    read_out = ReadOut(g, us, tau_s)
+    stacked = read_out.rows(x[:, :1], slice(None))
+    for j, u in enumerate(us):
+        m3 = stage_matrix(u, g.controlled_by(0))
+        want = (d @ x[j].T)[perm].T @ scipy.linalg.expm(m3 * tau_s)
+        got = read_out.rows(x[j], j)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(stacked[j, 0] - want[0]).max() <= 1e-12 * np.abs(want).max()
