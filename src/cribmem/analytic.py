@@ -44,8 +44,9 @@ _MAX_FIT_DEGREE = 10
 class Profile:
     """Real polarization profile sampled on a quadrature grid over [0, 1].
 
-    Imaginary parts beyond 1e-14 of the largest sample, and non-finite
-    samples, raise ValueError.
+    Imaginary parts beyond 1e-14 of the largest sample, non-finite samples
+    and a depth node off (0, 1] raise ValueError: the numeric inverts at
+    each z with the unit contour divided by z.
     """
 
     grid: TimeGrid
@@ -60,6 +61,9 @@ class Profile:
             raise ValueError("profile samples must be finite")
         if self.values.shape != self.grid.nodes.shape:
             raise ValueError("profile samples do not match the grid")
+        off = self.grid.nodes[~((self.grid.nodes > 0.0) & (self.grid.nodes <= 1.0))]
+        if off.size:
+            raise ValueError(f"depth node z = {float(off[0])!r} is off (0, 1]")
 
     @classmethod
     def flat(cls) -> "Profile":

@@ -1,4 +1,4 @@
-"""Transfer kernel, output field and efficiency kernel of the full protocol.
+"""Transfer kernel of the full protocol, its efficiency factor and the output field.
 
 The retrieved field is a linear functional of the time-reversed input,
 
@@ -57,15 +57,16 @@ identity on one that keeps its times.  When both sides keep their times
 K_core is the direct assembly on the grid, bit for bit.  K_E itself, an
 n x n array of the time grid, is never formed.
 
-The efficiency kernel is A = sqrt(w) K_E sqrt(w) = B K_core B^T with the
-basis B = sqrt(w) Pi, and it too is kept as its factors.  The efficiency
-operator A^2 is never formed: an eigenvector of A with eigenvalue lambda is
-an input mode of efficiency lambda^2.  Only a few modes are stored well: A
-has rank at most the core node count c (56 of 1025 at d0 = 100,
-gamma = 3, K = 9, N = 15, level 9).  Every efficiency kernel carries the
-eigenpairs A = U Lambda U^T, computed once when it is built by
-Rayleigh-Ritz on B = QR: Q^T A Q = R K_core R^T, a c x c matrix, and its
-eigenpairs (theta, S) give U = Q S.  The error is rounding alone:
+The efficiency kernel is the same operator with the quadrature weights on
+both sides, A = sqrt(w) K_E sqrt(w) = B K_core B^T with the basis
+B = sqrt(w) Pi, so the transfer kernel carries it as its spectral factor.
+The efficiency operator A^2 is never formed: an eigenvector of A with
+eigenvalue lambda is an input mode of efficiency lambda^2.  Only a few
+modes are stored well: A has rank at most the core node count c (56 of
+1025 at d0 = 100, gamma = 3, K = 9, N = 15, level 9).  Every transfer
+kernel carries the eigenpairs A = U Lambda U^T, computed once when it is
+built by Rayleigh-Ritz on B = QR: Q^T A Q = R K_core R^T, a c x c matrix,
+and its eigenpairs (theta, S) give U = Q S.  The error is rounding alone:
 ||B K_core B^T - U Lambda U^T||_2 is 1.1e-15 to 2.0e-15 |lambda_1| at
 (d0, gamma, K, N, level) = (100, 3, 9, 15, 9), (100, 3, 21, 21, 6),
 (100, 10, 33, 33, 6) and (800, 10, 33, 33, 6).
@@ -87,43 +88,16 @@ from cribmem.quadrature import GaussLegendre, TimeGrid, check_time_reversible
 _WINDOW_SLACK = 1e-9
 
 
-def _check_core(core: np.ndarray, c: int) -> None:
-    if (np.iscomplexobj(core) or core.shape != (c, c) or not np.array_equal(core, core.T)
-            or not np.all(np.isfinite(core))):
-        raise ValueError(f"the core kernel must be real, finite, symmetric and {c} x {c}")
-
-
 @dataclass(frozen=True)
 class TransferKernel:
-    """K_E on grid x grid as K_E = Pi K_core Pi^T, plus assembly diagnostics.
+    """K_E on grid x grid as K_E = Pi K_core Pi^T, its spectral factor and diagnostics.
 
     ``core`` is K_core, the real c x c kernel on the c core nodes, symmetric
-    bit for bit, and ``interpolation`` is Pi, n x c (c <= n), which carries
-    it to the n grid times.
-    """
-
-    grid: TimeGrid
-    core: np.ndarray
-    interpolation: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        check_time_reversible(self.grid)
-        n, p = self.grid.size, self.interpolation
-        if p.ndim != 2 or p.shape[0] != n or not 0 < p.shape[1] <= n:
-            raise ValueError(f"the interpolation must be {n} x c with 0 < c <= {n}, "
-                             f"got {p.shape}")
-        _check_core(self.core, p.shape[1])
-
-
-@dataclass(frozen=True)
-class EfficiencyKernel:
-    """A = sqrt(w_i) K_E(t_i, t_j) sqrt(w_j) as A = B K_core B^T.
-
-    ``basis`` B is real, n x c (c <= n), and ``core`` K_core is real c x c,
-    symmetric bit for bit.  ``eigenvalues`` (c values, by decreasing
-    magnitude) and ``eigenvectors`` (n x c, orthonormal columns) are
-    A = U Lambda U^T, set on construction (see ``_spectral_factor``).  Its
+    bit for bit, and ``interpolation`` is Pi, real, n x c (c <= n), which
+    carries it to the n grid times.  ``eigenvalues`` (c values, by
+    decreasing magnitude) and ``eigenvectors`` (n x c, orthonormal columns)
+    are the efficiency kernel A = sqrt(w) K_E sqrt(w) = U Lambda U^T, set on
+    construction by ``_spectral_factor`` on the basis B = sqrt(w) Pi.  Its
     error E = A - U Lambda U^T is rounding, ||E||_2 <= 2.0e-15 |lambda_1| on
     the kernels measured (module docstring), so every eigenvalue of A lies
     that close to one of the factor (zero for the n - c it lacks), and an
@@ -132,20 +106,25 @@ class EfficiencyKernel:
     """
 
     grid: TimeGrid
-    basis: np.ndarray
     core: np.ndarray
+    interpolation: np.ndarray
+    diagnostics: dict = field(default_factory=dict)
     eigenvalues: np.ndarray = field(init=False)
     eigenvectors: np.ndarray = field(init=False)
 
     def __post_init__(self):
         check_time_reversible(self.grid)
-        n, b = self.grid.size, self.basis
-        if (np.iscomplexobj(b) or b.ndim != 2 or b.shape[0] != n
-                or not 0 < b.shape[1] <= n or not np.all(np.isfinite(b))):
-            raise ValueError(f"the basis must be real, finite and {n} x c with 0 < c <= {n}")
-        _check_core(self.core, b.shape[1])
+        n, p, core = self.grid.size, self.interpolation, self.core
+        if (np.iscomplexobj(p) or p.ndim != 2 or p.shape[0] != n
+                or not 0 < p.shape[1] <= n or not np.all(np.isfinite(p))):
+            raise ValueError(f"the interpolation must be real, finite and {n} x c "
+                             f"with 0 < c <= {n}, got {p.shape}")
+        c = p.shape[1]
+        if (np.iscomplexobj(core) or core.shape != (c, c) or not np.array_equal(core, core.T)
+                or not np.all(np.isfinite(core))):
+            raise ValueError(f"the core kernel must be real, finite, symmetric and {c} x {c}")
         try:
-            values, vectors = _spectral_factor(b, self.core)
+            values, vectors = _spectral_factor(np.sqrt(self.grid.weights)[:, None] * p, core)
         except np.linalg.LinAlgError as exc:
             raise NumericsError(f"efficiency eigensolve failed: {exc}") from exc
         order = np.argsort(-np.abs(values), kind="stable")
@@ -255,6 +234,12 @@ def build_transfer_kernel(
     largest |K_core| as ``max_abs``, and the seconds of the stage actions
     (the stored states and the stage-3 correction of the read-out), of the
     contour sum (with the bit symmetrization of K_core) and of building Pi.
+    The returned kernel carries its efficiency factor (``TransferKernel``).
+
+    ``params`` is unread: the schedule and the detuning grid carry all the
+    physics.  It stays in the signature, which the benchmark calls with six
+    positional arguments, until the benchmark changes with the schedule
+    input (ROADMAP item 7).
     """
     if not (np.array_equal(out_grid.nodes, in_grid.nodes)
             and np.array_equal(out_grid.weights, in_grid.weights)):
@@ -283,6 +268,9 @@ def build_transfer_kernel(
     read_out = ReadOut(grid, contour.nodes, schedule.tau_s)
     stored = time.perf_counter()
     k_core = _contour_sum(states, read_out, contour)
+    # The stored states are the largest arrays: free them before the kernel
+    # computes its factor, or the factor's temporaries add to the peak memory.
+    del states, read_out
     if not np.all(np.isfinite(k_core)):
         raise NumericsError("non-finite entries in the transfer kernel")
     cored = time.perf_counter()
@@ -315,25 +303,18 @@ def apply_output(kernel: TransferKernel, e_in) -> np.ndarray:
     The input enters time reversed, E_in(tau_r - t'); on the symmetric
     quadrature grid that is an index reversal of the samples.  The field is
     Pi (K_core (Pi^T x)), with the real and imaginary parts of x as two
-    real columns.
+    real columns.  Samples off the grid's shape, or not finite, raise
+    ValueError.
     """
     e_in = np.asarray(e_in, dtype=complex)
     if e_in.shape != kernel.grid.nodes.shape:
         raise ValueError(
             f"input has {e_in.shape} samples, grid has {kernel.grid.nodes.shape}"
         )
+    if not np.all(np.isfinite(e_in)):
+        raise ValueError("input samples must be finite")
     x = kernel.grid.weights * e_in[::-1]
     p = kernel.interpolation
     out = p @ (kernel.core @ (p.T @ np.column_stack((x.real, x.imag))))
     return out[:, 0] + 1j * out[:, 1]
 
-
-def build_efficiency_kernel(kernel: TransferKernel) -> EfficiencyKernel:
-    """A = sqrt(w) K_E sqrt(w): sqrt(w)-scaled reversed input to scaled output.
-
-    A = B K_core B^T with the basis B = sqrt(w) Pi: only Pi's rows are
-    scaled.
-    """
-    sw = np.sqrt(kernel.grid.weights)
-    return EfficiencyKernel(grid=kernel.grid, basis=sw[:, None] * kernel.interpolation,
-                            core=kernel.core)

@@ -5,15 +5,17 @@ E_in(t) on the kernel's time grid.  Internally the weighted kernel A acts on
 the time-reversed field (the retrieval map pairs E_out(t) with
 E_in(tau_r - t')); on the symmetric quadrature grid the reversal is an index
 reversal, applied inside these routines so callers never see it.  The modes
-are the real eigenvectors of A, each of efficiency lambda^2.  A is kept as
-A = B K_core B^T on its core-node basis B (see ``kernels.EfficiencyKernel``)
-and every quantity here is read off its factor A = U Lambda U^T: the
-optimal mode is its top |lambda| pair, checked against B K_core B^T by three
-thin products, and an input phi scores ||Lambda U^T phi||^2 / ||phi||^2,
-O(n c) for c core nodes rather than O(n^2), within about 4e-15 eta_max of
-||A phi||^2 / ||phi||^2.  Gaussian inputs are scored many at a time by
-gaussian_efficiencies; the best one comes from refining the best point of
-gaussian_lattice on ever finer 5 x 5 lattices.
+are the real eigenvectors of A = sqrt(w) K_E sqrt(w), each of efficiency
+lambda^2.  Every routine takes the transfer kernel
+(``kernels.TransferKernel``), which keeps K_E = Pi K_core Pi^T as its
+factors and carries A = U Lambda U^T, and every quantity here is read off
+that factor: the optimal mode is its top |lambda| pair, checked against
+sqrt(w) Pi K_core Pi^T sqrt(w) by thin products, and an input phi scores
+||Lambda U^T phi||^2 / ||phi||^2, O(n c) for c core nodes rather than
+O(n^2), within about 4e-15 eta_max of ||A phi||^2 / ||phi||^2.  Gaussian
+inputs are scored many at a time by gaussian_efficiencies; the best one
+comes from refining the best point of gaussian_lattice on ever finer 5 x 5
+lattices.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cribmem.errors import NumericsError
-from cribmem.kernels import EfficiencyKernel
+from cribmem.kernels import TransferKernel
 from cribmem.model import ProtocolSchedule
 from cribmem.propagators import CHUNK
 from cribmem.quadrature import TimeGrid
@@ -64,18 +66,19 @@ def _normalize(grid: TimeGrid, samples: np.ndarray) -> np.ndarray:
     return out if out[np.argmax(np.abs(out))] > 0.0 else -out
 
 
-def optimal_mode(kernel: EfficiencyKernel) -> ModeResult:
+def optimal_mode(kernel: TransferKernel) -> ModeResult:
     """Eigenpair of A with the largest |lambda|: efficiency lambda^2, real mode.
 
     The pair is the factor's first (the dominant lambda is often negative),
-    and its residual ||B (K_core (B^T v)) - lambda v|| is checked against A.
+    and its residual ||A v - lambda v|| is checked, with A v = sqrt(w) o
+    (Pi (K_core (Pi^T (sqrt(w) o v)))).
     """
     lam, v = float(kernel.eigenvalues[0]), kernel.eigenvectors[:, 0]
-    b = kernel.basis
-    resid = float(np.linalg.norm(b @ (kernel.core @ (b.T @ v)) - lam * v))
+    sw, p = np.sqrt(kernel.grid.weights), kernel.interpolation
+    resid = float(np.linalg.norm(sw * (p @ (kernel.core @ (p.T @ (sw * v)))) - lam * v))
     if resid > _RESIDUAL_TOL * max(1.0, abs(lam)):
         raise NumericsError(f"top eigenpair residual {resid:.3e} too large")
-    f = v / np.sqrt(kernel.grid.weights)   # eigenfunction of the reversed argument
+    f = v / sw   # eigenfunction of the reversed argument
     mode = _normalize(kernel.grid, f[::-1])
     return ModeResult(efficiency=lam * lam, mode=mode)
 
@@ -89,7 +92,7 @@ def gaussian_mode(grid: TimeGrid, t_c: float, t_w: float) -> np.ndarray:
     return _normalize(grid, samples)
 
 
-def mode_efficiency(kernel: EfficiencyKernel, e_in) -> float:
+def mode_efficiency(kernel: TransferKernel, e_in) -> float:
     """||A phi||^2 / ||phi||^2 for phi = sqrt(w) E_in reversed; scale invariant.
 
     Read off the factor as ||Lambda U^T phi||^2 / ||phi||^2, an n x r product
@@ -116,7 +119,7 @@ def gaussian_lattice(schedule: ProtocolSchedule, tc_points: int = 25,
     return np.linspace(0.0, tr, tc_points), np.geomspace(_MIN_GAUSS_WIDTH, tr, tw_points)
 
 
-def gaussian_efficiencies(kernel: EfficiencyKernel, t_c, t_w) -> np.ndarray:
+def gaussian_efficiencies(kernel: TransferKernel, t_c, t_w) -> np.ndarray:
     """mode_efficiency of the Gaussian input at each broadcast (t_c, t_w).
 
     Column phi is sqrt(w) times the reversed Gaussian samples, scored as
@@ -155,7 +158,7 @@ def gaussian_efficiencies(kernel: EfficiencyKernel, t_c, t_w) -> np.ndarray:
     return eta.reshape(t_c.shape)
 
 
-def optimize_gaussian(kernel: EfficiencyKernel, schedule: ProtocolSchedule) -> ModeResult:
+def optimize_gaussian(kernel: TransferKernel, schedule: ProtocolSchedule) -> ModeResult:
     """Maximize the Gaussian-mode efficiency over (t_c, t_w) by lattice refinement.
 
     The search starts at the best point of the default gaussian_lattice, with

@@ -16,11 +16,10 @@ sweep's time grid) with one n x n matrix shared by every node, n set by the
 bandwidth of the action; the states then follow from Duhamel's formula.
 The phase of class (j, k) is an intrinsic node plus a controlled one, so
 each time takes (K + N) * n exponentials and one matrix product for all
-contour nodes.  Stage 3 is reduced exactly onto the collapsed grid
-(``stage3_correction``), and stage 4 always follows from stage 2 by the
-controlled-detuning reflection, in the read-out rows of stored states
-(``ReadOut``): nothing in the package runs a stage-4 action.  Nothing
-forms or decomposes a generator.
+contour nodes.  In the read-out rows of stored states (``ReadOut``) stage 3
+is reduced exactly onto the collapsed grid, and stage 4 always follows from
+stage 2 by the controlled-detuning reflection: nothing in the package runs a
+stage-4 action.  Nothing forms or decomposes a generator.
 
 The collapsed grid weights each intrinsic class with the sum of the
 controlled Riemann weights, which equals one only in the continuum limit:
@@ -230,29 +229,9 @@ def _evaluate(out, grid: DetuningGrid, x, f_rows, rule: GaussLegendre, times) ->
 
 
 # ---------------------------------------------------------------------------
-# Structured shortcuts used with the primitive: (a) the exact block
-# reduction of the stage-3 generator onto the collapsed grid and (b) the
-# read-out rows, by the controlled-detuning reflection that maps stage 2
-# onto stage 4.
-
-
-def stage3_correction(grid: DetuningGrid, us, y0, duration: float) -> np.ndarray:
-    """Block correction C of the stage-3 exponential, for a batch of nodes.
-
-    The stage-3 diagonal is constant inside each controlled block, so the
-    block sums Y0 = sum_k gc_k X_(j, k) of stored columns X close on the
-    K-dimensional system of ``grid.collapsed()`` (generator M1), and
-
-        exp(M3 t) X = e^{-i Delta0 t} o X - repeat_N(C),
-        C = (e^{-i Delta0 t} o Y0 - exp(M1 t) Y0) / sum(gc).
-
-    ``y0`` is a (K, m) block or a (nodes, K, m) stack; C is (nodes, K, m).
-    The stored columns outnumber the K classes, so the collapsed action runs
-    on the K x K identity and its result multiplies Y0.
-    """
-    phase = np.exp(-1j * grid.intrinsic_nodes * duration)[:, None]
-    e1 = stage_action(grid.collapsed(), us, np.eye(grid.k), [duration]).states[0]
-    return (phase * y0 - e1 @ y0) / grid.controlled_weight_sum
+# Structured shortcut used with the primitive: the read-out rows, by the
+# controlled-detuning reflection that maps stage 2 onto stage 4, with the
+# exact block reduction of the stage-3 generator onto the collapsed grid.
 
 
 class ReadOut:
@@ -263,16 +242,27 @@ class ReadOut:
     with D = diag(g), so g^T exp(M4 t) = (P D exp(M2 t) 1)^T, and storage
     for tau_s comes first.  P reverses each block of the mirror-symmetric
     comb and commutes with D and with the storage phase, constant on a
-    block.  With the stage-3 correction C of the nodes ``us``
-    (``stage3_correction`` on the K x K identity), entry (k, n) of a row is
-    gc_n (g0_k e^{-i Delta0_k tau_s} x_(k, N-1-n) - T_k), T = (g0 o Y) C for
-    the block sums Y of x.  At tau_s = 0, C is exactly 0.
+    block.
+
+    Stage 3 reduces exactly onto the collapsed grid: its diagonal is
+    constant inside each controlled block, so the block sums Y = sum_n gc_n
+    x_(k, n) close on the K-dimensional system of ``grid.collapsed()``
+    (generator M1), and
+
+        exp(M3 t) x = e^{-i Delta0 t} o x - repeat_N(C Y),
+        C = (diag(e^{-i Delta0 t}) - exp(M1 t)) / sum(gc),
+
+    the K x K correction of each node of ``us``, from one collapsed action
+    on the identity.  So entry (k, n) of a row is gc_n (g0_k e^{-i Delta0_k
+    tau_s} x_(k, N-1-n) - T_k), T = (g0 o Y) C.  At tau_s = 0, C is
+    exactly 0.
     """
 
     def __init__(self, grid: DetuningGrid, us, tau_s: float):
         self.grid = grid
-        self.correction = stage3_correction(grid, us, np.eye(grid.k), tau_s)
         phase = np.exp(-1j * grid.intrinsic_nodes * tau_s)
+        e1 = stage_action(grid.collapsed(), us, np.eye(grid.k), [tau_s]).states[0]
+        self.correction = (np.diag(phase) - e1) / grid.controlled_weight_sum
         self.g0_phase = (grid.intrinsic_weights * phase)[:, None]
 
     def rows(self, x: np.ndarray, j) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Parameter-sweep evaluation shared by the CLI and the acceptance suite.
 
-Each sweep point (d0, gamma_rel) is independent: it builds its own detuning
-grid, schedule, transfer kernel and efficiency kernel, then extracts the
-requested quantities.  Points run in a process pool; results are returned in
+Each sweep point (d0, gamma_rel) is independent: ``build_pipeline`` builds
+its params, schedule, detuning grid and transfer kernel, which carries the
+spectral factor of the efficiency kernel, and the requested quantities are
+read off the kernel.  Points run in a process pool; results are returned in
 input order, and a single worker reproduces byte-identical output.
 """
 
@@ -41,10 +42,10 @@ class GridSettings:
 
 
 def build_pipeline(d0: float, gamma_rel: float, settings: GridSettings):
-    """Params, schedule and efficiency kernel for one sweep point.
+    """(params, schedule, detuning grid, transfer kernel) of one sweep point.
 
-    A passive medium returns at most what came in: an efficiency kernel
-    whose top eigenvalue gives eta_max > 1 raises NumericsError, which names
+    A passive medium returns at most what came in: a kernel whose top
+    efficiency eigenvalue gives eta_max > 1 raises NumericsError, which names
     both discretizations that can cause it, the time grid and the contour.
     """
     params = derive_params(d0, gamma_rel)
@@ -59,19 +60,18 @@ def build_pipeline(d0: float, gamma_rel: float, settings: GridSettings):
     tgrid = tanh_sinh_grid(0.0, schedule.tau_r, settings.quad_level)
     kernel = kernels.build_transfer_kernel(
         params, schedule, grid, contour, tgrid, tgrid)
-    eff = kernels.build_efficiency_kernel(kernel)
-    if eff.eigenvalues[0] ** 2 > 1.0:
-        raise NumericsError(f"eta_max = {eff.eigenvalues[0] ** 2:.6g} > 1 at d0={d0:g}, "
+    if kernel.eigenvalues[0] ** 2 > 1.0:
+        raise NumericsError(f"eta_max = {kernel.eigenvalues[0] ** 2:.6g} > 1 at d0={d0:g}, "
                             f"gamma={gamma_rel:g}: the level-{settings.quad_level} time grid "
                             f"or the {settings.contour_nodes}-node contour does not resolve "
                             f"the kernel; raise quad_level or contour_nodes")
-    return params, schedule, kernel, eff
+    return params, schedule, grid, kernel
 
 
 def evaluate_point(d0: float, gamma_rel: float, settings: GridSettings,
                    include_gaussian: bool = False, include_mode: bool = False) -> dict:
-    params, schedule, kernel, eff = build_pipeline(d0, gamma_rel, settings)
-    best = modes.optimal_mode(eff)
+    _, schedule, _, kernel = build_pipeline(d0, gamma_rel, settings)
+    best = modes.optimal_mode(kernel)
     row = {
         "d0": d0,
         "gamma_rel": gamma_rel,
@@ -80,14 +80,14 @@ def evaluate_point(d0: float, gamma_rel: float, settings: GridSettings,
         "eta_max": best.efficiency,
     }
     if include_gaussian:
-        gauss = modes.optimize_gaussian(eff, schedule)
+        gauss = modes.optimize_gaussian(kernel, schedule)
         row.update({
             "t_c_opt": gauss.gaussian_params[0],
             "t_w_opt": gauss.gaussian_params[1],
             "eta_gauss": gauss.efficiency,
         })
     if include_mode:
-        row["mode_times"] = eff.grid.nodes.copy()
+        row["mode_times"] = kernel.grid.nodes.copy()
         row["mode"] = best.mode
     return row
 
@@ -117,9 +117,9 @@ def run_points(points, settings: GridSettings, threads: int = 1,
 def gaussian_map(d0: float, gamma_rel: float, settings: GridSettings,
                  tc_points: int, tw_points: int) -> list[dict]:
     """The (t_c, t_w) -> efficiency surface for Gaussian inputs."""
-    params, schedule, kernel, eff = build_pipeline(d0, gamma_rel, settings)
+    _, schedule, _, kernel = build_pipeline(d0, gamma_rel, settings)
     tcs, tws = modes.gaussian_lattice(schedule, tc_points, tw_points)
-    etas = modes.gaussian_efficiencies(eff, tcs[:, None], tws[None, :])
+    etas = modes.gaussian_efficiencies(kernel, tcs[:, None], tws[None, :])
     return [{"d0": d0, "gamma_rel": gamma_rel, "t_c": float(tc), "t_w": float(tw),
              "eta": float(eta)}
             for tc, row in zip(tcs, etas) for tw, eta in zip(tws, row)]

@@ -21,7 +21,7 @@ from cribmem.analytic import (
     polarization_decay,
     transmission_spectrum,
 )
-from cribmem.kernels import apply_output, build_efficiency_kernel, build_transfer_kernel
+from cribmem.kernels import apply_output, build_transfer_kernel
 from cribmem.laplace import invert, talbot_contour
 from cribmem.model import build_detuning_grid, default_schedule, derive_params
 from cribmem.modes import gaussian_mode
@@ -255,9 +255,9 @@ def test_criterion_6_numerics_invariants():
     dgrid = build_detuning_grid(params.gamma0_rel, 3.0, 5, 5)
     tg2 = tanh_sinh_grid(0.0, sched.tau_r, 5)
     kern = build_transfer_kernel(params, sched, dgrid, c, tg2, tg2)
-    eff = build_efficiency_kernel(kern)
-    symmetric = np.array_equal(eff.core, eff.core.T)
-    a = eff.basis @ eff.core @ eff.basis.T                   # A = B K_core B^T
+    symmetric = np.array_equal(kern.core, kern.core.T)
+    b = np.sqrt(tg2.weights)[:, None] * kern.interpolation   # B = sqrt(w) Pi
+    a = b @ kern.core @ b.T                                  # A = B K_core B^T
     evals = np.sort(np.linalg.eigvalsh(a) ** 2)              # spectrum of A^2
     checks["core kernel symmetric bit for bit"] = symmetric
     checks["efficiency spectrum in [-1e-9, 1+1e-9]"] = (

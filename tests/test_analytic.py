@@ -17,7 +17,7 @@ from cribmem.laplace import talbot_contour
 from cribmem.model import (DEFAULT_EXTENT_SIGMAS, DEFAULT_GRID_POINTS, build_detuning_grid,
                            derive_params, min_safe_classes)
 from cribmem.propagators import stage_action
-from cribmem.quadrature import tanh_sinh_grid
+from cribmem.quadrature import TimeGrid, tanh_sinh_grid
 
 
 def test_dephasing_envelope_values():
@@ -295,6 +295,14 @@ def test_profile_validation():
     p = Profile(grid=grid, values=grid.nodes + 1e-17j)
     assert p.values.dtype == np.float64
     assert np.array_equal(p.values, grid.nodes)
+    # The numeric inverts at each depth z with the unit contour divided by z:
+    # a node off (0, 1] used to give a silent efficiency, or at z = 0 fail
+    # converting a nan to an integer.
+    for nodes, bad in (([0.5, 1.0, 2.0], "2.0"), ([-0.5, 0.5, 1.0], "-0.5"),
+                       ([0.0, 0.5, 1.0], "0.0")):
+        off = TimeGrid(nodes=np.array(nodes), weights=np.full(3, 1.0 / 3.0), a=0.0, b=1.0)
+        with pytest.raises(ValueError, match=rf"z = {bad} is off \(0, 1\]"):
+            Profile(grid=off, values=np.ones(3))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

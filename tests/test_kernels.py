@@ -6,12 +6,10 @@ import scipy.linalg
 
 from cribmem.analytic import Profile, broadening_stage_efficiency_numeric
 from cribmem.kernels import (
-    EfficiencyKernel,
     TransferKernel,
     _contour_sum,
     _stored_states,
     apply_output,
-    build_efficiency_kernel,
     build_transfer_kernel,
 )
 from cribmem.laplace import invert, talbot_contour
@@ -120,10 +118,10 @@ def on_grid(kern) -> np.ndarray:
     return p @ kern.core @ p.T
 
 
-def weighted(eff) -> np.ndarray:
-    """A = B K_core B^T: the dense reference of the efficiency kernel."""
-    b = eff.basis
-    return b @ eff.core @ b.T
+def weighted(kern) -> np.ndarray:
+    """A = B K_core B^T, B = sqrt(w) Pi: the dense reference of the efficiency kernel."""
+    b = np.sqrt(kern.grid.weights)[:, None] * kern.interpolation
+    return b @ kern.core @ b.T
 
 
 def record_nodes(monkeypatch) -> list:
@@ -345,13 +343,11 @@ def test_unequal_out_and_in_grids_are_rejected():
 
 def test_time_irreversible_grid_is_rejected_at_construction():
     # Time reversal is an index reversal only on a grid mirrored about its
-    # midpoint; both kernels check that once, when the grid is attached.
+    # midpoint; the kernel checks that once, when the grid is attached.
     grid = TimeGrid(nodes=np.array([0.1, 0.2, 0.9]), weights=np.full(3, 1.0 / 3.0),
                     a=0.0, b=1.0)
     with pytest.raises(ValueError, match="not symmetric"):
         TransferKernel(grid=grid, core=np.zeros((3, 3)), interpolation=np.eye(3))
-    with pytest.raises(ValueError, match="not symmetric"):
-        EfficiencyKernel(grid=grid, basis=np.eye(3), core=np.eye(3))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3, 4), (3, 0), (3,)])
@@ -429,15 +425,12 @@ def test_kernel_and_efficiency_matrix_are_real():
     *_, kern = build_small(k=3, n=3, level=3)
     assert kern.core.dtype == kern.interpolation.dtype == np.float64
     assert kern.diagnostics["assembly"] == "half"
-    eff = build_efficiency_kernel(kern)
-    assert eff.core.dtype == eff.basis.dtype == eff.eigenvectors.dtype == np.float64
-    for make in (TransferKernel, EfficiencyKernel):
-        args = ({"interpolation": kern.interpolation} if make is TransferKernel
-                else {"basis": eff.basis})
-        with pytest.raises(ValueError, match="real"):
-            make(grid=eff.grid, core=eff.core.astype(complex), **args)
-        with pytest.raises(ValueError, match="symmetric"):
-            make(grid=eff.grid, core=np.triu(eff.core), **args)
+    assert kern.eigenvalues.dtype == kern.eigenvectors.dtype == np.float64
+    p = kern.interpolation
+    with pytest.raises(ValueError, match="real"):
+        TransferKernel(grid=kern.grid, core=kern.core.astype(complex), interpolation=p)
+    with pytest.raises(ValueError, match="symmetric"):
+        TransferKernel(grid=kern.grid, core=np.triu(kern.core), interpolation=p)
 
 
 def test_asymmetric_controlled_comb_is_rejected():
@@ -480,6 +473,16 @@ def test_apply_output_zero_and_linearity():
     assert np.allclose(lhs, rhs, atol=1e-12)
     with pytest.raises(ValueError):
         apply_output(kern, np.ones(n + 1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_apply_output_rejects_non_finite_samples(bad):
+    # One non-finite sample used to spread to every output sample, with no error.
+    *_, kern = build_small(k=3, n=3, level=3)
+    e_in = np.ones(kern.grid.size, dtype=complex)
+    e_in[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        apply_output(kern, e_in)
 
 
 def test_output_energy_between_zero_and_one():
@@ -539,17 +542,16 @@ def test_storage_decay_follows_intrinsic_dephasing():
 
 def test_efficiency_kernel_hermitian_psd_contractive():
     *_, kern = build_small(level=5)
-    eff = build_efficiency_kernel(kern)
-    assert np.array_equal(eff.core, eff.core.T)
-    evals = np.sort(np.linalg.eigvalsh(weighted(eff)) ** 2)   # spectrum of A^2
+    assert np.array_equal(kern.core, kern.core.T)
+    evals = np.sort(np.linalg.eigvalsh(weighted(kern)) ** 2)   # spectrum of A^2
     assert evals[0] >= -1e-9
     assert evals[-1] <= 1.0 + 1e-9
 
 
-def factor_residual(eff) -> float:
+def factor_residual(kern) -> float:
     # ||A - U Lambda U^T||_2 relative to |lambda_1|.
-    u, values = eff.eigenvectors, eff.eigenvalues
-    return float(np.linalg.norm(weighted(eff) - (u * values) @ u.T, 2) / abs(values[0]))
+    u, values = kern.eigenvectors, kern.eigenvalues
+    return float(np.linalg.norm(weighted(kern) - (u * values) @ u.T, 2) / abs(values[0]))
 
 
 def by_magnitude(values):
@@ -566,17 +568,17 @@ def test_spectral_factor_matches_dense_eigh(d0, gamma_rel, k, n, level):
     # per core node, every value it keeps is the dense eigenvalue of the
     # same rank to rounding, and A - U Lambda U^T is rounding (2.0e-15
     # |lambda_1| at most on these four).
-    _, _, kern, eff = build_pipeline(d0, gamma_rel, GridSettings(k=k, n=n, quad_level=level))
-    values, u = eff.eigenvalues, eff.eigenvectors
-    size, rank = eff.grid.size, values.size
+    *_, kern = build_pipeline(d0, gamma_rel, GridSettings(k=k, n=n, quad_level=level))
+    values, u = kern.eigenvalues, kern.eigenvectors
+    size, rank = kern.grid.size, values.size
     assert rank == sum(kern.diagnostics["core_nodes"]) < size
     assert u.shape == (size, rank)
-    dense = by_magnitude(np.linalg.eigvalsh(weighted(eff)))
+    dense = by_magnitude(np.linalg.eigvalsh(weighted(kern)))
     top = abs(dense[0])
     assert np.max(np.abs(values - dense[:rank])) <= 1e-13 * top
     assert np.all(np.diff(np.abs(values)) <= 0.0)
     assert np.max(np.abs(u.T @ u - np.eye(rank))) <= 1e-13
-    assert factor_residual(eff) <= 1e-14
+    assert factor_residual(kern) <= 1e-14
 
 
 def test_spectral_factor_on_kept_times_is_the_dense_spectrum():
@@ -585,10 +587,9 @@ def test_spectral_factor_on_kept_times_is_the_dense_spectrum():
     *_, kern = build_small(k=3, n=3, level=3)
     assert sum(kern.diagnostics["core_nodes"]) == kern.grid.size
     assert np.array_equal(kern.interpolation, np.eye(kern.grid.size))
-    eff = build_efficiency_kernel(kern)
-    dense = by_magnitude(np.linalg.eigvalsh(weighted(eff)))
-    assert eff.eigenvalues.size == kern.grid.size
-    assert np.max(np.abs(eff.eigenvalues - dense)) <= 1e-13 * abs(dense[0])
+    dense = by_magnitude(np.linalg.eigvalsh(weighted(kern)))
+    assert kern.eigenvalues.size == kern.grid.size
+    assert np.max(np.abs(kern.eigenvalues - dense)) <= 1e-13 * abs(dense[0])
 
 
 def test_spectral_factor_eigensolves_on_the_core_nodes(monkeypatch):
@@ -602,19 +603,20 @@ def test_spectral_factor_eigensolves_on_the_core_nodes(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
-    _, _, kern, eff = build_pipeline(100.0, 3.0, GridSettings(k=9, n=15, quad_level=9))
+    *_, kern = build_pipeline(100.0, 3.0, GridSettings(k=9, n=15, quad_level=9))
     core = sum(kern.diagnostics["core_nodes"])
-    assert eff.grid.size == 1025 and core == 56
+    assert kern.grid.size == 1025 and core == 56
     assert sizes and max(sizes) <= core
-    assert eff.eigenvalues.size == core
+    assert kern.eigenvalues.size == core
 
 
 def test_spectral_factor_of_a_full_rank_matrix_is_the_dense_spectrum():
-    # On the identity basis the factor is the core's dense eigendecomposition.
+    # On the identity basis, Pi = 1/sqrt(w), the factor is the core's dense
+    # eigendecomposition.
     tg = tanh_sinh_grid(0.0, 1.0, 8)
     a = np.random.default_rng(3).standard_normal((tg.size, tg.size))
-    eff = EfficiencyKernel(grid=tg, basis=np.eye(tg.size), core=a + a.T)
-    values, u = eff.eigenvalues, eff.eigenvectors
+    kern = TransferKernel(grid=tg, core=a + a.T, interpolation=np.diag(1.0 / np.sqrt(tg.weights)))
+    values, u = kern.eigenvalues, kern.eigenvectors
     dense = by_magnitude(np.linalg.eigvalsh(a + a.T))
     assert values.size == tg.size
     assert np.max(np.abs(values - dense)) <= 1e-12 * abs(dense[0])
@@ -626,17 +628,15 @@ def test_spectral_factor_of_a_full_rank_matrix_is_the_dense_spectrum():
                                    np.ones(5)],
                          ids=["complex", "non-finite", "rows", "columns", "empty", "1-d"])
 def test_efficiency_kernel_rejects_a_bad_basis(basis):
+    # The basis B = sqrt(w) Pi of the efficiency kernel is checked through Pi.
     tg = TimeGrid(nodes=np.linspace(0.1, 0.9, 5), weights=np.full(5, 0.2), a=0.0, b=1.0)
-    with pytest.raises(ValueError, match="basis"):
-        EfficiencyKernel(grid=tg, basis=basis, core=np.eye(2))
+    with pytest.raises(ValueError, match="interpolation"):
+        TransferKernel(grid=tg, core=np.eye(2), interpolation=basis)
 
 
 def test_non_finite_efficiency_kernel_is_rejected():
     *_, kern = build_small(k=3, n=3, level=3)
-    eff = build_efficiency_kernel(kern)
-    core = eff.core.copy()
+    core = kern.core.copy()
     core[0, 0] = math.inf
-    with pytest.raises(ValueError, match="finite"):
-        EfficiencyKernel(grid=kern.grid, basis=eff.basis, core=core)
     with pytest.raises(ValueError, match="finite"):
         TransferKernel(grid=kern.grid, core=core, interpolation=kern.interpolation)

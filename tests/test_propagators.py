@@ -8,7 +8,7 @@ from cribmem import propagators
 from cribmem.errors import NumericsError
 from cribmem.laplace import talbot_contour
 from cribmem.model import DetuningGrid, build_detuning_grid, default_schedule, derive_params
-from cribmem.propagators import ReadOut, stage3_correction, stage_action
+from cribmem.propagators import ReadOut, stage_action
 from cribmem.quadrature import GaussLegendre, tanh_sinh_grid
 
 
@@ -192,7 +192,7 @@ def test_semigroup_property_all_stages_all_nodes():
 def stage3_by_reduction(g: DetuningGrid, us, tau: float, x: np.ndarray) -> np.ndarray:
     """exp(M3 tau) x from the block reduction, for each node in us."""
     sums = x.reshape(g.k, g.n, -1).transpose(0, 2, 1) @ g.controlled_weights
-    corr = stage3_correction(g, us, sums, tau)
+    corr = ReadOut(g, us, tau).correction @ sums
     phase = np.exp(-1j * g.controlled_by(0).phases * tau)[:, None]
     return phase * x - np.repeat(corr, g.n, axis=1)
 
