@@ -46,7 +46,7 @@ The kernel is assembled on core nodes and kept with its interpolant.  As a
 function of either time argument each block is an entire function of
 exponential type at most beta, the bound of the stage its states run on:
 exp(M2 t) h for t <= tau_d, exp(M1 s) h on the read-in side.  The
-n = max(24, ceil(beta*T) + 16) Gauss-Legendre nodes on [0, T] that
+n = max(24, ceil(beta*T) + 8) Gauss-Legendre nodes on [0, T] that
 ``stage_action`` would collocate on for that side resolve such a function
 to rounding, and barycentric interpolation (Berrut and Trefethen, SIAM Rev.
 46, 501 (2004)) carries it to any time of the side.  So each side keeps the
@@ -62,7 +62,7 @@ both sides, A = sqrt(w) K_E sqrt(w) = B K_core B^T with the basis
 B = sqrt(w) Pi, so the transfer kernel carries it as its spectral factor.
 The efficiency operator A^2 is never formed: an eigenvector of A with
 eigenvalue lambda is an input mode of efficiency lambda^2.  Only a few
-modes are stored well: A has rank at most the core node count c (56 of
+modes are stored well: A has rank at most the core node count c (48 of
 1025 at d0 = 100, gamma = 3, K = 9, N = 15, level 9).  Every transfer
 kernel carries the eigenpairs A = U Lambda U^T, computed once when it is
 built by Rayleigh-Ritz on B = QR: Q^T A Q = R K_core R^T, a c x c matrix,
@@ -150,7 +150,7 @@ def _stored_states(grid: DetuningGrid, schedule: ProtocolSchedule, us, lo_times,
     V, (lo times, nodes, KN), is exp(M2 t) h at the lo core times; L, (nodes,
     KN, K), is exp(M2 tau_d) lift; F, (hi times, nodes, K), is exp(M1 s) h
     at s = t - tau_d on ``grid.collapsed()``.  Each comes from one
-    ``stage_action``, which collocates at n = max(24, ceil(beta*T) + 16)
+    ``stage_action``, which collocates at n = max(24, ceil(beta*T) + 8)
     Gauss-Legendre nodes on [0, T], T its last time and beta the stage's
     max-norm bound, so the lift's K columns share one solve per node.  The
     work is the node count n of the two stage-2 actions (V, L).

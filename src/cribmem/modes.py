@@ -10,9 +10,11 @@ lambda^2.  Every routine takes the transfer kernel
 (``kernels.TransferKernel``), which keeps K_E = Pi K_core Pi^T as its
 factors and carries A = U Lambda U^T, and every quantity here is read off
 that factor: the optimal mode is its top |lambda| pair, checked against
-sqrt(w) Pi K_core Pi^T sqrt(w) by thin products, and an input phi scores
-||Lambda U^T phi||^2 / ||phi||^2, O(n c) for c core nodes rather than
-O(n^2), within about 4e-15 eta_max of ||A phi||^2 / ||phi||^2.  Gaussian
+sqrt(w) Pi K_core Pi^T sqrt(w) by thin products and sampled through the
+kernel itself, and an input phi scores ||Lambda U^T phi||^2 / ||phi||^2
+on the r <= c pairs with |lambda| above the factor's rounding error, O(n r)
+rather than O(n^2), within about 4e-15 eta_max of ||A phi||^2 / ||phi||^2.
+Gaussian
 inputs are scored many at a time by gaussian_efficiencies; the best one
 comes from refining the best point of gaussian_lattice on ever finer 5 x 5
 lattices.
@@ -32,6 +34,9 @@ from cribmem.propagators import CHUNK
 from cribmem.quadrature import TimeGrid
 
 _RESIDUAL_TOL = 1e-9
+# The factor's error bound relative to |lambda_1| (kernels.TransferKernel):
+# a pair of smaller |lambda| is rounding and adds nothing to a score.
+_FACTOR_ERROR = 2.0e-15
 _MIN_GAUSS_WIDTH = 0.05
 # Gaussian samples below this are zeroed: their squares underflow anyway, and
 # their products with A would be subnormal, which the CPU handles far slower.
@@ -71,15 +76,19 @@ def optimal_mode(kernel: TransferKernel) -> ModeResult:
 
     The pair is the factor's first (the dominant lambda is often negative),
     and its residual ||A v - lambda v|| is checked, with A v = sqrt(w) o
-    (Pi (K_core (Pi^T (sqrt(w) o v)))).
+    (Pi (K_core (Pi^T (sqrt(w) o v)))).  The mode is the eigenfunction of
+    the reversed argument, f = Pi (K_core (Pi^T (sqrt(w) o v))) / lambda,
+    the kernel's own extension of v: v / sqrt(w) is the same function, but
+    at the grid's end nodes, where sqrt(w) is about 2e-11, it carries the
+    rounding of v amplified by 1 / sqrt(w).
     """
     lam, v = float(kernel.eigenvalues[0]), kernel.eigenvectors[:, 0]
     sw, p = np.sqrt(kernel.grid.weights), kernel.interpolation
-    resid = float(np.linalg.norm(sw * (p @ (kernel.core @ (p.T @ (sw * v)))) - lam * v))
+    extended = p @ (kernel.core @ (p.T @ (sw * v)))
+    resid = float(np.linalg.norm(sw * extended - lam * v))
     if resid > _RESIDUAL_TOL * max(1.0, abs(lam)):
         raise NumericsError(f"top eigenpair residual {resid:.3e} too large")
-    f = v / sw   # eigenfunction of the reversed argument
-    mode = _normalize(kernel.grid, f[::-1])
+    mode = _normalize(kernel.grid, extended[::-1] / lam)
     return ModeResult(efficiency=lam * lam, mode=mode)
 
 
@@ -95,9 +104,10 @@ def gaussian_mode(grid: TimeGrid, t_c: float, t_w: float) -> np.ndarray:
 def mode_efficiency(kernel: TransferKernel, e_in) -> float:
     """||A phi||^2 / ||phi||^2 for phi = sqrt(w) E_in reversed; scale invariant.
 
-    Read off the factor as ||Lambda U^T phi||^2 / ||phi||^2, an n x r product
-    per part: the factor is real, so a complex input costs one product per
-    part, a real one only one.
+    Read off the factor as ||Lambda U^T phi||^2 / ||phi||^2 on its pairs
+    above rounding (``_scoring_pairs``), an n x r product per part: the
+    factor is real, so a complex input costs one product per part, a real
+    one only one.
     """
     e_in = np.asarray(e_in)
     if e_in.shape != kernel.grid.nodes.shape:
@@ -106,9 +116,21 @@ def mode_efficiency(kernel: TransferKernel, e_in) -> float:
     if not (norm > 0.0 and math.isfinite(norm)):
         raise ValueError("input mode has zero or non-finite energy")
     phi = np.sqrt(kernel.grid.weights) * e_in[::-1]
-    parts = [kernel.eigenvalues * (p @ kernel.eigenvectors)
-             for p in (phi.real, phi.imag) if p.any()]
+    lam, u = _scoring_pairs(kernel)
+    parts = [lam * (p @ u) for p in (phi.real, phi.imag) if p.any()]
     return float(sum(c @ c for c in parts) / norm)
+
+
+def _scoring_pairs(kernel: TransferKernel) -> tuple[np.ndarray, np.ndarray]:
+    """The factor's leading pairs with |lambda| > _FACTOR_ERROR |lambda_1|.
+
+    The rest lie within the factor's error of zero: they change a score by
+    at most (_FACTOR_ERROR lambda_1)^2, a few 1e-30 of eta_max, and would
+    cost n per pair per input.
+    """
+    lam = kernel.eigenvalues
+    r = int(np.count_nonzero(np.abs(lam) > _FACTOR_ERROR * abs(lam[0])))
+    return lam[:r], kernel.eigenvectors[:, :r]
 
 
 def gaussian_lattice(schedule: ProtocolSchedule, tc_points: int = 25,
@@ -123,7 +145,8 @@ def gaussian_efficiencies(kernel: TransferKernel, t_c, t_w) -> np.ndarray:
     """mode_efficiency of the Gaussian input at each broadcast (t_c, t_w).
 
     Column phi is sqrt(w) times the reversed Gaussian samples, scored as
-    ||Lambda U^T phi||^2 / ||phi||^2 on the kernel's factor.  Columns pass
+    ||Lambda U^T phi||^2 / ||phi||^2 on the factor's pairs above rounding
+    (``_scoring_pairs``), as in mode_efficiency.  Columns pass
     through U^T about CHUNK entries at a time, so no nodes x inputs array is
     formed.  As in gaussian_mode, a t_w that is not positive and finite
     raises ValueError, and so does a t_c that is not finite or lies off the
@@ -143,6 +166,7 @@ def gaussian_efficiencies(kernel: TransferKernel, t_c, t_w) -> np.ndarray:
                          f"where a Gaussian input has energy, got {float(bad[0])!r}")
     times = grid.nodes[::-1, None]
     root_w = np.sqrt(grid.weights)[:, None]
+    lam, u = _scoring_pairs(kernel)
     eta = np.empty(centers.size)
     step = max(1, CHUNK // times.size)
     for j0 in range(0, eta.size, step):
@@ -153,7 +177,7 @@ def gaussian_efficiencies(kernel: TransferKernel, t_c, t_w) -> np.ndarray:
         if not np.all(norm > 0.0):
             raise NumericsError(f"a Gaussian input of t_w = {float(widths[j][norm <= 0.0][0]):g} "
                                 f"has zero energy on the {grid.size} time nodes; raise quad_level")
-        coeffs = kernel.eigenvalues[:, None] * (kernel.eigenvectors.T @ phi)
+        coeffs = lam[:, None] * (u.T @ phi)
         eta[j] = np.einsum("ij,ij->j", coeffs, coeffs) / norm
     return eta.reshape(t_c.shape)
 

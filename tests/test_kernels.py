@@ -241,11 +241,11 @@ def test_contour_sum_matches_dense_entries_on_a_fine_grid(monkeypatch, m):
 
 
 def test_kernel_is_interpolated_from_its_core_nodes():
-    # At q8 each side has far more times (273 lo, 240 hi) than the 48 and 24
+    # At q8 each side has far more times (273 lo, 240 hi) than the 40 and 24
     # Gauss-Legendre nodes that resolve its bandwidth: the kernel on those
     # nodes, interpolated onto the grid, is the kernel assembled on the grid.
-    # Here the bandwidth beta*T sets the lo count, 16 nodes beyond it;
-    # without that margin the kernels differ by about 1e-11.
+    # Here the bandwidth beta*T sets the lo count, 8 nodes beyond it;
+    # without that margin the kernels differ by about 8e-12.
     params = derive_params(10.0, 6.0)
     sched = default_schedule(params)
     grid = build_detuning_grid(params.gamma0_rel, 6.0, 3, 3)
@@ -254,8 +254,8 @@ def test_kernel_is_interpolated_from_its_core_nodes():
     n_lo = int(np.count_nonzero(tg.nodes <= sched.tau_d))
     assert (n_lo, tg.size - n_lo) == (273, 240)
     kern = build_transfer_kernel(params, sched, grid, contour, tg, tg)
-    assert kern.diagnostics["core_nodes"] == (48, 24)
-    assert kern.core.shape == (72, 72) and kern.interpolation.shape == (513, 72)
+    assert kern.diagnostics["core_nodes"] == (40, 24)
+    assert kern.core.shape == (64, 64) and kern.interpolation.shape == (513, 64)
     assert np.array_equal(kern.core, kern.core.T)
     values = on_grid(kern)
     want = direct_kernel(grid, sched, contour, tg.nodes)
@@ -593,7 +593,7 @@ def test_spectral_factor_on_kept_times_is_the_dense_spectrum():
 
 
 def test_spectral_factor_eigensolves_on_the_core_nodes(monkeypatch):
-    # At modes-q9's settings A is 1025 x 1025 and the core has 32 + 24
+    # At modes-q9's settings A is 1025 x 1025 and the core has 24 + 24
     # nodes: no eigensolve sees a larger matrix (the transfer kernel runs
     # none).
     sizes, eigh = [], np.linalg.eigh
@@ -605,7 +605,7 @@ def test_spectral_factor_eigensolves_on_the_core_nodes(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", recording)
     *_, kern = build_pipeline(100.0, 3.0, GridSettings(k=9, n=15, quad_level=9))
     core = sum(kern.diagnostics["core_nodes"])
-    assert kern.grid.size == 1025 and core == 56
+    assert kern.grid.size == 1025 and core == 48
     assert sizes and max(sizes) <= core
     assert kern.eigenvalues.size == core
 

@@ -11,6 +11,7 @@ import pytest
 import scipy.optimize
 
 import cribmem
+from cribmem import modes
 from cribmem.errors import NumericsError
 from cribmem.kernels import TransferKernel, build_transfer_kernel
 from cribmem.laplace import talbot_contour
@@ -283,7 +284,7 @@ def test_gaussian_efficiencies_memory_is_chunked():
 
 def test_a_fine_time_grid_forms_no_time_by_time_array():
     # modes-q9's point: n = 1025 times.  The kernels are kept as their core
-    # (56 x 56), its n x 56 interpolant and its n x 56 eigenvectors, so a
+    # (48 x 48), its n x 48 interpolant and its n x 48 eigenvectors, so a
     # whole point, Gaussian search included, stays below the n^2 * 8 B = 8 MiB
     # of one n x n array.
     fields = dataclasses.fields(TransferKernel)
@@ -358,7 +359,7 @@ def test_optimize_gaussian_finds_a_known_peak(peak):
 
 @pytest.fixture(scope="module")
 def fine_pipeline():
-    # modes-q9's point: 1025 time nodes, a factor of rank 56.
+    # modes-q9's point: 1025 time nodes, a factor of rank 48.
     _, sched, _, kern = build_pipeline(100.0, 3.0, GridSettings(k=9, n=15, quad_level=9))
     assert kern.eigenvalues.size < kern.grid.size
     return sched, kern, weighted(kern)
@@ -396,6 +397,47 @@ def test_gaussian_efficiencies_match_dense_quotient(fine_pipeline):
     want = np.array([[dense_efficiency(a, kern, gaussian_mode(kern.grid, tc, tw)) for tw in tws]
                      for tc in tcs])
     assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("settings", [GridSettings(k=21, n=21, quad_level=6),
+                                      GridSettings(k=9, n=15, quad_level=9)],
+                         ids=["point-kn441", "modes-q9"])
+def test_optimal_mode_is_the_kernels_own_extension(settings):
+    # The mode f solves f = Pi K_core Pi^T (w o f) / lambda at every node,
+    # the end nodes included, where v / sqrt(w), sqrt(w) ~ 2e-11, would carry
+    # the rounding of the eigenvector v up to about 3e-6 of the peak.
+    *_, kern = build_pipeline(100.0, 3.0, settings)
+    mode = optimal_mode(kern).mode
+    p = kern.interpolation
+    extension = p @ (kern.core @ (p.T @ (kern.grid.weights * mode[::-1])))
+    extension = extension[::-1] / kern.eigenvalues[0]
+    assert np.max(np.abs(extension - mode)) <= 1e-12 * np.max(np.abs(mode))
+
+
+def test_scores_equal_the_full_factor_scores(fine_pipeline):
+    # Inputs are scored on the pairs with |lambda| above the factor's error
+    # bound, 2.0e-15 |lambda_1|, fewer than the factor's c; the full factor
+    # gives the same scores.
+    sched, kern, _ = fine_pipeline
+    lam, u = kern.eigenvalues, kern.eigenvectors
+    above = int(np.count_nonzero(np.abs(lam) > 2.0e-15 * abs(lam[0])))
+    assert 0 < above < lam.size
+    assert modes._scoring_pairs(kern)[0].size == above
+
+    def full(e_in):
+        phi = np.sqrt(kern.grid.weights) * e_in[::-1]
+        coeffs = lam * (u.T @ phi)
+        return float(coeffs @ coeffs / (phi @ phi))
+
+    tcs, tws = gaussian_lattice(sched)
+    got = gaussian_efficiencies(kern, tcs[:, None], tws[None, :])
+    want = np.array([[full(gaussian_mode(kern.grid, tc, tw)) for tw in tws] for tc in tcs])
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+    t = kern.grid.nodes
+    for e_in in (gaussian_mode(kern.grid, sched.tau_p, 0.5), np.where(t < sched.tau_p, 1.0, 0.0),
+                 np.resize([1.0, -1.0], t.size)):
+        want = full(e_in)
+        assert abs(mode_efficiency(kern, e_in) - want) <= 1e-14 * want
 
 
 def test_a_sweep_point_does_not_import_numpy_random():
