@@ -14,10 +14,9 @@ sqrt(w) Pi K_core Pi^T sqrt(w) by thin products and sampled through the
 kernel itself, and an input phi scores ||Lambda U^T phi||^2 / ||phi||^2
 on the r <= c pairs with |lambda| above the factor's rounding error, O(n r)
 rather than O(n^2), within about 4e-15 eta_max of ||A phi||^2 / ||phi||^2.
-Gaussian
-inputs are scored many at a time by gaussian_efficiencies; the best one
-comes from refining the best point of gaussian_lattice on ever finer 5 x 5
-lattices.
+Gaussian inputs are scored many at a time by gaussian_efficiencies; the
+best one comes from refining the best point of gaussian_lattice on ever
+finer 5 x 5 lattices.
 """
 
 from __future__ import annotations
